@@ -11,7 +11,6 @@ Submodules:
 from . import arith, counting, lattice, meanvalue
 from .arith import (
     Factorization,
-    IPSet,
     count_roots_quad,
     count_roots_quad_n,
     extended_gcd,
@@ -26,7 +25,6 @@ from .counting import (
     canonical_m,
     fix_count_bruteforce,
     fix_count_closed,
-    ip_set,
     map_g,
     orbit_decomposition,
     t_burnside,
@@ -54,7 +52,6 @@ from .lattice import (
 from .meanvalue import (
     euler_product_odd,
     feller_tornier,
-    grosswald_growth,
     mean_value_report,
     moebius_sum_odd,
     partial_sum_T,

@@ -15,12 +15,12 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Factorization",
-    "IPSet",
     "factorize",
     "is_prime",
     "extended_gcd",
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 IMPH_BRUTEFORCE_BOUND = 10**7
-IMPH_SIEVE_BOUND = 10**8
+IMPH_SIEVE_BOUND = 10**8  # needs a 1.7 GB sieve budget; the default admits 6.3 * 10^7
 ROOT_ENUMERATION_BOUND = 10**7
 
 #: Environment variable holding the sieve memory budget in bytes.
@@ -263,53 +263,91 @@ def ip_members(n: int) -> np.ndarray:
     return x[mask]
 
 
-@dataclass(frozen=True)
-class IPSet:
-    """The residue set IP(n) on which the six Burnside maps act."""
+def _primes_upto(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending, as an int64 array (Eratosthenes)."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    if limit + 1 > sieve_memory_budget():
+        raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64)
 
-    n: int
-    members: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for x in self.members:
-            if not (1 <= x <= self.n):
-                raise ValueError(f"member {x} outside [1, {self.n}]")
-            if math.gcd(x, self.n) != 1 or math.gcd(x - 1, self.n) != 1:
-                raise ValueError(f"{x} fails the double-gcd condition mod {self.n}")
-        if list(self.members) != sorted(set(self.members)):
-            raise ValueError("members must be strictly increasing")
+class _FactorData(NamedTuple):
+    """Per-n factor data for 0 <= n <= x; entry 0 is a placeholder."""
 
-    def __len__(self) -> int:
-        return len(self.members)
+    imph: np.ndarray  # int64
+    omega: np.ndarray  # int8, distinct prime divisors
+    big_omega: np.ndarray  # int8, prime divisors with multiplicity
+    squarefree: np.ndarray  # bool
+    bad5: np.ndarray  # bool, some prime p = 5 (mod 6) divides n
 
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+
+# Bytes per n the factor sieve holds at its peak: the five result arrays
+# (8 + 1 + 1 + 1 + 1), the int32 cofactor (4) and one bool mask (1).  The
+# default 1 GiB budget admits x <= 63,161,282; the 10^8 caps need a budget
+# of 1.7 GB.
+_FACTOR_SIEVE_BYTES_PER_N = 17
+
+
+def _factor_sieve(x: int) -> _FactorData:
+    """imph, omega, Omega, squarefree and the p = 5 (mod 6) flag for n <= x.
+
+    Each prime p <= sqrt(x) is sliced once per power p^k <= x, dividing a
+    cofactor array cof[n] = n by p alongside the multiplicative data.
+    Afterwards cof[n] is 1 or a single prime q > sqrt(x), which is folded in
+    with a few whole-array steps that reuse the cofactor in place.  The check
+    against the memory budget covers everything the sieve holds at once;
+    callers keep their own arrays within that figure.
+    """
+    if x > IMPH_SIEVE_BOUND:
+        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {x}")
+    need = _FACTOR_SIEVE_BYTES_PER_N * (x + 1)
+    budget = sieve_memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"sieve for x={x} needs {need} bytes, budget is {budget}; "
+            f"raise {SIEVE_MEMORY_ENV} to at least {need}"
+        )
+    imph = np.ones(x + 1, dtype=np.int64)
+    cof = np.arange(x + 1, dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
+    omega = np.zeros(x + 1, dtype=np.int8)
+    big_omega = np.zeros(x + 1, dtype=np.int8)
+    squarefree = np.ones(x + 1, dtype=bool)
+    bad5 = np.zeros(x + 1, dtype=bool)
+    for p in _primes_upto(math.isqrt(x)).tolist():
+        imph[p::p] *= p - 2
+        omega[p::p] += 1
+        if p % 6 == 5:
+            bad5[p::p] = True
+        squarefree[p * p :: p * p] = False
+        pk = p
+        while pk <= x:
+            cof[pk::pk] //= p
+            big_omega[pk::pk] += 1
+            if pk > p:
+                imph[pk::pk] *= p
+            pk *= p
+    big = cof > 1
+    omega += big
+    big_omega += big
+    del big
+    cof -= 2
+    imph *= np.abs(cof, out=cof)  # q - 2 for a prime cofactor, 1 for cofactor 1
+    bad5 |= np.remainder(cof, 6, out=cof) == 3  # q - 2 = 3 (mod 6) iff q = 5 (mod 6)
+    imph[0] = 0
+    return _FactorData(imph, omega, big_omega, squarefree, bad5)
 
 
 def imph_sieve(x: int) -> np.ndarray:
-    """Table t with t[n] = imph(n) for 1 <= n <= x (t[0] = 0).
-
-    Works like the classic phi sieve: start from n and fold in (p - 2) / p
-    for every prime p | n, ascending, so every division is exact.
-    """
+    """Table t with t[n] = imph(n) for 1 <= n <= x (t[0] = 0), from the factor sieve."""
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
-    if x > IMPH_SIEVE_BOUND:
-        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {x}")
-    need = 8 * (x + 1) + (x + 1)  # int64 table + bool prime mask
-    budget = sieve_memory_budget()
-    if need > budget:
-        raise ValueError(f"sieve for x={x} needs {need} bytes, budget is {budget}")
-    table = np.arange(x + 1, dtype=np.int64)
-    table[0] = 0
-    is_comp = np.zeros(x + 1, dtype=bool)
-    for p in range(2, x + 1):
-        if is_comp[p]:
-            continue
-        if p * p <= x:
-            is_comp[p * p :: p] = True
-        table[p::p] = table[p::p] // p * (p - 2)
-    return table
+    return _factor_sieve(x).imph
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import (
-    IPSet,
     _cached_factorization,
     count_roots_quad_n,
     imph_from_factorization,
@@ -29,7 +28,6 @@ from .lattice import enumerate_clean, equivalent_clean
 __all__ = [
     "OrbitDecomposition",
     "TCountReport",
-    "ip_set",
     "map_g",
     "fix_count_bruteforce",
     "fix_count_closed",
@@ -43,11 +41,6 @@ __all__ = [
 
 BRUTEFORCE_N_BOUND = 10**5
 GEOMETRIC_N_BOUND = 2000
-
-
-def ip_set(n: int) -> IPSet:
-    """IP(n) as a validated set object."""
-    return IPSet(n, tuple(int(x) for x in ip_members(n)))
 
 
 def _check_member(m: int, n: int) -> None:

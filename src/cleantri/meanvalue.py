@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import imph_sieve, sieve_memory_budget
+from .arith import _factor_sieve, _primes_upto, imph_sieve
 
 __all__ = [
     "ConstantEstimate",
@@ -29,11 +29,10 @@ __all__ = [
     "feller_tornier_zeta",
     "moebius_sum_odd",
     "mean_value_report",
-    "grosswald_growth",
     "grosswald_ratios",
 ]
 
-PARTIAL_SUM_IMPH_BOUND = 10**8
+PARTIAL_SUM_IMPH_BOUND = 10**8  # as arith.IMPH_SIEVE_BOUND, past the default budget
 PARTIAL_SUM_T_BOUND = 10**7
 
 
@@ -51,19 +50,6 @@ class ConstantEstimate:
 
     def agrees_with(self, other: "ConstantEstimate") -> bool:
         return abs(self.value - other.value) <= self.tail_bound + other.tail_bound
-
-
-def _primes_upto(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    if limit + 1 > sieve_memory_budget():
-        raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
 
 
 # --------------------------------------------------------------------------
@@ -84,36 +70,33 @@ def partial_sum_imph(x: int) -> int:
 
 
 def t_closed_sieve(x: int) -> np.ndarray:
-    """Table t with t[n] = T(n) for n <= x, built from sieved factor data.
+    """Table t with t[n] = T(n) for n <= x, from one pass of the factor sieve.
 
-    Uses the same three-case classification as the scalar closed form but
-    with sieved imph, omega, and prime-class flags, so large ranges stay
-    affordable.
+    Applies the scalar closed form's three cases to whole arrays: with
+    imph(n), omega(n) and the p = 5 (mod 6) flag from ``arith._factor_sieve``,
+    6 T(n) = imph(n) + 3 when 9 | n or some p = 5 (mod 6) divides n, plus
+    2^omega(n) more when 3 | n otherwise, and plus 2^(omega(n) + 1) more in
+    the remaining case.  Even n give 0.  The int16 root-count array keeps the
+    peak within the sieve's own memory budget.
     """
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
     if x > PARTIAL_SUM_T_BOUND:
         raise ValueError(f"T sieve capped at {PARTIAL_SUM_T_BOUND}")
-    im = imph_sieve(x)
-    omega = np.zeros(x + 1, dtype=np.int64)
-    bad5 = np.zeros(x + 1, dtype=bool)
-    for p in _primes_upto(x):
-        omega[p::p] += 1
-        if p % 6 == 5:
-            bad5[p::p] = True
-    n = np.arange(x + 1, dtype=np.int64)
-    odd = n % 2 == 1
-    case1 = bad5 | (n % 9 == 0)
-    case2 = ~case1 & (n % 3 == 0)
-    numer = np.where(
-        case1,
-        im + 3,
-        np.where(case2, im + 2**omega + 3, im + 2 ** (omega + 1) + 3),
-    )
-    if (numer[odd] % 6).any():  # pragma: no cover
+    f = _factor_sieve(x)
+    roots = np.left_shift(2, f.omega, dtype=np.int16)  # 2^(omega + 1)
+    roots[::3] >>= 1
+    roots[::9] = 0
+    roots[f.bad5] = 0
+    table = f.imph
+    del f
+    table += roots
+    del roots
+    table += 3
+    if (table[1::2] % 6).any():  # pragma: no cover
         raise AssertionError("closed-form numerator not divisible by 6")
-    table = np.where(odd, numer // 6, 0)
-    table[0] = 0
+    table //= 6
+    table[::2] = 0
     return table
 
 
@@ -183,15 +166,15 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
         raise ValueError("bound must be positive")
     if d_bound == 1:
         return ConstantEstimate(1.0, 1, math.pi**2 / 6 + 1.0)
-    coeff = np.ones(d_bound + 1, dtype=np.float64)
-    for p in _primes_upto(d_bound):
-        coeff[p::p] *= -2.0
-        if p * p <= d_bound:
-            coeff[p * p :: p * p] = 0.0
-    d = np.arange(d_bound + 1, dtype=np.float64)
-    d[0] = 1.0
-    terms = coeff / (d * d)
-    odd_terms = terms[3::2]
+    f = _factor_sieve(d_bound)
+    omega, squarefree = f.omega, f.squarefree
+    del f
+    coeff = ((-2.0) ** np.arange(omega.max() + 1))[omega[3::2]]
+    coeff[~squarefree[3::2]] = 0.0
+    del omega, squarefree
+    d = np.arange(3, d_bound + 1, 2, dtype=np.float64)
+    d *= d
+    odd_terms = np.divide(coeff, d, out=coeff)
     value = 1.0 + float(np.add.reduce(odd_terms))
     tail = (math.log(d_bound) + 1.0 + math.pi**2 / 6.0) / d_bound
     return ConstantEstimate(value, d_bound, tail)
@@ -252,40 +235,23 @@ class GrosswaldReport:
     ratio_to_xlog2x: float
 
 
-def _big_omega_table(x: int) -> np.ndarray:
-    """Omega(n) (prime factors with multiplicity) for n <= x."""
-    omega = np.zeros(x + 1, dtype=np.int64)
-    for p in _primes_upto(x):
-        pk = p
-        while pk <= x:
-            omega[pk::pk] += 1
-            pk *= p
-    return omega
-
-
-def grosswald_growth(x: int) -> GrosswaldReport:
-    """Sum of 2^Omega(n) for n <= x, with the ratio to x ln^2 x.
+def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:
+    """Sum of 2^Omega(n) for n <= x, with the ratio to x ln^2 x, at each bound.
 
     Grosswald's bound says the average order of 2^Omega(n) is O(x log^2 x),
-    which is what makes the 2^omega terms in T(n) negligible on average.
+    which is what makes the 2^omega terms in T(n) negligible on average.  All
+    bounds share one sieve pass; reports come in ascending order of x.
     """
-    if x < 1:
-        raise ValueError(f"bound must be positive, got {x}")
-    if x > PARTIAL_SUM_T_BOUND:
-        raise ValueError(f"Grosswald sum capped at {PARTIAL_SUM_T_BOUND}")
-    total = int((np.int64(1) << _big_omega_table(x)[1:]).sum())
-    denom = x * math.log(x) ** 2 if x > 1 else 1.0
-    return GrosswaldReport(x, total, total / denom)
-
-
-def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:
-    """grosswald_growth at several bounds sharing one sieve pass."""
     if not bounds:
         return []
+    for x in bounds:
+        if x < 1:
+            raise ValueError(f"bound must be positive, got {x}")
     xmax = max(bounds)
     if xmax > PARTIAL_SUM_T_BOUND:
         raise ValueError(f"Grosswald sum capped at {PARTIAL_SUM_T_BOUND}")
-    cumulative = np.cumsum(np.int64(1) << _big_omega_table(xmax)[1:])
+    cumulative = np.left_shift(1, _factor_sieve(xmax).big_omega[1:], dtype=np.int64)
+    np.cumsum(cumulative, out=cumulative)
     out = []
     for x in sorted(bounds):
         total = int(cumulative[x - 1])

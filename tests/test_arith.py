@@ -1,18 +1,21 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cleantri import arith
 from cleantri.arith import (
     Factorization,
-    IPSet,
     count_roots_quad,
     count_roots_quad_n,
     extended_gcd,
     factorize,
     imph,
     imph_bruteforce,
+    imph_from_factorization,
     imph_sieve,
     ip_members,
     is_prime,
@@ -158,7 +161,41 @@ class TestImphSieve:
             imph_sieve(10**6)
 
 
-class TestIPSet:
+FACTOR_SIEVE_X = 10**5
+
+
+@cache
+def _factor_table():
+    return arith._factor_sieve(FACTOR_SIEVE_X)
+
+
+def _assert_factor_data(data, n):
+    f = factorize(n)
+    assert data.imph[n] == imph_from_factorization(f)
+    assert data.omega[n] == f.omega
+    assert data.big_omega[n] == f.big_omega
+    assert data.squarefree[n] == all(e == 1 for _, e in f.factors)
+    assert data.bad5[n] == any(p % 6 == 5 for p in f.primes())
+
+
+class TestFactorSieve:
+    # factorize reaches the same fields by trial division and rho, not by sieving
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(min_value=1, max_value=FACTOR_SIEVE_X))
+    def test_fields_match_factorize(self, n):
+        _assert_factor_data(_factor_table(), n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=400))
+    @example(3)
+    def test_every_entry_small_bounds(self, x):
+        # small x leave cofactors like 2 and 3 unsieved, since no prime is <= sqrt(x)
+        data = arith._factor_sieve(x)
+        for n in range(1, x + 1):
+            _assert_factor_data(data, n)
+
+
+class TestIpMembers:
     def test_members(self):
         assert list(ip_members(15)) == [2, 8, 14]
         assert list(ip_members(7)) == [2, 3, 4, 5, 6]
@@ -168,13 +205,6 @@ class TestIPSet:
     def test_even_empty(self):
         for n in range(2, 100, 2):
             assert ip_members(n).size == 0
-
-    def test_validation(self):
-        IPSet(7, (2, 3, 4, 5, 6))
-        with pytest.raises(ValueError):
-            IPSet(7, (1, 2))
-        with pytest.raises(ValueError):
-            IPSet(7, (3, 2))
 
 
 class TestLegendreMinus3:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from cleantri.meanvalue import (
     euler_product_odd,
     feller_tornier,
     feller_tornier_zeta,
-    grosswald_growth,
     grosswald_ratios,
     mean_value_report,
     moebius_sum_odd,
@@ -40,6 +40,11 @@ class TestPartialSums:
         table = t_closed_sieve(2000)
         for n in range(1, 2001):
             assert table[n] == counting.t_closed(n)
+
+    def test_t_sieve_root_count_past_int8(self):
+        # the smallest n with 2^(omega(n) + 1) = 128 roots counted in the closed form
+        n = 3 * 7 * 13 * 19 * 31 * 37
+        assert t_closed_sieve(n)[n] == counting.t_closed(n)
 
     def test_t_sieve_odd_only(self):
         table = t_closed_sieve(500)
@@ -120,8 +125,14 @@ class TestMeanValueReport:
 
 class TestGrosswald:
     def test_spot(self):
-        assert grosswald_growth(10).total == 33
-        assert grosswald_growth(1).total == 1
+        assert grosswald_ratios([10])[0].total == 33
+        assert grosswald_ratios([1])[0].total == 1
+
+    def test_total_past_omega_seven(self):
+        # 2^Omega(n) reaches 128 at n = 128 and 256 at n = 256
+        x = 300
+        expected = sum(2 ** arith.factorize(n).big_omega for n in range(1, x + 1))
+        assert grosswald_ratios([x])[0].total == expected
 
     def test_ratio_bounded(self):
         reports = grosswald_ratios([10**4 * 2**k for k in range(7)])
@@ -130,6 +141,43 @@ class TestGrosswald:
 
     def test_ratios_match_single_calls(self):
         for r in grosswald_ratios([100, 1000]):
-            single = grosswald_growth(r.x)
+            single = grosswald_ratios([r.x])[0]
             assert single.total == r.total
             assert single.ratio_to_xlog2x == pytest.approx(r.ratio_to_xlog2x)
+
+    @pytest.mark.parametrize("bounds", [[0, 100], [-5, 10], [0]])
+    def test_rejects_bounds_below_one(self, bounds):
+        with pytest.raises(ValueError, match="positive"):
+            grosswald_ratios(bounds)
+
+
+SIEVE_USERS = {
+    "imph_sieve": arith.imph_sieve,
+    "t_closed_sieve": t_closed_sieve,
+    "moebius_sum_odd": moebius_sum_odd,
+    "grosswald_ratios": lambda x: grosswald_ratios([x]),
+}
+
+
+class TestSieveMemoryBudget:
+    @pytest.mark.parametrize("fn", [t_closed_sieve, moebius_sum_odd])
+    def test_budget_covers_whole_sieve(self, monkeypatch, fn):
+        # above the 9 bytes per n of the imph table and prime mask, below the true need
+        x = 10**6
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(16 * (x + 1)))
+        with pytest.raises(ValueError, match="budget"):
+            fn(x)
+
+    @pytest.mark.parametrize("name", sorted(SIEVE_USERS))
+    def test_peak_within_need(self, name):
+        x = 10**5
+        fn = SIEVE_USERS[name]
+        fn(x)  # warm up lazy imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = arith._FACTOR_SIEVE_BYTES_PER_N * (x + 1)
+        assert peak <= need + 16 * 1024
