@@ -1,8 +1,9 @@
 """Exact integer arithmetic underpinning the triangle counts.
 
-Everything here is deterministic: factorization uses trial division with a
-fixed-witness Miller-Rabin test and Brent's cycle method (fixed parameters)
-for the large cofactors, so repeated runs give identical output.
+Everything here is deterministic: factorize trial-divides by the primes
+below 1000 and hands the cofactor left to a fixed-witness Miller-Rabin test
+and Brent's cycle method (fixed parameters), so repeated runs give identical
+output.  It serves 1 <= n < 2^63.
 
 The central object is imph(n), the count of residues x in [1, n] with
 gcd(x, n) = gcd(x - 1, n) = 1.  It is multiplicative with
@@ -61,17 +62,28 @@ def sieve_memory_budget() -> int:
 # primality / factorization
 # --------------------------------------------------------------------------
 
-# Sufficient witness set for a deterministic Miller-Rabin below 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the witnesses 2..41 is deterministic below psi_13 =
+# 3,317,044,064,679,887,385,961,981 (Sorenson-Webster, Math. Comp. 2017);
+# the witnesses 2..37 alone are fooled at psi_12 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
-_TRIAL_LIMIT = 10**5
+#: factorize serves 1 <= n < FACTORIZE_BOUND; larger n may have two prime
+#: factors too big for rho to find in reasonable time.
+FACTORIZE_BOUND = 1 << 63
+
+# factorize trial-divides by the primes below this limit; the cofactor left,
+# whose prime factors are all >= the limit, goes to Miller-Rabin and rho.
+_TRIAL_LIMIT = 1000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid well past 2^63)."""
+    """Deterministic Miller-Rabin primality test, valid for n < 3.3 * 10^24."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality test is proven only below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -92,11 +104,39 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _eratosthenes(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending, as an int64 array; no budget check."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
+def _primes_upto(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending, as an int64 array (Eratosthenes).
+
+    The package's one prime source; the sieve mask must fit the memory budget.
+    """
+    if limit >= 2 and limit + 1 > sieve_memory_budget():
+        raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
+    return _eratosthenes(limit)
+
+
+# Built without reading the budget, so a malformed CLEANTRI_SIEVE_MEMORY
+# fails only the sieves, never factorize.
+_TRIAL_PRIMES = tuple(_eratosthenes(_TRIAL_LIMIT - 1).tolist())
+
+
 def _brent_rho(n: int) -> int:
     """Brent's variant of Pollard rho with a fixed parameter sweep.
 
-    n must be odd, composite and free of factors below the trial limit.
-    Returns a nontrivial divisor; deterministic because the (x0, c) pairs
+    n must be composite and free of prime factors below the trial limit
+    (1000), as factorize's cofactors are; prime powers such as 1009^2 split
+    too.  Returns a nontrivial divisor; deterministic because the (x0, c) pairs
     are tried in a fixed order.
     """
     for c in range(1, 100):
@@ -164,12 +204,14 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n deterministically; valid for 1 <= n < 2^63."""
+    """Factor n deterministically; valid for 1 <= n < 2^63, ValueError beyond."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
+    if n >= FACTORIZE_BOUND:
+        raise ValueError(f"factorize is capped below 2^63, got {n}")
     factors: dict[int, int] = {}
     m = n
-    for p in range(2, _TRIAL_LIMIT):
+    for p in _TRIAL_PRIMES:
         if p * p > m:
             break
         while m % p == 0:
@@ -263,20 +305,6 @@ def ip_members(n: int) -> np.ndarray:
     return x[mask]
 
 
-def _primes_upto(limit: int) -> np.ndarray:
-    """The primes p <= limit, ascending, as an int64 array (Eratosthenes)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    if limit + 1 > sieve_memory_budget():
-        raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
 class _FactorData(NamedTuple):
     """Per-n factor data for 0 <= n <= x; entry 0 is a placeholder."""
 
@@ -294,15 +322,11 @@ class _FactorData(NamedTuple):
 _FACTOR_SIEVE_BYTES_PER_N = 17
 
 
-def _factor_sieve(x: int) -> _FactorData:
-    """imph, omega, Omega, squarefree and the p = 5 (mod 6) flag for n <= x.
+def _check_factor_sieve(x: int) -> None:
+    """Reject x above the factor sieve's cap or its memory budget.
 
-    Each prime p <= sqrt(x) is sliced once per power p^k <= x, dividing a
-    cofactor array cof[n] = n by p alongside the multiplicative data.
-    Afterwards cof[n] is 1 or a single prime q > sqrt(x), which is folded in
-    with a few whole-array steps that reuse the cofactor in place.  The check
-    against the memory budget covers everything the sieve holds at once;
-    callers keep their own arrays within that figure.
+    Callers that do other work before sieving call this first, so a rejected
+    x costs nothing.
     """
     if x > IMPH_SIEVE_BOUND:
         raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {x}")
@@ -313,6 +337,19 @@ def _factor_sieve(x: int) -> _FactorData:
             f"sieve for x={x} needs {need} bytes, budget is {budget}; "
             f"raise {SIEVE_MEMORY_ENV} to at least {need}"
         )
+
+
+def _factor_sieve(x: int) -> _FactorData:
+    """imph, omega, Omega, squarefree and the p = 5 (mod 6) flag for n <= x.
+
+    Each prime p <= sqrt(x) is sliced once per power p^k <= x, dividing a
+    cofactor array cof[n] = n by p alongside the multiplicative data.
+    Afterwards cof[n] is 1 or a single prime q > sqrt(x), which is folded in
+    with a few whole-array steps that reuse the cofactor in place.  The check
+    against the memory budget covers everything the sieve holds at once;
+    callers keep their own arrays within that figure.
+    """
+    _check_factor_sieve(x)
     imph = np.ones(x + 1, dtype=np.int64)
     cof = np.arange(x + 1, dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
     omega = np.zeros(x + 1, dtype=np.int8)
@@ -486,7 +523,11 @@ def roots_quad_n(n: int) -> tuple[int, ...]:
     return tuple(sorted(r % n for r in residues))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _cached_factorization(n: int) -> Factorization:
-    """Factorization cache for the hot counting paths."""
+    """Factorization cache for the hot counting paths.
+
+    Bounded, so a long scalar sweep cannot grow it without limit; a miss
+    costs one factorize call, well under a millisecond near 10^12.
+    """
     return factorize(n)

@@ -285,11 +285,14 @@ def cmd_meanvalue(args, parser) -> int:
         "provenance": "sieve+truncated-products",
     }
     small = " (small x, far from the limit)" if args.x < 10**4 else ""
+    if report.sum_t is None:
+        sum_t = f"not computed (x > {meanvalue.PARTIAL_SUM_T_BOUND})"
+    else:
+        sum_t = f"{report.sum_t}  ratio/x^2 = {report.ratio_t:.7f}"
     lines = [
         f"sum imph(n), n<=x: {report.sum_imph}  ratio/x^2 = {report.ratio_imph:.7f}"
         f"  limit {report.limit_imph:.7f}{small}",
-        f"sum T(n), n<=x:    {report.sum_t}  ratio/x^2 = {report.ratio_t:.7f}"
-        f"  limit {report.limit_t:.7f}{small}",
+        f"sum T(n), n<=x:    {sum_t}  limit {report.limit_t:.7f}{small}",
         f"euler product (odd p <= {prod.prime_bound}): {prod.value:.7f}"
         f" +- {prod.tail_bound:.1e}",
         f"moebius sum (odd d <= {mo.prime_bound}): {mo.value:.7f} +- {mo.tail_bound:.1e}",

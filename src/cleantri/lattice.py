@@ -352,7 +352,7 @@ def _residue_orbit(m: int, h: int) -> frozenset[int]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _orbit_min(m: int, h: int) -> int:
     return min(_residue_orbit(m, h))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _factor_sieve, _primes_upto, imph_sieve
+from .arith import _check_factor_sieve, _factor_sieve, _primes_upto, imph_sieve
 
 __all__ = [
     "ConstantEstimate",
@@ -187,15 +187,18 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
 
 @dataclass(frozen=True)
 class MeanValueReport:
+    """Sums up to x against their limits; the T fields are None above
+    PARTIAL_SUM_T_BOUND, where the T sum is not computed."""
+
     x: int
     sum_imph: int
-    sum_t: int
+    sum_t: int | None
     ratio_imph: float
-    ratio_t: float
+    ratio_t: float | None
     limit_imph: float
     limit_t: float
     deviation_imph: float
-    deviation_t: float
+    deviation_t: float | None
     product: ConstantEstimate
 
 
@@ -203,17 +206,22 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
     """Empirical sums against the limit constants.
 
     sum imph(n) / x^2 tends to product/4 and sum T(n) / x^2 to product/24,
-    with product the odd Euler product of (1 - 2/p^2).
+    with product the odd Euler product of (1 - 2/p^2).  x is checked against
+    the factor sieve's cap and memory budget before any work starts.
     """
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
+    _check_factor_sieve(x)
     prod = euler_product_odd(prime_bound)
     s_imph = partial_sum_imph(x)
-    s_t = partial_sum_T(x) if x <= PARTIAL_SUM_T_BOUND else 0
     ratio_imph = s_imph / (x * x)
-    ratio_t = s_t / (x * x)
     limit_imph = prod.value / 4.0
     limit_t = prod.value / 24.0
+    s_t = ratio_t = deviation_t = None
+    if x <= PARTIAL_SUM_T_BOUND:
+        s_t = partial_sum_T(x)
+        ratio_t = s_t / (x * x)
+        deviation_t = abs(ratio_t - limit_t) / limit_t
     return MeanValueReport(
         x,
         s_imph,
@@ -223,7 +231,7 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
         limit_imph,
         limit_t,
         abs(ratio_imph - limit_imph) / limit_imph,
-        abs(ratio_t - limit_t) / limit_t,
+        deviation_t,
         prod,
     )
 

@@ -25,6 +25,52 @@ from cleantri.arith import (
 )
 
 
+def _trial_division(n):
+    """Independent oracle: plain trial division by every d >= 2."""
+    expected, m, d = [], n, 2
+    while m > 1:
+        e = 0
+        while m % d == 0:
+            e += 1
+            m //= d
+        if e:
+            expected.append((d, e))
+        d += 1
+    return tuple(expected)
+
+
+# primes around factorize's trial bound of 1000, found by the oracle
+PRIMES_500_5000 = [p for p in range(500, 5001) if _trial_division(p) == ((p, 1),)]
+PRIMES_ABOVE_1000 = [p for p in PRIMES_500_5000 if p > 1000][:30]
+
+
+def _prime_at_least(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+near_1e9_prime = st.integers(10**9, 10**9 + 10**6).map(_prime_at_least)
+factorize_inputs = st.one_of(
+    st.lists(st.sampled_from(PRIMES_500_5000), min_size=1, max_size=5).map(math.prod),
+    st.builds(pow, st.sampled_from(PRIMES_ABOVE_1000), st.integers(1, 6)),
+    st.builds(lambda p, q: p * q, near_1e9_prime, near_1e9_prime),
+    st.integers(1, 2**63 - 1),
+)
+
+# factor tuples that trial division below 10^5 gave before the trial bound
+# dropped to 1000
+PINNED_FACTORS = {
+    1009**2: ((1009, 2),),
+    1009 * 1013: ((1009, 1), (1013, 1)),
+    997 * 1009: ((997, 1), (1009, 1)),
+    561: ((3, 1), (11, 1), (17, 1)),
+    41041: ((7, 1), (11, 1), (13, 1), (41, 1)),
+    2**61 - 1: ((2**61 - 1, 1),),
+    (2**31 - 1) ** 2: ((2**31 - 1, 2),),
+}
+
+
 class TestFactorize:
     def test_one(self):
         assert factorize(1).factors == ()
@@ -33,19 +79,38 @@ class TestFactorize:
         assert factorize(12).factors == ((2, 2), (3, 1))
 
     def test_9999_trial_division_oracle(self):
-        # independent oracle: plain trial division
-        n, expected = 9999, []
-        m = n
-        d = 2
-        while m > 1:
-            e = 0
-            while m % d == 0:
-                e += 1
-                m //= d
-            if e:
-                expected.append((d, e))
-            d += 1
-        assert factorize(n).factors == tuple(expected) == ((3, 2), (11, 1), (101, 1))
+        assert factorize(9999).factors == _trial_division(9999) == ((3, 2), (11, 1), (101, 1))
+
+    @pytest.mark.parametrize("n", sorted(PINNED_FACTORS))
+    def test_pinned(self, n):
+        assert factorize(n).factors == PINNED_FACTORS[n]
+
+    @settings(max_examples=300, deadline=None)
+    @given(factorize_inputs)
+    @example(1009**2)
+    @example(1009 * 1013)
+    @example(997 * 1009)
+    @example(561)
+    @example(41041)
+    @example(2**61 - 1)
+    @example((2**31 - 1) ** 2)
+    def test_properties_across_trial_bound(self, n):
+        factors = factorize(n).factors
+        assert math.prod(p**e for p, e in factors) == n
+        assert all(is_prime(p) and e >= 1 for p, e in factors)
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes))
+        if n <= 10**6:
+            assert factors == _trial_division(n)
+
+    def test_domain(self):
+        assert factorize(2**63 - 1).factors == (
+            (7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)
+        )
+        # two 19-digit primes: rho would spin, so the input is refused at once
+        for n in (2**63, 100000000000000001380000000000000004437):
+            with pytest.raises(ValueError, match="2\\^63"):
+                factorize(n)
 
     def test_large_semiprime(self):
         p, q = 1_000_000_007, 1_000_000_009
@@ -69,6 +134,26 @@ class TestFactorize:
             Factorization(12, ((2, 1), (3, 1)))
         with pytest.raises(ValueError):
             Factorization(8, ((4, 1), (2, 1)))
+
+
+class TestIsPrime:
+    PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+
+    def test_psi12_pseudoprime(self):
+        # a strong pseudoprime to every base 2..37; base 41 exposes it
+        assert 399165290221 * 798330580441 == self.PSI_12
+        assert is_prime(399165290221) and is_prime(798330580441)
+        assert not is_prime(self.PSI_12)
+        with pytest.raises(ValueError, match="not prime"):
+            legendre_minus3(self.PSI_12)
+        with pytest.raises(ValueError, match="not prime"):
+            count_roots_quad(self.PSI_12)
+
+    def test_proven_range(self):
+        psi_13 = 3_317_044_064_679_887_385_961_981
+        assert is_prime(41) and is_prime(2**64 - 59) and not is_prime(psi_13 - 2)
+        with pytest.raises(ValueError, match="proven"):
+            is_prime(psi_13)
 
 
 class TestExtendedGcd:
@@ -160,6 +245,12 @@ class TestImphSieve:
         with pytest.raises(ValueError, match="budget"):
             imph_sieve(10**6)
 
+    def test_malformed_budget_fails_only_sieves(self, monkeypatch):
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, "lots")
+        assert factorize(1009 * 1013).factors == ((1009, 1), (1013, 1))
+        with pytest.raises(ValueError):
+            imph_sieve(10)
+
 
 FACTOR_SIEVE_X = 10**5
 
@@ -167,6 +258,15 @@ FACTOR_SIEVE_X = 10**5
 @cache
 def _factor_table():
     return arith._factor_sieve(FACTOR_SIEVE_X)
+
+
+def test_caches_bounded():
+    from cleantri import counting, lattice, meanvalue
+
+    for mod in (arith, counting, lattice, meanvalue):
+        for name, fn in vars(mod).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
+                assert fn.cache_info().maxsize is not None, f"{mod.__name__}.{name}"
 
 
 def _assert_factor_data(data, n):

@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+from cleantri import arith, cli, meanvalue
 
 PKG = [sys.executable, "-m", "cleantri.cli"]
 
@@ -42,6 +45,22 @@ class TestImphCommand:
     def test_usage_error(self):
         assert run("imph", "0").returncode == 2
         assert run("imph", "abc").returncode == 2
+
+    @pytest.mark.parametrize("command", ["imph", "tcount"])
+    def test_beyond_factorize_domain(self, command):
+        # two 19-digit prime factors: refused at once instead of spinning in rho
+        r = run(command, "100000000000000001380000000000000004437")
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "2^63" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert r.stdout == ""
+
+    def test_malformed_budget_spares_point_queries(self):
+        env = {**os.environ, arith.SIEVE_MEMORY_ENV: "lots"}
+        point = subprocess.run(PKG + ["imph", "49"], capture_output=True, text=True, env=env)
+        assert point.returncode == 0 and "35" in point.stdout
+        table = subprocess.run(PKG + ["imph", "1..10"], capture_output=True, text=True, env=env)
+        assert table.returncode == 2 and "Traceback" not in table.stderr
 
     def test_json(self):
         r = run("imph", "49", "--json")
@@ -141,6 +160,31 @@ class TestMeanvalueCommand:
 
     def test_usage(self):
         assert run("meanvalue", "--x", "0").returncode == 2
+
+
+class TestMeanvalueBounds:
+    """In-process runs of the meanvalue command with the library patched."""
+
+    @pytest.mark.parametrize("x", [70_000_000, 10**8 + 1])
+    def test_rejects_before_any_work(self, monkeypatch, capsys, x):
+        # 70,000,000 exceeds the default budget, 10^8 + 1 the sieve cap
+        monkeypatch.delenv(arith.SIEVE_MEMORY_ENV, raising=False)
+        calls = []
+        monkeypatch.setattr(meanvalue, "euler_product_odd", lambda *a: calls.append(a))
+        assert cli.main(["meanvalue", "--x", str(x)]) == 2
+        assert calls == []
+        assert "error:" in capsys.readouterr().err
+
+    def test_t_sum_absent_above_bound(self, monkeypatch, capsys):
+        monkeypatch.setattr(meanvalue, "PARTIAL_SUM_T_BOUND", 100)
+        argv = ["meanvalue", "--x", "1000", "--primes", "1000"]
+        assert cli.main(argv + ["--json"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["sum_T"] is None and res["ratio_T"] is None
+        assert res["sum_imph"] == meanvalue.partial_sum_imph(1000)
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "sum T(n), n<=x:    not computed (x > 100)" in out
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cleantri import arith, counting
+from cleantri import arith, counting, meanvalue
 from cleantri.meanvalue import (
     ConstantEstimate,
     euler_product_odd,
@@ -114,6 +114,14 @@ class TestMeanValueReport:
         rep = mean_value_report(10, prime_bound=10**4)
         assert rep.sum_imph == 13
         assert rep.ratio_imph == pytest.approx(0.13)
+
+    def test_t_sum_only_up_to_bound(self, monkeypatch):
+        monkeypatch.setattr(meanvalue, "PARTIAL_SUM_T_BOUND", 100)
+        at = mean_value_report(100, prime_bound=1000)
+        assert at.sum_t == partial_sum_T(100) and at.ratio_t == at.sum_t / 100**2
+        above = mean_value_report(101, prime_bound=1000)
+        assert above.sum_t is above.ratio_t is above.deviation_t is None
+        assert above.sum_imph == partial_sum_imph(101)
 
     def test_convergence_envelope(self):
         devs = [
