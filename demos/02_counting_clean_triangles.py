@@ -6,7 +6,7 @@ triangles with twice-area n is computed by:
 
   1. a closed formula driven by the arithmetic function imph(n),
   2. Burnside's lemma over a six-element group of residue maps,
-  3. direct geometric enumeration and pairwise equivalence testing.
+  3. direct geometric enumeration, one class key per triangle.
 """
 
 from cleantri.arith import imph

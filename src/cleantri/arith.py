@@ -36,6 +36,8 @@ __all__ = [
     "count_roots_quad_n",
     "roots_quad_n",
     "sieve_memory_budget",
+    "six_maps",
+    "six_map_table",
 ]
 
 IMPH_BRUTEFORCE_BOUND = 10**7
@@ -113,15 +115,22 @@ def _eratosthenes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.nonzero(mask)[0].astype(np.int64, copy=False)
+
+
+def _primes_upto_bytes(limit: int) -> int:
+    """Bytes _primes_upto(limit) holds at its peak, for limit >= 2: the bool
+    mask and the int64 index array of the primes, whose count is below
+    1.25506 x / ln x (Rosser-Schoenfeld 1962)."""
+    return limit + 1 + 8 * (int(1.25506 * limit / math.log(limit)) + 1)
 
 
 def _primes_upto(limit: int) -> np.ndarray:
     """The primes p <= limit, ascending, as an int64 array (Eratosthenes).
 
-    The package's one prime source; the sieve mask must fit the memory budget.
+    The package's one prime source; mask and index array must fit the budget.
     """
-    if limit >= 2 and limit + 1 > sieve_memory_budget():
+    if limit >= 2 and _primes_upto_bytes(limit) > sieve_memory_budget():
         raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
     return _eratosthenes(limit)
 
@@ -280,6 +289,8 @@ def imph_from_factorization(f: Factorization) -> int:
 
 def imph(n: int) -> int:
     """Count of x in [1, n] with gcd(x, n) = gcd(x - 1, n) = 1, via the closed form."""
+    if n > 1 and n % 2 == 0:
+        return 0
     return imph_from_factorization(factorize(n))
 
 
@@ -303,6 +314,28 @@ def ip_members(n: int) -> np.ndarray:
     x = np.arange(1, n + 1, dtype=np.int64)
     mask = (np.gcd(x, n) == 1) & (np.gcd(x - 1, n) == 1)
     return x[mask]
+
+
+def _six_images(m, a, b, n):
+    """The residue maps g1..g6 of m mod n, in [1, n], from a = m^-1, b = (1 - m)^-1:
+    m, m^-1, 1 - m, 1 - m^-1, (1 - m)^-1 and (1 - m^-1)^-1 = 1 - (1 - m)^-1.
+    Works alike on ints and int64 arrays."""
+    return tuple((v - 1) % n + 1 for v in (m, a, 1 - m, 1 - a, b, 1 - b))
+
+
+def six_maps(m: int, n: int) -> tuple[int, int, int, int, int, int]:
+    """The images g1(m)..g6(m) mod n, each in [1, n]; m and 1 - m must be units."""
+    return _six_images(m, mod_inverse(m, n), mod_inverse(1 - m, n), n)
+
+
+def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The members of IP(n) and the (6, imph(n)) table of their images g1..g6.
+
+    m -> n + 1 - m reverses the sorted members, so (1 - m)^-1 is m^-1 reversed.
+    """
+    members = ip_members(n)
+    inv = np.fromiter((pow(m, -1, n) for m in members.tolist()), np.int64, members.size)
+    return members, np.stack(_six_images(members, inv, inv[::-1], n))
 
 
 class _FactorData(NamedTuple):

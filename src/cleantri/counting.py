@@ -2,10 +2,12 @@
 
 The six residue maps come from relabeling the vertices of the base-form
 triangle (0,0), (1,0), (m,n); they form a group of order 6 acting on IP(n).
-T(n), the number of equivalence classes of clean triangles of twice-area n,
-is computed three independent ways: a closed three-case formula from the
-prime factorization, the Burnside average of brute-force fixed-point counts,
-and a purely geometric partition of the enumerated triangles.
+Everything here is built on their one kernel, ``arith.six_maps`` and
+``arith.six_map_table``.  T(n), the number of equivalence classes of clean
+triangles of twice-area n, is computed three ways that share no formula: a
+closed three-case formula from the prime factorization, the Burnside average
+of fixed-point counts, and the distinct ``lattice.clean_key`` values of the
+enumerated triangles.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .arith import (
     count_roots_quad_n,
     imph_from_factorization,
     ip_members,
-    mod_inverse,
+    six_map_table,
+    six_maps,
 )
-from .lattice import enumerate_clean, equivalent_clean
+from .lattice import clean_key, enumerate_clean
 
 __all__ = [
     "OrbitDecomposition",
@@ -49,27 +52,12 @@ def _check_member(m: int, n: int) -> None:
 
 
 def map_g(i: int, m: int, n: int) -> int:
-    """The i-th residue map (i = 1..6) applied to m in IP(n); result in [1, n].
-
-    g1 = id, g2 = m^-1, g3 = 1 - m, g4 = 1 - m^-1, g5 = (1 - m)^-1,
-    g6 = (1 - m^-1)^-1, all mod n.
-    """
+    """The i-th residue map (i = 1..6) of ``arith.six_maps`` applied to m in
+    IP(n); result in [1, n]."""
     if i not in range(1, 7):
         raise ValueError(f"map index must be 1..6, got {i}")
     _check_member(m, n)
-    if i == 1:
-        v = m
-    elif i == 2:
-        v = mod_inverse(m, n)
-    elif i == 3:
-        v = 1 - m
-    elif i == 4:
-        v = 1 - mod_inverse(m, n)
-    elif i == 5:
-        v = mod_inverse(1 - m, n)
-    else:
-        v = mod_inverse(1 - mod_inverse(m, n), n)
-    return (v - 1) % n + 1
+    return six_maps(m, n)[i - 1]
 
 
 def fix_count_bruteforce(i: int, n: int) -> int:
@@ -83,37 +71,10 @@ def fix_count_bruteforce(i: int, n: int) -> int:
 
 @lru_cache(maxsize=1 << 15)
 def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
-    """All six brute-force fixed-point counts at once, vectorized.
-
-    Inverses are taken elementwise with pow(m, -1, n); the six fixed-point
-    conditions are then array comparisons.  Matches fix_count_bruteforce
-    pointwise but is fast enough to sweep n up to 10^4.
-    """
-    members = ip_members(n)
-    if members.size == 0:
-        return (0, 0, 0, 0, 0, 0)
-    inv = np.fromiter(
-        (pow(int(m), -1, n) for m in members), dtype=np.int64, count=members.size
-    )
-    table = np.zeros(n + 1, dtype=np.int64)
-    table[members] = inv
-
-    def norm(a: np.ndarray) -> np.ndarray:
-        return (a - 1) % n + 1
-
-    g2 = norm(inv)
-    g3 = norm(1 - members)
-    g4 = norm(1 - inv)
-    g5 = norm(table[norm(1 - members)])
-    g6 = norm(table[g4])
-    return (
-        int(members.size),
-        int((g2 == members).sum()),
-        int((g3 == members).sum()),
-        int((g4 == members).sum()),
-        int((g5 == members).sum()),
-        int((g6 == members).sum()),
-    )
+    """All six brute-force fixed-point counts at once, from the kernel's table;
+    matches fix_count_bruteforce but is fast enough to sweep n up to 10^4."""
+    members, table = six_map_table(n)
+    return tuple(int(c) for c in (table == members).sum(axis=1))
 
 
 def fix_count_closed(i: int, n: int) -> int:
@@ -192,41 +153,38 @@ class OrbitDecomposition:
 
 
 def orbit_decomposition(n: int) -> OrbitDecomposition:
-    """Partition IP(n) into orbits of the six-map action (closure by BFS)."""
+    """Partition IP(n) into orbits of the six-map action, grouping members by
+    the least of their six images (the six images of m are its whole orbit)."""
     if n % 2 == 0 and n > 1:
         return OrbitDecomposition(n, ())
     if n > BRUTEFORCE_N_BOUND:
         raise ValueError(f"orbit decomposition capped at n = {BRUTEFORCE_N_BOUND}")
-    remaining = set(int(x) for x in ip_members(n))
-    orbits = []
-    while remaining:
-        seed = min(remaining)
-        orbit = {map_g(i, seed, n) for i in range(1, 7)}
-        if not orbit <= remaining:  # pragma: no cover - maps are closed on IP(n)
-            raise AssertionError("orbit escaped IP(n)")
-        remaining -= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return OrbitDecomposition(n, tuple(sorted(orbits)))
+    members, table = six_map_table(n)
+    if not np.isin(table, members).all():  # pragma: no cover - maps are closed on IP(n)
+        raise AssertionError("orbit escaped IP(n)")
+    keys = table.min(axis=0)
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order])) + 1
+    orbits = tuple(tuple(o.tolist()) for o in np.split(members[order], cuts))
+    return OrbitDecomposition(n, orbits)
 
 
 def canonical_m(m: int, n: int) -> int:
-    """Orbit representative: the minimum of {g_i(m)} over the six maps."""
+    """Orbit representative: the least of g1(m)..g6(m); for n >= 3 it is the
+    m of ``lattice.clean_key`` of (0,0), (1,0), (m,n)."""
     _check_member(m, n)
-    return min(map_g(i, m, n) for i in range(1, 7))
+    return min(six_maps(m, n))
 
 
 def t_geometric(n: int) -> int:
-    """Geometric oracle for T(n): partition the enumerated clean triangles
-    of twice-area n into classes with the pairwise equivalence test."""
+    """Geometric oracle for T(n): the distinct ``lattice.clean_key`` values of
+    the enumerated clean triangles of twice-area n.  The key comes from
+    base-form reduction alone, so no residue map is used."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > GEOMETRIC_N_BOUND:
         raise ValueError(f"geometric route capped at n = {GEOMETRIC_N_BOUND}")
-    reps = []
-    for t in enumerate_clean(n):
-        if not any(equivalent_clean(r, t) for r in reps):
-            reps.append(t)
-    return len(reps)
+    return len({clean_key(t) for t in enumerate_clean(n)})
 
 
 @dataclass(frozen=True)

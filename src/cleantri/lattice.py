@@ -4,8 +4,9 @@ Triangles live on Z^2 and all predicates are exact integer arithmetic.
 The key operation is the reduction of an arbitrary lattice triangle to a
 base-form representative (0,0), (b,0), (m,h) by an affine unimodular map,
 with the witness map returned alongside.  Clean triangles (boundary lattice
-points = vertices only) reduce to b = 1, and their equivalence test goes
-through the orbit of m under the six residue maps mod h.
+points = vertices only) reduce to b = 1.  Their equivalence test compares
+the orbits of m under the six residue maps mod h (``arith.six_maps``), while
+clean_key classifies them from the reduction alone.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .arith import extended_gcd, ip_members, mod_inverse
+from .arith import extended_gcd, ip_members, six_maps
 
 __all__ = [
     "DegenerateTriangleError",
@@ -37,6 +38,7 @@ __all__ = [
     "apply_map",
     "reduce_to_base_form",
     "equivalent_clean",
+    "clean_key",
     "scott_check",
     "scott_exhaustive",
     "enumerate_clean",
@@ -338,23 +340,9 @@ def reduce_to_base_form(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularM
 # --------------------------------------------------------------------------
 
 
-def _residue_orbit(m: int, h: int) -> frozenset[int]:
-    """Orbit of m under the six residue maps mod h, as residues in [1, h]."""
-
-    def norm(v: int) -> int:
-        return (v - 1) % h + 1
-
-    mi = mod_inverse(m, h)
-    omi = mod_inverse(1 - m, h)
-    return frozenset(
-        norm(v)
-        for v in (m, mi, 1 - m, 1 - mi, omi, mod_inverse(norm(1 - mi), h))
-    )
-
-
 @lru_cache(maxsize=1 << 15)
 def _orbit_min(m: int, h: int) -> int:
-    return min(_residue_orbit(m, h))
+    return min(six_maps(m, h))
 
 
 def _affine_map_between(
@@ -417,6 +405,22 @@ def equivalent_clean(
         if apply_map(witness, t1).vertex_set() != t2.vertex_set():  # pragma: no cover
             raise AssertionError("composed witness map failed verification")
     return equivalent, witness
+
+
+def clean_key(t: LatticeTriangle) -> tuple[int, int]:
+    """Class key (h, m) of a clean triangle, from geometry alone.
+
+    Each ordered vertex labeling (o, e, v) has one base form (0,0), (1,0),
+    (m,h) with 0 <= m < h that takes o, e, v there in order; the key is the
+    least of the six, so keys are equal exactly for equivalent triangles.
+    """
+    if not is_clean(t):
+        raise ValueError(f"clean_key requires a clean triangle: {t.vertices}")
+    bf = min(
+        (_reduce_oriented(o, e, v)[0] for o, e, v in permutations(t.vertices)),
+        key=BaseForm.as_tuple,
+    )
+    return bf.h, bf.m
 
 
 # --------------------------------------------------------------------------

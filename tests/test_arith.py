@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -22,6 +23,8 @@ from cleantri.arith import (
     legendre_minus3,
     mod_inverse,
     roots_quad_n,
+    six_map_table,
+    six_maps,
 )
 
 
@@ -222,6 +225,44 @@ class TestImph:
         with pytest.raises(ValueError):
             imph_bruteforce(arith.IMPH_BRUTEFORCE_BOUND + 1)
 
+    def test_even_beyond_factorize_domain(self):
+        # even n > 1 is 0 without factoring, as in counting.t_closed
+        assert imph(2**64) == imph(3 * 2**70) == 0
+        with pytest.raises(ValueError, match="2\\^63"):
+            imph(2**64 + 1)
+        with pytest.raises(ValueError):
+            imph(0)
+
+
+class TestSixMaps:
+    @staticmethod
+    def _by_definition(m, n):
+        # g6 straight from its definition (1 - m^-1)^-1, not the kernel's 1 - (1 - m)^-1
+        a = pow(m, -1, n)
+        images = (m, a, 1 - m, 1 - a, pow(1 - m, -1, n), pow(1 - a, -1, n))
+        return tuple((v - 1) % n + 1 for v in images)
+
+    def test_definitions(self):
+        for n in range(1, 300, 2):
+            for m in ip_members(n).tolist():
+                assert six_maps(m, n) == self._by_definition(m, n), (m, n)
+
+    def test_table_matches_scalar(self):
+        for n in (1, 3, 7, 9, 15, 105, 299, 2**11 - 1):
+            members, table = six_map_table(n)
+            assert members.tolist() == ip_members(n).tolist()
+            assert table.shape == (6, imph(n))
+            expected = [six_maps(m, n) for m in members.tolist()]
+            assert table.T.tolist() == [list(e) for e in expected]
+
+    def test_even_and_nonmembers(self):
+        members, table = six_map_table(10)
+        assert members.size == 0 and table.shape == (6, 0)
+        with pytest.raises(ValueError):
+            six_maps(1, 7)  # 1 - 1 = 0 is not a unit
+        with pytest.raises(ValueError):
+            six_maps(3, 9)
+
 
 class TestImphSieve:
     def test_small_table(self):
@@ -250,6 +291,30 @@ class TestImphSieve:
         assert factorize(1009 * 1013).factors == ((1009, 1), (1013, 1))
         with pytest.raises(ValueError):
             imph_sieve(10)
+
+
+class TestPrimesUpto:
+    LIMIT = 10**6
+    PRIME_COUNT = 78498
+
+    def test_traced_peak_within_budget_check(self):
+        arith._primes_upto(self.LIMIT)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            primes = arith._primes_upto(self.LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert primes.size == self.PRIME_COUNT and primes.dtype == np.int64
+        assert peak <= arith._primes_upto_bytes(self.LIMIT)
+
+    def test_budget_covers_index_array(self, monkeypatch):
+        held = self.LIMIT + 1 + 8 * self.PRIME_COUNT  # mask + int64 index array
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(held - 1))
+        with pytest.raises(ValueError, match="budget"):
+            arith._primes_upto(self.LIMIT)
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(arith._primes_upto_bytes(self.LIMIT)))
+        assert arith._primes_upto(self.LIMIT).size == self.PRIME_COUNT
 
 
 FACTOR_SIEVE_X = 10**5

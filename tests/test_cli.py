@@ -55,6 +55,21 @@ class TestImphCommand:
         assert "Traceback" not in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize(
+        "command,line",
+        [
+            ("imph", "imph(18446744073709551616) = 0"),
+            ("tcount", "T(18446744073709551616): closed=0"),
+        ],
+    )
+    def test_even_beyond_factorize_domain(self, command, line):
+        # even n is 0 on both point queries without factoring; odd n >= 2^63 is refused
+        even = run(command, str(2**64))
+        assert even.returncode == 0 and even.stdout.splitlines() == [line]
+        odd = run(command, str(2**64 + 1))
+        assert odd.returncode == 2 and "2^63" in odd.stderr
+        assert "Traceback" not in odd.stderr
+
     def test_malformed_budget_spares_point_queries(self):
         env = {**os.environ, arith.SIEVE_MEMORY_ENV: "lots"}
         point = subprocess.run(PKG + ["imph", "49"], capture_output=True, text=True, env=env)

@@ -1,6 +1,6 @@
 import pytest
 
-from cleantri import arith
+from cleantri import arith, counting, lattice
 from cleantri.arith import ip_members
 from cleantri.counting import (
     OrbitDecomposition,
@@ -145,6 +145,11 @@ class TestOrbits:
                 for m in orbit:
                     assert {map_g(i, m, n) for i in range(1, 7)} == s
 
+    def test_large_prime(self):
+        dec = orbit_decomposition(99991)
+        assert dec.count == 16666 == t_closed(99991)
+        assert sum(len(o) for o in dec.orbits) == arith.imph(99991)
+
     def test_orbit_sizes_divide_six(self):
         with pytest.raises(ValueError):
             OrbitDecomposition(11, ((2, 3, 4, 5),))
@@ -179,3 +184,23 @@ class TestGeometric:
     def test_bound(self):
         with pytest.raises(ValueError):
             t_geometric(2001)
+
+
+class TestIndependence:
+    def test_geometric_route_uses_no_residue_map(self, monkeypatch):
+        def broken(*args):
+            raise AssertionError("residue maps used")
+
+        # the kernel's formula, and the orbit test equivalent_clean goes through
+        monkeypatch.setattr(arith, "_six_images", broken)
+        monkeypatch.setattr(lattice, "_orbit_min", broken)
+        counting._fix_counts_vectorized.cache_clear()
+        for n in range(1, 100, 2):
+            assert t_geometric(n) == t_closed(n)
+        with pytest.raises(AssertionError, match="residue maps used"):
+            t_burnside(7)
+        with pytest.raises(AssertionError, match="residue maps used"):
+            lattice.equivalent_clean(
+                lattice.LatticeTriangle.from_coords(0, 0, 1, 0, 2, 7),
+                lattice.LatticeTriangle.from_coords(0, 0, 1, 0, 4, 7),
+            )

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cleantri.arith import ip_members
+from cleantri.counting import canonical_m
 from cleantri.lattice import (
     AffineUnimodularMap,
     BaseForm,
@@ -11,6 +15,7 @@ from cleantri.lattice import (
     LatticeTriangle,
     apply_map,
     boundary_count,
+    clean_key,
     enumerate_clean,
     equivalent_clean,
     interior_count_enum,
@@ -309,3 +314,92 @@ class TestEnumerateClean:
             t = T(ax, ay, bx, by, cx, cy)
             if is_clean(t):
                 assert twice_area(t) % 2 == 1
+
+
+# --------------------------------------------------------------------------
+# property tests
+# --------------------------------------------------------------------------
+
+coords = st.integers(min_value=-50, max_value=50)
+
+
+@st.composite
+def triangles(draw):
+    t = T(*draw(st.tuples(*[coords] * 6)))
+    u, v = t.v1 - t.v0, t.v2 - t.v0
+    assume(u.x * v.y - u.y * v.x != 0)
+    return t
+
+
+@st.composite
+def unimodular_maps(draw):
+    # products of shears, quarter turns and a reflection, then a translation
+    m = AffineUnimodularMap(1, 0, 0, draw(st.sampled_from((1, -1))))
+    for turn, k in draw(st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=6)):
+        step = AffineUnimodularMap(0, -1, 1, k) if turn else AffineUnimodularMap(1, k, 0, 1)
+        m = m.compose(step)
+    return AffineUnimodularMap(m.a, m.b, m.c, m.d, LatticePoint(draw(coords), draw(coords)))
+
+
+odd_h = st.integers(min_value=0, max_value=40).map(lambda k: 2 * k + 1)
+
+
+@st.composite
+def clean_triangles(draw, h=odd_h):
+    """A clean triangle of odd twice-area h, moved by a unimodular map."""
+    h = draw(h)
+    m = draw(st.sampled_from(ip_members(h).tolist()))
+    return apply_map(draw(unimodular_maps()), T(0, 0, 1, 0, m, h))
+
+
+class TestReductionProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(triangles())
+    def test_idempotent(self, t):
+        bf, _ = reduce_to_base_form(t)
+        assert reduce_to_base_form(bf.triangle())[0] == bf
+
+    @settings(max_examples=300, deadline=None)
+    @given(triangles(), unimodular_maps())
+    def test_witness_sound_under_maps(self, t, L):
+        image = apply_map(L, t)
+        bf, W = reduce_to_base_form(image)
+        assert apply_map(W, image).vertex_set() == bf.triangle().vertex_set()
+        assert apply_map(W.compose(L), t).vertex_set() == bf.triangle().vertex_set()
+        assert bf.b * bf.h == twice_area(t)
+
+
+class TestCleanKey:
+    def test_spot(self):
+        assert clean_key(T(0, 0, 1, 0, 2, 7)) == clean_key(T(0, 0, 1, 0, 4, 7)) == (7, 2)
+        assert clean_key(T(0, 0, 1, 0, 3, 7)) == (7, 3)
+        assert clean_key(UNIT) == (1, 0)
+
+    def test_rejects_non_clean(self):
+        with pytest.raises(ValueError):
+            clean_key(FIG1)
+
+    def test_h_one(self):
+        # the one class of twice-area 1: key m = 0, while IP(1) = {1} names it 1
+        assert clean_key(T(0, 0, 1, 0, 1, 1)) == (1, 0)
+        assert canonical_m(1, 1) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(clean_triangles(), unimodular_maps())
+    def test_invariant_under_maps(self, t, L):
+        assert clean_key(apply_map(L, t)) == clean_key(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_equivalent_clean(self, data):
+        h = data.draw(st.sampled_from((1, 3, 7, 9, 13, 21, 49, 91)))
+        t1 = data.draw(clean_triangles(st.just(h)))
+        t2 = data.draw(clean_triangles(st.just(h)))
+        assert (clean_key(t1) == clean_key(t2)) == equivalent_clean(t1, t2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_base_triangle_key_is_canonical_m(self, data):
+        h = data.draw(odd_h.filter(lambda h: h >= 3))
+        m = data.draw(st.sampled_from(ip_members(h).tolist()))
+        assert clean_key(T(0, 0, 1, 0, m, h)) == (h, canonical_m(m, h))
