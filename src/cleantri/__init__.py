@@ -11,6 +11,7 @@ Submodules:
 from . import arith, counting, lattice, meanvalue
 from .arith import (
     Factorization,
+    InvariantViolation,
     count_roots_quad,
     count_roots_quad_n,
     extended_gcd,

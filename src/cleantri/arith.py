@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "InvariantViolation",
     "Factorization",
     "factorize",
     "is_prime",
@@ -47,6 +48,15 @@ ROOT_ENUMERATION_BOUND = 10**7
 #: Environment variable holding the sieve memory budget in bytes.
 SIEVE_MEMORY_ENV = "CLEANTRI_SIEVE_MEMORY"
 _DEFAULT_SIEVE_MEMORY = 1 << 30  # 1 GiB
+
+
+class InvariantViolation(AssertionError):
+    """An internal cross-check failed: two routes disagree, or a result breaks
+    an identity.  ``n`` and ``routes`` say where, when known; the CLI exits 3."""
+
+    def __init__(self, message: str, n: int | None = None, routes: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.n, self.routes = n, routes
 
 
 def sieve_memory_budget() -> int:
@@ -439,7 +449,8 @@ def legendre_minus3(p: int) -> int:
     symbol = 1 if euler == 1 else -1
     expected = 1 if p % 6 == 1 else -1
     if symbol != expected:  # pragma: no cover - would contradict Lemma 9
-        raise AssertionError(f"Euler criterion disagrees with mod-6 class at p={p}")
+        msg = f"Euler criterion disagrees with mod-6 class at p={p}"
+        raise InvariantViolation(msg, p, ("euler", "mod-6"))
     return symbol
 
 

@@ -3,9 +3,9 @@
 Subcommands: imph, tcount, reduce, equiv, scott, orbits, meanvalue.
 Output is human-readable by default; ``--json`` emits one structured record
 per invocation and ``--bfile`` (sequence commands) emits OEIS b-file lines
-"n a(n)".  Exit codes: 0 success or not-applicable, 2 usage error,
-3 invariant violation (oracle mismatch, Scott violation, representation
-disagreement).
+"n a(n)".  Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
+cross-check (``arith.InvariantViolation``, reported by ``main`` alone as one JSON
+line on stderr with nothing on stdout) or a Scott violation (after the report).
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def cmd_imph(args, parser) -> int:
         for n, v in values:
             bf = arith.imph_bruteforce(n)
             if bf != v:
-                print(f"MISMATCH at n={n}: closed={v} bruteforce={bf}", file=sys.stderr)
-                return EXIT_VIOLATION
+                msg = f"imph mismatch at n={n}: closed={v} bruteforce={bf}"
+                raise arith.InvariantViolation(msg, n, ("closed-form", "bruteforce"))
     record = {
         "command": "imph",
         "inputs": {"range": [lo, hi], "bruteforce": bool(args.bruteforce)},
@@ -92,17 +92,13 @@ def cmd_tcount(args, parser) -> int:
         parser.error(f"geometric method capped at n = {counting.GEOMETRIC_N_BOUND}")
     rows = []
     for n in range(lo, hi + 1):
-        entry: dict[str, int] = {}
-        if method in ("closed", "all"):
-            entry["closed"] = counting.t_closed(n)
-        if method in ("burnside", "all"):
-            entry["burnside"] = counting.t_burnside(n)
-        if method == "geometric" or (method == "all" and n <= counting.GEOMETRIC_N_BOUND):
-            entry["geometric"] = counting.t_geometric(n)
+        if method == "all":
+            r = counting.t_report(n, with_geometric=n <= counting.GEOMETRIC_N_BOUND)
+            entry = {"closed": r.t_closed, "burnside": r.t_burnside, "geometric": r.t_geometric}
+            entry = {k: v for k, v in entry.items() if v is not None}
+        else:
+            entry = {method: getattr(counting, f"t_{method}")(n)}
         rows.append((n, entry))
-        if len(set(entry.values())) > 1:
-            print(f"DISAGREEMENT at n={n}: {entry}", file=sys.stderr)
-            return EXIT_VIOLATION
     record = {
         "command": "tcount",
         "inputs": {"range": [lo, hi], "method": method},
@@ -125,11 +121,7 @@ def cmd_tcount(args, parser) -> int:
 
 
 def cmd_reduce(args, parser) -> int:
-    try:
-        bf, L = lattice.reduce_to_base_form(_triangle(args.coords))
-    except lattice.DegenerateTriangleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    bf, L = lattice.reduce_to_base_form(_triangle(args.coords))
     pc = lattice.pick_counts(bf.triangle())
     record = {
         "command": "reduce",
@@ -160,11 +152,7 @@ def cmd_reduce(args, parser) -> int:
 def cmd_equiv(args, parser) -> int:
     t1 = _triangle(args.coords[:6])
     t2 = _triangle(args.coords[6:])
-    try:
-        eq, witness = lattice.equivalent_clean(t1, t2, with_witness=True)
-    except (ValueError, lattice.DegenerateTriangleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    eq, witness = lattice.equivalent_clean(t1, t2, with_witness=True)
     results: dict = {"equivalent": eq}
     lines = [f"equivalent: {'yes' if eq else 'no'}"]
     if witness is not None:
@@ -215,11 +203,7 @@ def cmd_scott(args, parser) -> int:
         return EXIT_OK
     if args.coords is None or len(args.coords) != 6:
         parser.error("scott needs six vertex coordinates or --scan BOUND")
-    try:
-        res = lattice.scott_check(_triangle(args.coords))
-    except lattice.DegenerateTriangleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = lattice.scott_check(_triangle(args.coords))
     record = {
         "command": "scott",
         "inputs": {"vertices": args.coords},
@@ -265,7 +249,7 @@ def cmd_meanvalue(args, parser) -> int:
     ft_zeta = meanvalue.feller_tornier_zeta(args.primes)
     mo = meanvalue.moebius_sum_odd(min(args.primes, 10**6))
     prod = report.product
-    agree = ft.agrees_with(ft_zeta) and prod.agrees_with(mo)
+    prod.check_agrees(mo, ("euler-product", "moebius-sum"))
     record = {
         "command": "meanvalue",
         "inputs": {"x": args.x, "primes": args.primes},
@@ -280,7 +264,7 @@ def cmd_meanvalue(args, parser) -> int:
             "moebius_sum_odd": mo.value,
             "feller_tornier": ft.value,
             "feller_tornier_zeta": ft_zeta.value,
-            "representations_agree": agree,
+            "representations_agree": True,
         },
         "provenance": "sieve+truncated-products",
     }
@@ -299,7 +283,7 @@ def cmd_meanvalue(args, parser) -> int:
         f"Feller-Tornier: {ft.value:.7f} (zeta form {ft_zeta.value:.7f})",
     ]
     _emit(record, args.json, lines)
-    return EXIT_OK if agree else EXIT_VIOLATION
+    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -368,6 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except arith.InvariantViolation as exc:
+        record = {"error": "invariant", "message": str(exc), "n": exc.n, "routes": exc.routes}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return EXIT_VIOLATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import (
+    InvariantViolation,
     _cached_factorization,
     count_roots_quad_n,
     imph_from_factorization,
@@ -101,7 +102,8 @@ def t_burnside(n: int) -> int:
         raise ValueError(f"Burnside route capped at n = {BRUTEFORCE_N_BOUND}")
     total = sum(_fix_counts_vectorized(n))
     if total % 6 != 0:  # pragma: no cover - Burnside guarantees divisibility
-        raise AssertionError(f"fixed-point total {total} not divisible by 6 at n={n}")
+        msg = f"fixed-point total {total} not divisible by 6 at n={n}"
+        raise InvariantViolation(msg, n, ("burnside",))
     return total // 6
 
 
@@ -130,7 +132,8 @@ def t_closed(n: int) -> int:
     else:
         numerator = im + 2 ** (w + 1) + 3
     if numerator % 6 != 0:  # pragma: no cover
-        raise AssertionError(f"closed-form numerator {numerator} not divisible by 6")
+        msg = f"closed-form numerator {numerator} not divisible by 6"
+        raise InvariantViolation(msg, n, ("closed",))
     return numerator // 6
 
 
@@ -161,7 +164,7 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
         raise ValueError(f"orbit decomposition capped at n = {BRUTEFORCE_N_BOUND}")
     members, table = six_map_table(n)
     if not np.isin(table, members).all():  # pragma: no cover - maps are closed on IP(n)
-        raise AssertionError("orbit escaped IP(n)")
+        raise InvariantViolation(f"orbit escaped IP({n})", n, ("six-map",))
     keys = table.min(axis=0)
     order = np.argsort(keys, kind="stable")
     cuts = np.flatnonzero(np.diff(keys[order])) + 1
@@ -196,19 +199,22 @@ class TCountReport:
     fix_counts: tuple[int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if self.t_closed != self.t_burnside:
-            raise ValueError(f"closed/Burnside disagreement at n={self.n}: {self}")
-        if self.t_geometric is not None and self.t_geometric != self.t_closed:
-            raise ValueError(f"geometric disagreement at n={self.n}: {self}")
-        if 6 * self.t_burnside != sum(self.fix_counts):
-            raise ValueError(f"Burnside average violated at n={self.n}: {self}")
+        for agree, routes in (
+            (self.t_closed == self.t_burnside, ("closed", "burnside")),
+            (self.t_geometric in (None, self.t_closed), ("closed", "geometric")),
+            (6 * self.t_burnside == sum(self.fix_counts), ("burnside", "fix-counts")),
+        ):
+            if not agree:
+                msg = f"{routes[0]}/{routes[1]} disagreement at n={self.n}: {self}"
+                raise InvariantViolation(msg, self.n, routes)
 
 
 def t_report(n: int, with_geometric: bool = False) -> TCountReport:
-    """Compute T(n) by all routes and cross-validate."""
+    """T(n) by the closed form, the Burnside average and, with ``with_geometric``,
+    the geometric classes, cross-checked by ``TCountReport``.  ``t_burnside``
+    checks n, and its cap, first, before any table is built."""
+    burnside = t_burnside(n)
     if n % 2 == 0:
-        fix = (0, 0, 0, 0, 0, 0)
-        return TCountReport(n, 0, 0, 0 if with_geometric else None, fix)
-    fix = _fix_counts_vectorized(n)
+        return TCountReport(n, 0, 0, 0 if with_geometric else None, (0,) * 6)
     geo = t_geometric(n) if with_geometric else None
-    return TCountReport(n, t_closed(n), t_burnside(n), geo, fix)
+    return TCountReport(n, t_closed(n), burnside, geo, _fix_counts_vectorized(n))

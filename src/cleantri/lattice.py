@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .arith import extended_gcd, ip_members, six_maps
+from .arith import InvariantViolation, extended_gcd, ip_members, six_maps
 
 __all__ = [
     "DegenerateTriangleError",
@@ -198,8 +198,8 @@ def pick_counts(t: LatticeTriangle) -> PickCounts:
     """Interior count via Pick's identity from the exact area and boundary."""
     a2 = twice_area(t)
     b = boundary_count(t)
-    if (a2 - b + 2) % 2 != 0:
-        raise AssertionError(f"Pick parity violated for {t}")  # pragma: no cover
+    if (a2 - b + 2) % 2 != 0:  # pragma: no cover
+        raise InvariantViolation(f"Pick parity violated for {t}", a2, ("pick",))
     return PickCounts((a2 - b + 2) // 2, b, a2)
 
 
@@ -331,7 +331,8 @@ def reduce_to_base_form(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularM
     bf, L = min(cycle, key=lambda pair: pair[0].as_tuple())
     image = apply_map(L, t)
     if image.vertex_set() != bf.triangle().vertex_set():  # pragma: no cover
-        raise AssertionError(f"witness map does not realize the base form for {t}")
+        msg = f"witness map does not realize the base form for {t}"
+        raise InvariantViolation(msg, bf.b * bf.h, ("reduction", "witness"))
     return bf, L
 
 
@@ -400,10 +401,12 @@ def equivalent_clean(
     if equivalent:
         bridge = _affine_map_between(bf1.triangle(), bf2.triangle())
         if bridge is None:  # pragma: no cover - orbit test and search must agree
-            raise AssertionError("orbit test succeeded but no witness map exists")
+            msg = "orbit test succeeded but no witness map exists"
+            raise InvariantViolation(msg, bf1.h, ("orbit", "witness"))
         witness = r2.inverse().compose(bridge).compose(r1)
         if apply_map(witness, t1).vertex_set() != t2.vertex_set():  # pragma: no cover
-            raise AssertionError("composed witness map failed verification")
+            msg = "composed witness map failed verification"
+            raise InvariantViolation(msg, bf1.h, ("orbit", "witness"))
     return equivalent, witness
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _check_factor_sieve, _factor_sieve, _primes_upto, imph_sieve
+from .arith import InvariantViolation, _check_factor_sieve, _factor_sieve, _primes_upto, imph_sieve
 
 __all__ = [
     "ConstantEstimate",
@@ -51,6 +51,12 @@ class ConstantEstimate:
     def agrees_with(self, other: "ConstantEstimate") -> bool:
         return abs(self.value - other.value) <= self.tail_bound + other.tail_bound
 
+    def check_agrees(self, other: "ConstantEstimate", routes: tuple[str, str]) -> None:
+        """Raise ``InvariantViolation`` unless ``agrees_with(other)``."""
+        if not self.agrees_with(other):
+            msg = f"{routes[0]}/{routes[1]} disagree: {self.value} vs {other.value}"
+            raise InvariantViolation(msg, None, routes)
+
 
 # --------------------------------------------------------------------------
 # summatory functions
@@ -65,7 +71,7 @@ def partial_sum_imph(x: int) -> int:
         raise ValueError(f"partial sum capped at {PARTIAL_SUM_IMPH_BOUND}")
     table = imph_sieve(x)
     if table[2::2].any():  # pragma: no cover - imph vanishes on even n
-        raise AssertionError("even n contributed to the imph sum")
+        raise InvariantViolation("even n contributed to the imph sum", routes=("imph-sieve",))
     return int(table.sum())
 
 
@@ -94,7 +100,7 @@ def t_closed_sieve(x: int) -> np.ndarray:
     del roots
     table += 3
     if (table[1::2] % 6).any():  # pragma: no cover
-        raise AssertionError("closed-form numerator not divisible by 6")
+        raise InvariantViolation("closed-form numerator not divisible by 6", routes=("closed",))
     table //= 6
     table[::2] = 0
     return table
@@ -112,6 +118,17 @@ def partial_sum_T(x: int) -> int:
 # --------------------------------------------------------------------------
 
 
+def _prime_product(prime_bound: int, c: float, d: float, first: int = 0) -> float:
+    """Product of 1 - c/(p^2 - d) over the primes p <= prime_bound from the first-th
+    on, ascending; in place on one float64 copy, within the prime budget check."""
+    p = _primes_upto(prime_bound)[first:].astype(np.float64)
+    p *= p
+    p -= d
+    np.divide(c, p, out=p)
+    np.subtract(1.0, p, out=p)
+    return float(np.multiply.reduce(p))
+
+
 def euler_product_odd(prime_bound: int) -> ConstantEstimate:
     """Truncated product over odd primes p <= P of (1 - 2/p^2).
 
@@ -121,8 +138,7 @@ def euler_product_odd(prime_bound: int) -> ConstantEstimate:
     """
     if prime_bound < 3:
         raise ValueError("prime bound must be at least 3")
-    p = _primes_upto(prime_bound)[1:].astype(np.float64)  # drop p = 2
-    value = float(np.multiply.reduce(1.0 - 2.0 / (p * p)))
+    value = _prime_product(prime_bound, 2.0, 0.0, first=1)  # drop p = 2
     return ConstantEstimate(value, prime_bound, 3.0 / (prime_bound - 1))
 
 
@@ -131,15 +147,10 @@ def feller_tornier(prime_bound: int) -> ConstantEstimate:
     the zeta(2) representation before being returned."""
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
-    p = _primes_upto(prime_bound).astype(np.float64)
-    prod = float(np.multiply.reduce(1.0 - 2.0 / (p * p)))
+    prod = _prime_product(prime_bound, 2.0, 0.0)
     est = ConstantEstimate(0.5 + 0.5 * prod, prime_bound, 3.0 / max(prime_bound - 1, 1))
     if prime_bound >= 3:
-        alt = feller_tornier_zeta(prime_bound)
-        if not est.agrees_with(alt):
-            raise AssertionError(
-                f"Feller-Tornier representations disagree: {est.value} vs {alt.value}"
-            )
+        est.check_agrees(feller_tornier_zeta(prime_bound), ("feller-tornier", "zeta"))
     return est
 
 
@@ -147,8 +158,7 @@ def feller_tornier_zeta(prime_bound: int) -> ConstantEstimate:
     """C_FT via (1/2) (1 + (1/zeta(2)) prod_{p <= P} (1 - 1/(p^2 - 1)))."""
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
-    p = _primes_upto(prime_bound).astype(np.float64)
-    prod = float(np.multiply.reduce(1.0 - 1.0 / (p * p - 1.0)))
+    prod = _prime_product(prime_bound, 1.0, 1.0)
     zeta2 = math.pi**2 / 6.0
     return ConstantEstimate(
         0.5 * (1.0 + prod / zeta2), prime_bound, 3.0 / max(prime_bound - 1, 1)

@@ -1,11 +1,14 @@
+import ast
+import dataclasses
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from cleantri import arith, cli, meanvalue
+from cleantri import arith, cli, counting, lattice, meanvalue
 
 PKG = [sys.executable, "-m", "cleantri.cli"]
 
@@ -200,6 +203,77 @@ class TestMeanvalueBounds:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert "sum T(n), n<=x:    not computed (x > 100)" in out
+
+
+def _shifted(fn, by):
+    """fn with its result moved by ``by``, on ints and on ConstantEstimate."""
+    def broken(*args):
+        out = fn(*args)
+        return out + by if isinstance(out, int) else dataclasses.replace(out, value=out.value + by)
+
+    return broken
+
+
+class TestInvariantViolationExit:
+    """In-process runs with one route broken: exit 3, nothing on stdout, one
+    JSON record on stderr, no traceback."""
+
+    @pytest.mark.parametrize(
+        "module,name,fault,argv,n,routes",
+        [
+            (counting, "t_geometric", 1, ["tcount", "7", "--method", "all"],
+             7, ["closed", "geometric"]),
+            (arith, "imph_bruteforce", 1, ["imph", "15", "--bruteforce"],
+             15, ["closed-form", "bruteforce"]),
+            (meanvalue, "feller_tornier_zeta", 0.1, ["meanvalue", "--x", "1000"],
+             None, ["feller-tornier", "zeta"]),
+            (meanvalue, "moebius_sum_odd", 0.1, ["meanvalue", "--x", "1000", "--json"],
+             None, ["euler-product", "moebius-sum"]),
+            (lattice, "apply_map", None, ["reduce", "0", "0", "-3", "-3", "2", "4"],
+             6, ["reduction", "witness"]),
+        ],
+    )
+    def test_exit_3_with_one_json_line(self, monkeypatch, capsys, module, name, fault, argv,
+                                       n, routes):
+        fn = getattr(module, name)
+        broken = (lambda L, t: t) if fault is None else _shifted(fn, fault)
+        monkeypatch.setattr(module, name, broken)
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        rec = json.loads(lines[0])
+        assert sorted(rec) == ["error", "message", "n", "routes"]
+        assert rec["error"] == "invariant" and rec["message"]
+        assert rec["n"] == n and rec["routes"] == routes
+
+    def test_burnside_cap_still_exit_2(self, monkeypatch, capsys):
+        def no_table(n):
+            raise RuntimeError(f"six-map table built for n={n}")
+
+        monkeypatch.setattr(counting, "six_map_table", no_table)
+        assert cli.main(["tcount", "100001", "--method", "all"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: Burnside route capped at n = 100000\n"
+
+
+def test_no_assert_in_package():
+    """Cross-checks raise InvariantViolation: ``python -O`` strips ``assert``,
+    and a bare AssertionError would escape main as a traceback."""
+    src = pathlib.Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(exc, ast.Name) and exc.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 class TestDeterminism:

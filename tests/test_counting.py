@@ -1,7 +1,7 @@
 import pytest
 
 from cleantri import arith, counting, lattice
-from cleantri.arith import ip_members
+from cleantri.arith import InvariantViolation, ip_members
 from cleantri.counting import (
     OrbitDecomposition,
     TCountReport,
@@ -121,8 +121,27 @@ class TestTCounts:
         assert sum(rep.fix_counts) == 12
 
     def test_report_validation(self):
-        with pytest.raises(ValueError):
-            TCountReport(7, 2, 3, None, (5, 1, 1, 2, 2, 1))
+        for args, routes in [
+            ((7, 2, 3, None, (5, 1, 1, 2, 2, 1)), ("closed", "burnside")),
+            ((7, 2, 2, 3, (5, 1, 1, 2, 2, 1)), ("closed", "geometric")),
+            ((7, 2, 2, None, (5, 1, 1, 2, 2, 2)), ("burnside", "fix-counts")),
+        ]:
+            with pytest.raises(InvariantViolation) as info:
+                TCountReport(*args)
+            assert isinstance(info.value, AssertionError)
+            assert info.value.n == 7 and info.value.routes == routes
+
+    def test_report_checks_burnside_cap_before_tables(self, monkeypatch):
+        def no_table(n):
+            raise RuntimeError(f"six-map table built for n={n}")
+
+        monkeypatch.setattr(counting, "six_map_table", no_table)
+        with pytest.raises(ValueError, match="Burnside route capped"):
+            t_report(100001)
+        with pytest.raises(ValueError, match="Burnside route capped"):
+            t_report(999999, with_geometric=True)
+        with pytest.raises(ValueError, match="positive"):
+            t_report(0)
 
 
 class TestOrbits:

@@ -75,6 +75,20 @@ class TestEulerProduct:
         assert abs(coarse.value - fine.value) <= coarse.tail_bound
 
 
+class TestConstantsMemory:
+    @pytest.mark.parametrize("fn", [euler_product_odd, feller_tornier, feller_tornier_zeta])
+    def test_traced_peak_within_prime_budget_check(self, fn):
+        bound = 10**6
+        fn(bound)  # warm up outside the trace
+        tracemalloc.start()
+        try:
+            fn(bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arith._primes_upto_bytes(bound)
+
+
 class TestFellerTornier:
     def test_two_prime_truncation(self):
         assert feller_tornier(2).value == pytest.approx(0.75, abs=1e-15)
