@@ -12,19 +12,15 @@ from . import arith, counting, lattice, meanvalue
 from .arith import (
     Factorization,
     InvariantViolation,
-    count_roots_quad,
-    count_roots_quad_n,
     extended_gcd,
     factorize,
     imph,
     imph_bruteforce,
     imph_sieve,
-    legendre_minus3,
     mod_inverse,
 )
 from .counting import (
     canonical_m,
-    fix_count_bruteforce,
     fix_count_closed,
     map_g,
     orbit_decomposition,
@@ -43,7 +39,6 @@ from .lattice import (
     equivalent_clean,
     interior_count_enum,
     is_clean,
-    is_empty,
     pick_counts,
     reduce_to_base_form,
     scott_check,

@@ -32,10 +32,7 @@ __all__ = [
     "imph_bruteforce",
     "imph_sieve",
     "ip_members",
-    "legendre_minus3",
-    "count_roots_quad",
-    "count_roots_quad_n",
-    "roots_quad_n",
+    "quad_root_count",
     "sieve_memory_budget",
     "six_maps",
     "six_map_table",
@@ -43,7 +40,6 @@ __all__ = [
 
 IMPH_BRUTEFORCE_BOUND = 10**7
 IMPH_SIEVE_BOUND = 10**8  # needs a 1.7 GB sieve budget; the default admits 6.3 * 10^7
-ROOT_ENUMERATION_BOUND = 10**7
 
 #: Environment variable holding the sieve memory budget in bytes.
 SIEVE_MEMORY_ENV = "CLEANTRI_SIEVE_MEMORY"
@@ -297,6 +293,25 @@ def imph_from_factorization(f: Factorization) -> int:
     return value
 
 
+def quad_root_count(f: Factorization) -> int:
+    """rho(n), the number of roots of y^2 - y + 1 = 0 mod odd n, from its
+    factorization.
+
+    Multiplicative by CRT, with four cases per prime power p^e: 1 for 3^1,
+    0 for 3^e with e >= 2, 0 for p = 5 (mod 6) and 2 for p = 1 (mod 6).
+    n = 1 gives 1 (the single residue class).
+    """
+    if f.n % 2 == 0:
+        raise ValueError(f"n must be odd, got {f.n}")
+    count = 1
+    for p, e in f.factors:
+        if p % 6 == 5 or (p == 3 and e > 1):
+            return 0
+        if p % 6 == 1:
+            count *= 2
+    return count
+
+
 def imph(n: int) -> int:
     """Count of x in [1, n] with gcd(x, n) = gcd(x - 1, n) = 1, via the closed form."""
     if n > 1 and n % 2 == 0:
@@ -428,143 +443,6 @@ def imph_sieve(x: int) -> np.ndarray:
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
     return _factor_sieve(x).imph
-
-
-# --------------------------------------------------------------------------
-# quadratic congruences
-# --------------------------------------------------------------------------
-
-
-def legendre_minus3(p: int) -> int:
-    """Legendre symbol (-3 / p) for prime p > 3, by Euler's criterion.
-
-    Equals +1 iff p = 1 (mod 6) and -1 iff p = 5 (mod 6); both routes are
-    computed and cross-checked.
-    """
-    if p <= 3:
-        raise ValueError(f"p must be a prime greater than 3, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    euler = pow(-3, (p - 1) // 2, p)
-    symbol = 1 if euler == 1 else -1
-    expected = 1 if p % 6 == 1 else -1
-    if symbol != expected:  # pragma: no cover - would contradict Lemma 9
-        msg = f"Euler criterion disagrees with mod-6 class at p={p}"
-        raise InvariantViolation(msg, p, ("euler", "mod-6"))
-    return symbol
-
-
-def _sqrt_mod_p(a: int, p: int) -> int:
-    """Tonelli-Shanks square root of a mod an odd prime p (a must be a QR)."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
-
-
-def _hensel_lift(root: int, p: int, k: int) -> int:
-    """Lift a simple root of x^2 - x + 1 from mod p to mod p^k.
-
-    Requires the derivative 2x - 1 to be a unit mod p, which holds for the
-    roots when p = 1 (mod 6); it fails at p = 3, where no lift exists.
-    """
-    x = root
-    mod = p
-    for _ in range(k - 1):
-        mod *= p
-        f = (x * x - x + 1) % mod
-        d = mod_inverse(2 * x - 1, mod)
-        x = (x - f * d) % mod
-    return x
-
-
-def count_roots_quad(p: int, k: int = 1) -> tuple[int, tuple[int, ...]]:
-    """Roots of x^2 - x + 1 = 0 mod p^k for an odd prime p.
-
-    Returns (count, roots).  The count follows the four-case classification:
-    one root for (p=3, k=1), none for (p=3, k>=2) or p = 5 (mod 6), two for
-    p = 1 (mod 6); in the last case the roots are produced by Hensel lifting.
-    """
-    if p == 2:
-        raise ValueError("p must be odd")
-    if k < 1:
-        raise ValueError(f"exponent must be >= 1, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 3:
-        return (1, (2,)) if k == 1 else (0, ())
-    if p % 6 == 5:
-        return 0, ()
-    # p = 1 (mod 6): x = (1 +- sqrt(-3)) / 2 mod p, then lift.
-    s = _sqrt_mod_p(p - 3, p)
-    inv2 = mod_inverse(2, p)
-    base = sorted({(1 + s) * inv2 % p, (1 - s) * inv2 % p})
-    roots = tuple(sorted(_hensel_lift(r, p, k) for r in base))
-    return 2, roots
-
-
-def count_roots_quad_n(n: int) -> int:
-    """Number of roots of x^2 - x + 1 = 0 mod n (n odd), by CRT composition.
-
-    The count is the product of the prime-power counts: 2^omega(n) when all
-    primes divide 1 mod 6, halved when 3 exactly divides n, zero when 9 | n
-    or some prime is 5 mod 6.  n = 1 gives 1 (the single residue class).
-    """
-    if n % 2 == 0:
-        raise ValueError(f"n must be odd, got {n}")
-    count = 1
-    for p, e in factorize(n).factors:
-        c, _ = count_roots_quad(p, e)
-        if c == 0:
-            return 0
-        count *= c
-    return count
-
-
-def roots_quad_n(n: int) -> tuple[int, ...]:
-    """The actual roots of x^2 - x + 1 = 0 mod n, recombined via CRT (n odd, small)."""
-    if n % 2 == 0:
-        raise ValueError(f"n must be odd, got {n}")
-    if n > ROOT_ENUMERATION_BOUND:
-        raise ValueError(f"root enumeration capped at {ROOT_ENUMERATION_BOUND}, got {n}")
-    residues = [0]
-    modulus = 1
-    for p, e in factorize(n).factors:
-        c, roots = count_roots_quad(p, e)
-        if c == 0:
-            return ()
-        pk = p**e
-        inv_m = mod_inverse(modulus, pk)
-        combined = []
-        for x in residues:
-            for r in roots:
-                # x + modulus * t = r (mod pk)
-                t = (r - x) * inv_m % pk
-                combined.append(x + modulus * t)
-        residues = combined
-        modulus *= pk
-    return tuple(sorted(r % n for r in residues))
 
 
 @lru_cache(maxsize=1 << 15)

@@ -175,6 +175,8 @@ def cmd_equiv(args, parser) -> int:
 
 
 def cmd_scott(args, parser) -> int:
+    if args.scan is not None and args.coords:
+        parser.error("scott takes six vertex coordinates or --scan BOUND, not both")
     if args.scan is not None:
         report = lattice.scott_exhaustive(args.scan)
         ok_forms = all(bf == (3, 0, 3) for bf in report.equality_base_forms)

@@ -5,9 +5,9 @@ triangle (0,0), (1,0), (m,n); they form a group of order 6 acting on IP(n).
 Everything here is built on their one kernel, ``arith.six_maps`` and
 ``arith.six_map_table``.  T(n), the number of equivalence classes of clean
 triangles of twice-area n, is computed three ways that share no formula: a
-closed three-case formula from the prime factorization, the Burnside average
-of fixed-point counts, and the distinct ``lattice.clean_key`` values of the
-enumerated triangles.
+closed form from the prime factorization, the Burnside average of the
+fixed-point counts read off the kernel's table, and the distinct
+``lattice.clean_key`` values of the enumerated triangles.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 from .arith import (
     InvariantViolation,
     _cached_factorization,
-    count_roots_quad_n,
     imph_from_factorization,
-    ip_members,
+    quad_root_count,
     six_map_table,
     six_maps,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "OrbitDecomposition",
     "TCountReport",
     "map_g",
-    "fix_count_bruteforce",
     "fix_count_closed",
     "t_burnside",
     "t_closed",
@@ -61,35 +59,28 @@ def map_g(i: int, m: int, n: int) -> int:
     return six_maps(m, n)[i - 1]
 
 
-def fix_count_bruteforce(i: int, n: int) -> int:
-    """Count fixed points of g_i on IP(n) by direct application of the map."""
-    if n > BRUTEFORCE_N_BOUND:
-        raise ValueError(f"brute force capped at n = {BRUTEFORCE_N_BOUND}")
-    if i not in range(1, 7):
-        raise ValueError(f"map index must be 1..6, got {i}")
-    return sum(1 for m in ip_members(n) if map_g(i, int(m), n) == int(m))
-
-
 @lru_cache(maxsize=1 << 15)
 def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
-    """All six brute-force fixed-point counts at once, from the kernel's table;
-    matches fix_count_bruteforce but is fast enough to sweep n up to 10^4."""
+    """The fixed-point counts of g1..g6 on IP(n), read off the kernel's table;
+    fast enough to sweep n up to 10^4."""
     members, table = six_map_table(n)
     return tuple(int(c) for c in (table == members).sum(axis=1))
 
 
 def fix_count_closed(i: int, n: int) -> int:
-    """Closed-form fixed-point count: imph(n) for g1, 1 for g2/g3/g6, and the
-    quadratic-congruence root count for g4/g5."""
+    """Closed-form count of the fixed points of g_i on IP(n), for odd n >= 1:
+    imph(n) for g1, 1 for g2, g3 and g6, and rho(n) = ``arith.quad_root_count``
+    for g4 and g5, whose fixed points are the roots of y^2 - y + 1 mod n."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n % 2 == 0:
         raise ValueError(f"n must be odd, got {n}")
     if i not in range(1, 7):
         raise ValueError(f"map index must be 1..6, got {i}")
-    if i == 1:
-        return imph_from_factorization(_cached_factorization(n))
     if i in (2, 3, 6):
         return 1
-    return count_roots_quad_n(n)
+    f = _cached_factorization(n)
+    return imph_from_factorization(f) if i == 1 else quad_root_count(f)
 
 
 def t_burnside(n: int) -> int:
@@ -108,29 +99,19 @@ def t_burnside(n: int) -> int:
 
 
 def t_closed(n: int) -> int:
-    """T(n) from the three-case closed formula over the prime factorization.
+    """T(n) = (imph(n) + 2 rho(n) + 3) / 6 from the prime factorization, where
+    rho(n) = ``arith.quad_root_count`` counts the roots of y^2 - y + 1 mod n.
 
-    With w = omega(n): (imph(n) + 3) / 6 when 9 | n or some prime divisor is
-    5 mod 6; (imph(n) + 2^w + 3) / 6 when 3 || n and the rest are 1 mod 6;
-    (imph(n) + 2^(w+1) + 3) / 6 when every prime divisor is 1 mod 6.
-    Zero for even n.
+    This is Burnside's lemma with the closed fixed-point counts of
+    ``fix_count_closed``: g1 fixes imph(n) members, g2, g3 and g6 one each,
+    g4 and g5 rho(n) each.  Zero for even n.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n % 2 == 0:
         return 0
     f = _cached_factorization(n)
-    im = imph_from_factorization(f)
-    w = f.omega
-    div9 = any(p == 3 and e >= 2 for p, e in f.factors)
-    bad5 = any(p % 6 == 5 for p, _ in f.factors)
-    div3 = any(p == 3 for p, _ in f.factors)
-    if div9 or bad5:
-        numerator = im + 3
-    elif div3:
-        numerator = im + 2**w + 3
-    else:
-        numerator = im + 2 ** (w + 1) + 3
+    numerator = imph_from_factorization(f) + 2 * quad_root_count(f) + 3
     if numerator % 6 != 0:  # pragma: no cover
         msg = f"closed-form numerator {numerator} not divisible by 6"
         raise InvariantViolation(msg, n, ("closed",))

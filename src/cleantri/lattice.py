@@ -34,7 +34,6 @@ __all__ = [
     "pick_counts",
     "interior_count_enum",
     "is_clean",
-    "is_empty",
     "apply_map",
     "reduce_to_base_form",
     "equivalent_clean",
@@ -231,10 +230,6 @@ def interior_count_enum(t: LatticeTriangle) -> int:
 def is_clean(t: LatticeTriangle) -> bool:
     """True when the only boundary lattice points are the three vertices."""
     return boundary_count(t) == 3
-
-def is_empty(t: LatticeTriangle) -> bool:
-    """True for clean triangles with no interior point, i.e. twice_area = 1."""
-    return is_clean(t) and twice_area(t) == 1
 
 
 def apply_map(L: AffineUnimodularMap, t: LatticeTriangle) -> LatticeTriangle:

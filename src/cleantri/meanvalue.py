@@ -78,12 +78,13 @@ def partial_sum_imph(x: int) -> int:
 def t_closed_sieve(x: int) -> np.ndarray:
     """Table t with t[n] = T(n) for n <= x, from one pass of the factor sieve.
 
-    Applies the scalar closed form's three cases to whole arrays: with
-    imph(n), omega(n) and the p = 5 (mod 6) flag from ``arith._factor_sieve``,
-    6 T(n) = imph(n) + 3 when 9 | n or some p = 5 (mod 6) divides n, plus
-    2^omega(n) more when 3 | n otherwise, and plus 2^(omega(n) + 1) more in
-    the remaining case.  Even n give 0.  The int16 root-count array keeps the
-    peak within the sieve's own memory budget.
+    Applies the scalar closed form 6 T(n) = imph(n) + 2 rho(n) + 3 to whole
+    arrays, with imph(n), omega(n) and the p = 5 (mod 6) flag from
+    ``arith._factor_sieve``.  By the rule of ``arith.quad_root_count``,
+    2 rho(n) is 0 when 9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when
+    3 | n otherwise, and 2^(omega(n) + 1) in the remaining case.  Even n give
+    0.  The int16 root-count array keeps the peak within the sieve's own
+    memory budget.
     """
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")

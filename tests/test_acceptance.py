@@ -93,7 +93,7 @@ def test_criterion_4_fixed_point_closed_forms():
         for i in range(1, 7):
             assert vec[i - 1] == fix_count_closed(i, n), f"map g{i}, n={n}"
         assert vec[1] == vec[2] == vec[5] == 1
-    report(4, "fix_count_closed = fix_count_bruteforce for all six maps, odd n <= 2000")
+    report(4, "fix_count_closed = the kernel's fixed-point table for all six maps, odd n <= 2000")
 
 
 def test_criterion_5_group_closure():

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from cleantri import arith
 from cleantri.arith import (
     Factorization,
-    count_roots_quad,
-    count_roots_quad_n,
     extended_gcd,
     factorize,
     imph,
@@ -20,9 +18,8 @@ from cleantri.arith import (
     imph_sieve,
     ip_members,
     is_prime,
-    legendre_minus3,
     mod_inverse,
-    roots_quad_n,
+    quad_root_count,
     six_map_table,
     six_maps,
 )
@@ -147,10 +144,9 @@ class TestIsPrime:
         assert 399165290221 * 798330580441 == self.PSI_12
         assert is_prime(399165290221) and is_prime(798330580441)
         assert not is_prime(self.PSI_12)
+        # so it cannot pose as a prime factor, e.g. on its way to quad_root_count
         with pytest.raises(ValueError, match="not prime"):
-            legendre_minus3(self.PSI_12)
-        with pytest.raises(ValueError, match="not prime"):
-            count_roots_quad(self.PSI_12)
+            Factorization(self.PSI_12, ((self.PSI_12, 1),))
 
     def test_proven_range(self):
         psi_13 = 3_317_044_064_679_887_385_961_981
@@ -372,32 +368,16 @@ class TestIpMembers:
             assert ip_members(n).size == 0
 
 
-class TestLegendreMinus3:
-    @pytest.mark.parametrize("p,value", [(7, 1), (5, -1), (13, 1)])
-    def test_spot(self, p, value):
-        assert legendre_minus3(p) == value
-
-    def test_rejects(self):
-        for bad in (2, 3, 9, 15):
-            with pytest.raises(ValueError):
-                legendre_minus3(bad)
-
-    def test_mod6_classification(self):
-        for p in range(5, 10**4):
-            if is_prime(p):
-                assert legendre_minus3(p) == (1 if p % 6 == 1 else -1)
-
-
 class TestRootsQuad:
     def test_spot(self):
-        assert count_roots_quad(3, 1) == (1, (2,))
-        assert count_roots_quad(3, 2) == (0, ())
-        assert count_roots_quad(7, 1) == (2, (3, 5))
-        assert count_roots_quad(5, 1) == (0, ())
+        assert quad_root_count(factorize(3)) == 1
+        assert quad_root_count(factorize(9)) == 0
+        assert quad_root_count(factorize(7)) == 2
+        assert quad_root_count(factorize(5)) == 0
 
     def test_rejects_two(self):
         with pytest.raises(ValueError):
-            count_roots_quad(2, 1)
+            quad_root_count(factorize(2))
 
     def test_root_validity_and_counts(self):
         # brute-force residue scan over all odd prime powers <= 10^4
@@ -408,27 +388,28 @@ class TestRootsQuad:
             while p**k <= 10**4:
                 pk = p**k
                 expected = [x for x in range(1, pk) if (x * x - x + 1) % pk == 0]
-                count, roots = count_roots_quad(p, k)
-                assert count == len(expected)
-                assert list(roots) == expected
+                assert quad_root_count(factorize(pk)) == len(expected), pk
                 k += 1
 
     def test_composite_counts(self):
-        assert count_roots_quad_n(7) == 2
-        assert count_roots_quad_n(21) == 2
-        assert count_roots_quad_n(45) == 0
-        assert count_roots_quad_n(1) == 1
+        assert quad_root_count(factorize(7)) == 2
+        assert quad_root_count(factorize(21)) == 2
+        assert quad_root_count(factorize(45)) == 0
+        assert quad_root_count(factorize(1)) == 1
         with pytest.raises(ValueError):
-            count_roots_quad_n(10)
+            quad_root_count(factorize(10))
 
     def test_composite_counts_bruteforce(self):
         for n in range(1, 1000, 2):
             expected = sum(1 for x in range(n) if (x * x - x + 1) % n == 0)
-            assert count_roots_quad_n(n) == expected
+            assert quad_root_count(factorize(n)) == expected
 
-    def test_roots_in_ip(self):
+    def test_g4_fixed_points_are_the_roots(self):
+        # g4(m) = 1 - m^-1 fixes m iff m^2 - m + 1 = 0 (mod n): the kernel's
+        # table against a direct residue scan, and the scan against the count
         for n in range(1, 2001, 2):
-            members = set(int(x) for x in ip_members(n))
-            for r in roots_quad_n(n):
-                assert (r * r - r + 1) % n == 0
-                assert (r - 1) % n + 1 in members
+            members, table = six_map_table(n)
+            r = np.arange(1, n + 1, dtype=np.int64)
+            roots = r[(r * r - r + 1) % n == 0]
+            assert members[table[3] == members].tolist() == roots.tolist(), n
+            assert roots.size == quad_root_count(factorize(n)), n

@@ -160,6 +160,11 @@ class TestScottCommand:
         assert r.returncode == 0
         assert "not applicable" in r.stdout
 
+    def test_coords_with_scan_rejected(self):
+        r = run("scott", "0", "0", "1", "0", "0", "1", "--scan", "2")
+        assert r.returncode == 2
+        assert r.stdout == "" and "not both" in r.stderr
+
 
 class TestOrbitsCommand:
     def test_orbits(self):
@@ -274,6 +279,31 @@ def test_no_assert_in_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_exports_resolve():
+    """Each library module's ``__all__`` names exist and list every public
+    function and class it defines, and every name the package imports from a
+    module is in that module's ``__all__``: a deletion leaves no dangling export."""
+    import cleantri
+
+    for mod in (arith, counting, lattice, meanvalue):
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+        defined = [
+            name
+            for name, obj in vars(mod).items()
+            if not name.startswith("_")
+            and callable(obj)
+            and getattr(obj, "__module__", None) == mod.__name__
+        ]
+        assert [name for name in defined if name not in mod.__all__] == [], mod.__name__
+    init = pathlib.Path(cleantri.__file__)
+    for node in ast.walk(ast.parse(init.read_text(), str(init))):
+        if isinstance(node, ast.ImportFrom):
+            # "from . import arith" names submodules, "from .arith import x" exports
+            listed = getattr(cleantri, node.module).__all__ if node.module else vars(cleantri)
+            for alias in node.names:
+                assert alias.name in listed, f"{node.module}.{alias.name}"
 
 
 class TestDeterminism:

@@ -7,7 +7,6 @@ from cleantri.counting import (
     TCountReport,
     _fix_counts_vectorized,
     canonical_m,
-    fix_count_bruteforce,
     fix_count_closed,
     map_g,
     orbit_decomposition,
@@ -65,9 +64,9 @@ class TestMapG:
 
 class TestFixCounts:
     def test_spot_bruteforce(self):
-        assert fix_count_bruteforce(1, 7) == 5
-        assert fix_count_bruteforce(3, 9) == 1
-        assert fix_count_bruteforce(4, 7) == 2
+        # the kernel's table counts: IP(7) = {2..6}, IP(9) = {2, 5, 8}
+        assert _fix_counts_vectorized(7) == (5, 1, 1, 2, 2, 1)
+        assert _fix_counts_vectorized(9) == (3, 1, 1, 0, 0, 1)
 
     def test_spot_closed(self):
         assert fix_count_closed(2, 105) == 1
@@ -78,11 +77,11 @@ class TestFixCounts:
         with pytest.raises(ValueError):
             fix_count_closed(1, 6)
 
-    def test_vectorized_matches_scalar(self):
-        for n in range(1, 202, 2):
-            vec = _fix_counts_vectorized(n)
-            for i in range(1, 7):
-                assert vec[i - 1] == fix_count_bruteforce(i, n)
+    def test_closed_rejects_nonpositive(self):
+        for i in range(1, 7):
+            for n in (-3, -1, 0):
+                with pytest.raises(ValueError, match="positive"):
+                    fix_count_closed(i, n)
 
     def test_g4_g5_same_fixed_points(self):
         for n in range(1, 500, 2):

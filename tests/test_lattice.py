@@ -20,7 +20,6 @@ from cleantri.lattice import (
     equivalent_clean,
     interior_count_enum,
     is_clean,
-    is_empty,
     pick_counts,
     reduce_to_base_form,
     scott_check,
@@ -120,8 +119,8 @@ class TestPick:
 
 class TestCleanEmpty:
     def test_spot(self):
-        assert is_clean(T(0, 0, 1, 0, 2, 3)) and not is_empty(T(0, 0, 1, 0, 2, 3))
-        assert is_clean(UNIT) and is_empty(UNIT)
+        assert is_clean(T(0, 0, 1, 0, 2, 3))
+        assert is_clean(UNIT)
         assert not is_clean(T(0, 0, 2, 0, 0, 2))
 
 
