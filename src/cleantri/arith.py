@@ -330,15 +330,24 @@ def imph_bruteforce(n: int) -> int:
     )
 
 
-def ip_members(n: int) -> np.ndarray:
-    """Members of IP(n) as an increasing int64 array (empty for even n > 1)."""
+def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:
+    """The members of IP(n), increasing, and phi(n), from one gcd pass.
+
+    x is a member when x and x - 1 are both units; x - 1 is the previous
+    entry of the unit mask, and for x = 1 it is 0 = n, the last entry.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > IMPH_BRUTEFORCE_BOUND:
         raise ValueError(f"IP enumeration capped at {IMPH_BRUTEFORCE_BOUND}, got {n}")
-    x = np.arange(1, n + 1, dtype=np.int64)
-    mask = (np.gcd(x, n) == 1) & (np.gcd(x - 1, n) == 1)
-    return x[mask]
+    unit = np.gcd(np.arange(1, n + 1, dtype=np.int64), n) == 1
+    return np.flatnonzero(unit & np.roll(unit, 1)) + 1, int(unit.sum())
+
+
+def ip_members(n: int) -> np.ndarray:
+    """Members of IP(n) as an increasing int64 array (empty for even n > 1),
+    read off one gcd pass over the residues."""
+    return _ip_members_and_phi(n)[0]
 
 
 def _six_images(m, a, b, n):
@@ -356,10 +365,28 @@ def six_maps(m: int, n: int) -> tuple[int, int, int, int, int, int]:
 def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The members of IP(n) and the (6, imph(n)) table of their images g1..g6.
 
-    m -> n + 1 - m reverses the sorted members, so (1 - m)^-1 is m^-1 reversed.
+    The inverses are m^(phi(n) - 1) mod n by square-and-multiply over the
+    whole member array, with phi(n) counted off the unit mask, so no
+    factorization is used; products stay below n^2 <= 10^14.  Every inverse
+    is checked before the table is built.  m -> n + 1 - m reverses the sorted
+    members, so (1 - m)^-1 is m^-1 reversed.
     """
-    members = ip_members(n)
-    inv = np.fromiter((pow(m, -1, n) for m in members.tolist()), np.int64, members.size)
+    members, phi = _ip_members_and_phi(n)
+    inv = np.full_like(members, 1 % n)
+    base = members.copy()
+    e = phi - 1
+    while e:
+        if e & 1:
+            inv *= base
+            inv %= n
+        e >>= 1
+        if e:
+            base *= base
+            base %= n
+    wrong = members * inv % n != 1
+    if n > 1 and wrong.any():
+        msg = f"{members[wrong][0]} times its computed inverse is not 1 mod {n}"
+        raise InvariantViolation(msg, n, ("six-map",))
     return members, np.stack(_six_images(members, inv, inv[::-1], n))
 
 

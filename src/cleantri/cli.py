@@ -5,13 +5,15 @@ Output is human-readable by default; ``--json`` emits one structured record
 per invocation and ``--bfile`` (sequence commands) emits OEIS b-file lines
 "n a(n)".  Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
 cross-check (``arith.InvariantViolation``, reported by ``main`` alone as one JSON
-line on stderr with nothing on stdout) or a Scott violation (after the report).
+line on stderr with nothing on stdout) or a Scott violation (after the report),
+141 when the reader closed stdout early (nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import arith, counting, lattice, meanvalue
@@ -19,6 +21,7 @@ from . import arith, counting, lattice, meanvalue
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _parse_range(spec: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
@@ -353,7 +356,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (e.g. ``| head``); the unflushed rest goes
+        # to devnull so that the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except arith.InvariantViolation as exc:
         record = {"error": "invariant", "message": str(exc), "n": exc.n, "routes": exc.routes}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)

@@ -61,8 +61,9 @@ def map_g(i: int, m: int, n: int) -> int:
 
 @lru_cache(maxsize=1 << 15)
 def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
-    """The fixed-point counts of g1..g6 on IP(n), read off the kernel's table;
-    fast enough to sweep n up to 10^4."""
+    """The fixed-point counts of g1..g6 on IP(n): the members each row of
+    the kernel's table leaves in place, counted in numpy; the table itself
+    is built by whole-array arithmetic with no factorization."""
     members, table = six_map_table(n)
     return tuple(int(c) for c in (table == members).sum(axis=1))
 
@@ -84,7 +85,10 @@ def fix_count_closed(i: int, n: int) -> int:
 
 
 def t_burnside(n: int) -> int:
-    """T(n) as the Burnside average of the brute-force fixed-point counts."""
+    """T(n) as the Burnside average of the fixed-point counts that
+    ``_fix_counts_vectorized`` reads off the six-map table of all of IP(n),
+    for odd n up to 10^5; it uses no factorization, so it shares nothing
+    with ``t_closed``."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n % 2 == 0:

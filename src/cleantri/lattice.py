@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -193,13 +193,21 @@ def boundary_count(t: LatticeTriangle) -> int:
     return total
 
 
+def _pick_interior(a2, b):
+    """Interior count I = (2A - B + 2) / 2 by Pick's identity, from twice the
+    area a2 and the boundary count b.  Works alike on ints and int64 arrays."""
+    twice_interior = a2 - b + 2
+    if np.any(twice_interior % 2):  # pragma: no cover
+        msg = f"Pick parity violated: twice area {a2}, boundary {b}"
+        raise InvariantViolation(msg, None, ("pick",))
+    return twice_interior // 2
+
+
 def pick_counts(t: LatticeTriangle) -> PickCounts:
     """Interior count via Pick's identity from the exact area and boundary."""
     a2 = twice_area(t)
     b = boundary_count(t)
-    if (a2 - b + 2) % 2 != 0:  # pragma: no cover
-        raise InvariantViolation(f"Pick parity violated for {t}", a2, ("pick",))
-    return PickCounts((a2 - b + 2) // 2, b, a2)
+    return PickCounts(_pick_interior(a2, b), b, a2)
 
 
 def interior_count_enum(t: LatticeTriangle) -> int:
@@ -457,9 +465,12 @@ def scott_check(t: LatticeTriangle) -> ScottResult:
 def scott_exhaustive(grid_bound: int) -> ScottScanReport:
     """Scan every non-degenerate triangle with vertices in [0, grid_bound]^2.
 
-    Collects violations (expected: none) and equality cases along with their
-    base forms; the only equality class is the legs-3 right isosceles
-    triangle, base form (3, 0, 3).
+    For each first vertex p, twice the area, the boundary gcds and Pick's
+    interior count of every pair q < r after p are computed as arrays; only
+    violations (expected: none) and equality cases become triangles, in
+    ``itertools.combinations`` order, and only equality cases are reduced.
+    The only equality class is the legs-3 right isosceles triangle, base
+    form (3, 0, 3).
     """
     if grid_bound < 0:
         raise ValueError("grid bound must be nonnegative")
@@ -470,27 +481,30 @@ def scott_exhaustive(grid_bound: int) -> ScottScanReport:
         for x in range(grid_bound + 1)
         for y in range(grid_bound + 1)
     ]
+    xs = np.array([p.x for p in points], dtype=np.int64)
+    ys = np.array([p.y for p in points], dtype=np.int64)
     checked = 0
     violations: list[LatticeTriangle] = []
     equality: list[LatticeTriangle] = []
-    base_forms: list[tuple[int, int, int]] = []
-    for p, q, r in combinations(points, 3):
-        u, v = q - p, r - p
-        if u.x * v.y - u.y * v.x == 0:
-            continue
-        t = LatticeTriangle(p, q, r)
-        res = scott_check(t)
-        if not res.applicable:
-            continue
-        checked += 1
-        if not res.holds:
-            violations.append(t)
-        elif res.equality:
-            equality.append(t)
-            base_forms.append(reduce_to_base_form(t)[0].as_tuple())
-    return ScottScanReport(
-        grid_bound, checked, tuple(violations), tuple(equality), tuple(base_forms)
-    )
+    for i in range(len(points) - 2):
+        j, k = np.triu_indices(len(points) - 1 - i, 1)
+        j += i + 1
+        k += i + 1
+        ux, uy, vx, vy = xs[j] - xs[i], ys[j] - ys[i], xs[k] - xs[i], ys[k] - ys[i]
+        a2 = np.abs(ux * vy - uy * vx)
+        b = np.gcd(ux, uy) + np.gcd(vx - ux, vy - uy) + np.gcd(vx, vy)
+        interior = _pick_interior(a2, b)  # Pick's parity holds on collinear triples too
+        applicable = (a2 > 0) & (interior >= 1)
+        checked += int(applicable.sum())
+        excess = b - (2 * interior + 7)
+        for found, out in ((excess > 0, violations), (excess == 0, equality)):
+            found &= applicable
+            out += (
+                LatticeTriangle(points[i], points[q], points[r])
+                for q, r in zip(j[found].tolist(), k[found].tolist())
+            )
+    base_forms = tuple(reduce_to_base_form(t)[0].as_tuple() for t in equality)
+    return ScottScanReport(grid_bound, checked, tuple(violations), tuple(equality), base_forms)
 
 
 # --------------------------------------------------------------------------

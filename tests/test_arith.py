@@ -23,6 +23,7 @@ from cleantri.arith import (
     six_map_table,
     six_maps,
 )
+from cleantri.counting import BRUTEFORCE_N_BOUND
 
 
 def _trial_division(n):
@@ -250,6 +251,26 @@ class TestSixMaps:
             assert table.shape == (6, imph(n))
             expected = [six_maps(m, n) for m in members.tolist()]
             assert table.T.tolist() == [list(e) for e in expected]
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, (BRUTEFORCE_N_BOUND - 1) // 2).map(lambda k: 2 * k + 1))
+    @example(1)
+    @example(3)
+    @example(9)
+    @example(3**10)
+    @example(5**7)
+    @example(15015)
+    @example(99991)
+    @example(99999)
+    def test_inverse_table(self, n):
+        # members by the two-gcd definition, inverses by Python's pow
+        x = np.arange(1, n + 1, dtype=np.int64)
+        expected = x[(np.gcd(x, n) == 1) & (np.gcd(x - 1, n) == 1)]
+        members, table = six_map_table(n)
+        assert members.tolist() == expected.tolist()
+        m = members.tolist()
+        assert table[1].tolist() == [(pow(v, -1, n) - 1) % n + 1 for v in m]
+        assert [tuple(col) for col in table.T.tolist()] == [six_maps(v, n) for v in m]
 
     def test_even_and_nonmembers(self):
         members, table = six_map_table(10)

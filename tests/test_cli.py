@@ -73,6 +73,22 @@ class TestImphCommand:
         assert odd.returncode == 2 and "2^63" in odd.stderr
         assert "Traceback" not in odd.stderr
 
+    def test_closed_pipe_exits_141_quietly(self):
+        # as `cleantri imph 1..100000 --bfile | head -1`: the output far
+        # exceeds a pipe's buffer, so writes fail once the reader is gone
+        proc = subprocess.Popen(
+            PKG + ["imph", "1..100000", "--bfile"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "1 1\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert stderr == ""
+        proc.stderr.close()
+
     def test_malformed_budget_spares_point_queries(self):
         env = {**os.environ, arith.SIEVE_MEMORY_ENV: "lots"}
         point = subprocess.run(PKG + ["imph", "49"], capture_output=True, text=True, env=env)

@@ -222,3 +222,18 @@ class TestIndependence:
                 lattice.LatticeTriangle.from_coords(0, 0, 1, 0, 2, 7),
                 lattice.LatticeTriangle.from_coords(0, 0, 1, 0, 4, 7),
             )
+
+    def test_burnside_route_uses_no_factorization(self, monkeypatch):
+        expected = {n: t_closed(n) for n in range(1, 200, 2)}
+
+        def broken(*args):
+            raise AssertionError("factorization used")
+
+        monkeypatch.setattr(arith, "factorize", broken)
+        monkeypatch.setattr(counting, "_cached_factorization", broken)
+        monkeypatch.setattr(counting, "quad_root_count", broken)
+        counting._fix_counts_vectorized.cache_clear()
+        for n, value in expected.items():
+            assert t_burnside(n) == value
+        with pytest.raises(AssertionError, match="factorization used"):
+            t_closed(7)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -284,6 +285,40 @@ class TestScott:
     def test_scan_bound(self):
         with pytest.raises(ValueError):
             scott_exhaustive(9)
+
+    @staticmethod
+    def _scan_by_loop(grid_bound):
+        # one scott_check per vertex triple, the scan's scalar reference
+        points = [LatticePoint(x, y) for x in range(grid_bound + 1) for y in range(grid_bound + 1)]
+        checked, violations, equality = 0, [], []
+        for p, q, r in combinations(points, 3):
+            u, v = q - p, r - p
+            if u.x * v.y - u.y * v.x == 0:
+                continue
+            t = LatticeTriangle(p, q, r)
+            res = scott_check(t)
+            if not res.applicable:
+                continue
+            checked += 1
+            if not res.holds:
+                violations.append(t)
+            elif res.equality:
+                equality.append(t)
+        forms = [reduce_to_base_form(t)[0].as_tuple() for t in equality]
+        return checked, violations, equality, forms
+
+    @pytest.mark.parametrize("grid_bound", range(7))
+    def test_scan_matches_scalar_loop(self, grid_bound):
+        rep = scott_exhaustive(grid_bound)
+        checked, violations, equality, forms = self._scan_by_loop(grid_bound)
+        assert rep.checked == checked
+        assert list(rep.violations) == violations
+        assert list(rep.equality_cases) == equality
+        assert list(rep.equality_base_forms) == forms
+        for t in rep.equality_cases:
+            res = scott_check(t)
+            assert res.interior == interior_count_enum(t)
+            assert res.boundary == 2 * res.interior + 7
 
 
 class TestEnumerateClean:
