@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -401,10 +401,31 @@ class _FactorData(NamedTuple):
 
 
 # Bytes per n the factor sieve holds at its peak: the five result arrays
-# (8 + 1 + 1 + 1 + 1), the int32 cofactor (4) and one bool mask (1).  The
-# default 1 GiB budget admits x <= 63,161,282; the 10^8 caps need a budget
-# of 1.7 GB.
+# (8 + 1 + 1 + 1 + 1), plus the int32 cofactor (4) and one bool mask (1) per
+# entry of the block being sieved, which is never longer than the table.
+# The default 1 GiB budget admits whole tables up to x = 63,161,282; the
+# 10^8 caps need a budget of 1.7 GB.
 _FACTOR_SIEVE_BYTES_PER_N = 17
+
+# Entries per block of the factor sieve walk.  A block's arrays (17 bytes an
+# entry, about 4.5 MB) stay in cache while every prime slices them; smaller
+# blocks pay more per-slice call overhead.  _factor_sieve(10^7) on a 2-core
+# Xeon VM (median of 5): blocks of 2^16, 2^17, 2^18, 2^19 and 2^20 took 1.73,
+# 1.04, 0.97, 1.06 and 1.37 s, and one whole-array block 1.71 s.
+_SIEVE_BLOCK = 1 << 18
+
+
+def _check_sieve_need(hi: int, need: int, what: str) -> None:
+    """Reject a sieve reaching hi above the cap, or holding need bytes above
+    the memory budget."""
+    if hi > IMPH_SIEVE_BOUND:
+        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
+    budget = sieve_memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"{what} needs {need} bytes, budget is {budget}; "
+            f"raise {SIEVE_MEMORY_ENV} to at least {need}"
+        )
 
 
 def _check_factor_sieve(x: int) -> None:
@@ -413,46 +434,48 @@ def _check_factor_sieve(x: int) -> None:
     Callers that do other work before sieving call this first, so a rejected
     x costs nothing.
     """
-    if x > IMPH_SIEVE_BOUND:
-        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {x}")
-    need = _FACTOR_SIEVE_BYTES_PER_N * (x + 1)
-    budget = sieve_memory_budget()
-    if need > budget:
-        raise ValueError(
-            f"sieve for x={x} needs {need} bytes, budget is {budget}; "
-            f"raise {SIEVE_MEMORY_ENV} to at least {need}"
-        )
+    _check_sieve_need(x, _FACTOR_SIEVE_BYTES_PER_N * (x + 1), f"sieve for x={x}")
 
 
-def _factor_sieve(x: int) -> _FactorData:
-    """imph, omega, Omega, squarefree and the p = 5 (mod 6) flag for n <= x.
+def _sieve_block(a: int, primes: list[int], f: _FactorData, cof: np.ndarray) -> None:
+    """Fill the views in ``f`` with the factor data of a <= n < a + len(cof);
+    ``primes`` holds, ascending, at least the primes <= sqrt(a + len - 1).
 
-    Each prime p <= sqrt(x) is sliced once per power p^k <= x, dividing a
-    cofactor array cof[n] = n by p alongside the multiplicative data.
-    Afterwards cof[n] is 1 or a single prime q > sqrt(x), which is folded in
-    with a few whole-array steps that reuse the cofactor in place.  The check
-    against the memory budget covers everything the sieve holds at once;
-    callers keep their own arrays within that figure.
+    Each prime p <= sqrt(a + len - 1) is sliced once per power p^k in range,
+    from the first multiple of p^k at or after a (p^k itself when a = 0),
+    dividing the cofactor cof[i] = a + i by p alongside the multiplicative
+    data.  Afterwards cof[i] is 1 or a single prime q > sqrt(a + i), which is
+    folded in with a few whole-block steps that reuse the cofactor in place;
+    besides it they need one bool mask of the block's length.  The n = 0
+    entry, when in range, gets imph 0 and no prime factors.
     """
-    _check_factor_sieve(x)
-    imph = np.ones(x + 1, dtype=np.int64)
-    cof = np.arange(x + 1, dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
-    omega = np.zeros(x + 1, dtype=np.int8)
-    big_omega = np.zeros(x + 1, dtype=np.int8)
-    squarefree = np.ones(x + 1, dtype=bool)
-    bad5 = np.zeros(x + 1, dtype=bool)
-    for p in _primes_upto(math.isqrt(x)).tolist():
-        imph[p::p] *= p - 2
-        omega[p::p] += 1
+    imph, omega, big_omega, squarefree, bad5 = f
+    imph.fill(1)
+    omega.fill(0)
+    big_omega.fill(0)
+    squarefree.fill(True)
+    bad5.fill(False)
+    cof.fill(1)
+    cof[0] = a
+    np.cumsum(cof, out=cof)  # a, a + 1, ... with no block-sized temporary
+    end = a + len(cof) - 1
+    for p in primes:
+        if p * p > end:
+            break
+        start = (-a) % p if a else p
+        imph[start::p] *= p - 2
+        omega[start::p] += 1
         if p % 6 == 5:
-            bad5[p::p] = True
-        squarefree[p * p :: p * p] = False
+            bad5[start::p] = True
         pk = p
-        while pk <= x:
-            cof[pk::pk] //= p
-            big_omega[pk::pk] += 1
+        while pk <= end:
+            start = (-a) % pk if a else pk
+            cof[start::pk] //= p
+            big_omega[start::pk] += 1
             if pk > p:
-                imph[pk::pk] *= p
+                imph[start::pk] *= p
+            if pk == p * p:
+                squarefree[start::pk] = False
             pk *= p
     big = cof > 1
     omega += big
@@ -461,8 +484,59 @@ def _factor_sieve(x: int) -> _FactorData:
     cof -= 2
     imph *= np.abs(cof, out=cof)  # q - 2 for a prime cofactor, 1 for cofactor 1
     bad5 |= np.remainder(cof, 6, out=cof) == 3  # q - 2 = 3 (mod 6) iff q = 5 (mod 6)
-    imph[0] = 0
-    return _FactorData(imph, omega, big_omega, squarefree, bad5)
+    if a == 0:
+        imph[0] = 0
+
+
+def _empty_factor_data(length: int) -> _FactorData:
+    """Uninitialised factor data arrays, for _sieve_block to fill."""
+    return _FactorData(
+        np.empty(length, dtype=np.int64),
+        np.empty(length, dtype=np.int8),
+        np.empty(length, dtype=np.int8),
+        np.empty(length, dtype=bool),
+        np.empty(length, dtype=bool),
+    )
+
+
+def _factor_sieve(x: int) -> _FactorData:
+    """imph, omega, Omega, squarefree and the p = 5 (mod 6) flag for n <= x.
+
+    The five result arrays are allocated once and filled by ``_sieve_block``
+    in blocks of ``_SIEVE_BLOCK`` entries, with one reused int32 cofactor
+    block.  The check against the memory budget covers everything the sieve
+    holds at once; callers keep their own arrays within that figure.
+    """
+    _check_factor_sieve(x)
+    f = _empty_factor_data(x + 1)
+    cof = np.empty(min(x + 1, _SIEVE_BLOCK), dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
+    primes = _primes_upto(math.isqrt(x)).tolist()
+    for a in range(0, x + 1, _SIEVE_BLOCK):
+        view = _FactorData(*(arr[a : a + _SIEVE_BLOCK] for arr in f))
+        _sieve_block(a, primes, view, cof[: len(view.imph)])
+    return f
+
+
+def _factor_blocks(lo: int, hi: int) -> Iterator[tuple[int, _FactorData]]:
+    """Yield (a, data) for consecutive blocks a <= n < a + len(data.imph)
+    covering 0 <= lo <= n <= hi, with the fields of ``_factor_sieve``.
+
+    One block's arrays are reused for the next, so read each block before
+    asking for the next.  The walk holds one block (17 bytes an entry) and
+    the primes <= sqrt(hi), whatever the range's length; both are checked
+    against the cap and the memory budget before anything is allocated.
+    """
+    length = min(hi - lo + 1, _SIEVE_BLOCK)
+    root = math.isqrt(hi)
+    need = _FACTOR_SIEVE_BYTES_PER_N * length + (_primes_upto_bytes(root) if root >= 2 else 0)
+    _check_sieve_need(hi, need, f"sieve blocks for {lo}..{hi}")
+    primes = _primes_upto(root).tolist()
+    block = _empty_factor_data(length)
+    cof = np.empty(length, dtype=np.int32)
+    for a in range(lo, hi + 1, length):
+        view = _FactorData(*(arr[: hi + 1 - a] for arr in block))
+        _sieve_block(a, primes, view, cof[: len(view.imph)])
+        yield a, view
 
 
 def imph_sieve(x: int) -> np.ndarray:

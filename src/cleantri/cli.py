@@ -3,7 +3,9 @@
 Subcommands: imph, tcount, reduce, equiv, scott, orbits, meanvalue.
 Output is human-readable by default; ``--json`` emits one structured record
 per invocation and ``--bfile`` (sequence commands) emits OEIS b-file lines
-"n a(n)".  Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
+"n a(n)".  The text and b-file lines of ``imph A..B`` are streamed from the
+factor sieve's block walk, so their memory does not grow with the range.
+Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
 cross-check (``arith.InvariantViolation``, reported by ``main`` alone as one JSON
 line on stderr with nothing on stdout) or a Scott violation (after the report),
 141 when the reader closed stdout early (nothing on stderr).
@@ -22,6 +24,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+# Range output is written in joined chunks of this many lines: one write
+# call per chunk even when stdout is unbuffered, and a few MB of line
+# strings alive at a time.
+_LINES_PER_WRITE = 1 << 15
 
 
 def _parse_range(spec: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
@@ -56,35 +63,64 @@ def _triangle(coords: list[int]) -> lattice.LatticeTriangle:
 # --------------------------------------------------------------------------
 
 
+def _check_bruteforce(n: int, v: int) -> None:
+    bf = arith.imph_bruteforce(n)
+    if bf != v:
+        msg = f"imph mismatch at n={n}: closed={v} bruteforce={bf}"
+        raise arith.InvariantViolation(msg, n, ("closed-form", "bruteforce"))
+
+
 def cmd_imph(args, parser) -> int:
+    """imph on one n (by ``arith.imph``, never the sieve) or on a range.
+
+    A range is walked block by block with ``arith._factor_blocks``.  Text and
+    b-file lines are written as each block passes, so they hold one block
+    whatever the range's length, and the range needs only the sieve cap and
+    one block's bytes within the budget.  ``--json`` collects every value
+    into one record, so it keeps the whole-table check of 17 bytes per n.
+    ``--bruteforce`` scans n residues for each n, and is refused before any
+    work when their sum over the range exceeds ``arith.IMPH_BRUTEFORCE_BOUND``;
+    a range it serves fits in one block, which is checked before any line of
+    it is written.
+    """
     lo, hi = _parse_range(args.spec, parser)
-    if hi - lo + 1 > 1 or args.bfile:
-        table = arith.imph_sieve(hi)
-        values = [(n, int(table[n])) for n in range(lo, hi + 1)]
-    else:
-        values = [(lo, arith.imph(lo))]
-    provenance = "closed-form"
-    if args.bruteforce:
-        provenance = "closed-form+oracle"
-        for n, v in values:
-            bf = arith.imph_bruteforce(n)
-            if bf != v:
-                msg = f"imph mismatch at n={n}: closed={v} bruteforce={bf}"
-                raise arith.InvariantViolation(msg, n, ("closed-form", "bruteforce"))
+    if args.bruteforce and (lo + hi) * (hi - lo + 1) // 2 > arith.IMPH_BRUTEFORCE_BOUND:
+        raise ValueError(
+            f"--bruteforce on {lo}..{hi} scans more than "
+            f"{arith.IMPH_BRUTEFORCE_BOUND} residues in all"
+        )
     record = {
         "command": "imph",
         "inputs": {"range": [lo, hi], "bruteforce": bool(args.bruteforce)},
-        "results": {str(n): v for n, v in values},
-        "provenance": provenance,
+        "results": {},
+        "provenance": "closed-form+oracle" if args.bruteforce else "closed-form",
     }
-    if args.bfile:
-        _emit(record, args.json, [f"{n} {v}" for n, v in values])
-    elif len(values) == 1 and not args.json:
-        n, v = values[0]
+    if lo == hi:
+        v = arith.imph(lo)
+        if args.bruteforce:
+            _check_bruteforce(lo, v)
+        record["results"][str(lo)] = v
         extra = " (matches brute force)" if args.bruteforce else ""
-        print(f"imph({n}) = {v}{extra}")
-    else:
-        _emit(record, args.json, [f"imph({n}) = {v}" for n, v in values])
+        _emit(record, args.json, [f"{lo} {v}" if args.bfile else f"imph({lo}) = {v}{extra}"])
+        return EXIT_OK
+    if args.json:
+        arith._check_factor_sieve(hi)
+    line = "{} {}\n" if args.bfile else "imph({}) = {}\n"
+    for a, block in arith._factor_blocks(lo, hi):
+        values = block.imph.tolist()
+        ns = range(a, a + len(values))
+        if args.bruteforce:
+            for n, v in zip(ns, values):
+                _check_bruteforce(n, v)
+        if args.json:
+            record["results"].update(zip(map(str, ns), values))
+        else:
+            for i in range(0, len(values), _LINES_PER_WRITE):
+                chunk = slice(i, i + _LINES_PER_WRITE)
+                sys.stdout.write("".join(map(line.format, ns[chunk], values[chunk])))
+        del values  # before the next block's list is built
+    if args.json:
+        _emit(record, True, [])
     return EXIT_OK
 
 

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import InvariantViolation, _check_factor_sieve, _factor_sieve, _primes_upto, imph_sieve
+from .arith import (
+    InvariantViolation,
+    _check_factor_sieve,
+    _factor_sieve,
+    _FactorData,
+    _primes_upto,
+    imph_sieve,
+)
 
 __all__ = [
     "ConstantEstimate",
@@ -63,40 +70,38 @@ class ConstantEstimate:
 # --------------------------------------------------------------------------
 
 
+def _sum_imph(table: np.ndarray) -> int:
+    """Sum of an imph table, which must vanish on even n >= 2."""
+    if table[2::2].any():  # pragma: no cover - imph vanishes on even n
+        raise InvariantViolation("even n contributed to the imph sum", routes=("imph-sieve",))
+    return int(table.sum())
+
+
 def partial_sum_imph(x: int) -> int:
     """Exact sum of imph(n) for n <= x."""
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
     if x > PARTIAL_SUM_IMPH_BOUND:
         raise ValueError(f"partial sum capped at {PARTIAL_SUM_IMPH_BOUND}")
-    table = imph_sieve(x)
-    if table[2::2].any():  # pragma: no cover - imph vanishes on even n
-        raise InvariantViolation("even n contributed to the imph sum", routes=("imph-sieve",))
-    return int(table.sum())
+    return _sum_imph(imph_sieve(x))
 
 
-def t_closed_sieve(x: int) -> np.ndarray:
-    """Table t with t[n] = T(n) for n <= x, from one pass of the factor sieve.
+def _t_closed_table(f: _FactorData) -> np.ndarray:
+    """The table of T(n) for n < len(f.imph), built in f.imph's array.
 
     Applies the scalar closed form 6 T(n) = imph(n) + 2 rho(n) + 3 to whole
-    arrays, with imph(n), omega(n) and the p = 5 (mod 6) flag from
-    ``arith._factor_sieve``.  By the rule of ``arith.quad_root_count``,
-    2 rho(n) is 0 when 9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when
-    3 | n otherwise, and 2^(omega(n) + 1) in the remaining case.  Even n give
-    0.  The int16 root-count array keeps the peak within the sieve's own
-    memory budget.
+    arrays, with imph(n), omega(n) and the p = 5 (mod 6) flag from the
+    factor sieve.  By the rule of ``arith.quad_root_count``, 2 rho(n) is 0
+    when 9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when 3 | n
+    otherwise, and 2^(omega(n) + 1) in the remaining case.  Even n give 0.
+    f.imph is overwritten; the int16 root-count array keeps the peak within
+    the sieve's own memory budget.
     """
-    if x < 1:
-        raise ValueError(f"bound must be positive, got {x}")
-    if x > PARTIAL_SUM_T_BOUND:
-        raise ValueError(f"T sieve capped at {PARTIAL_SUM_T_BOUND}")
-    f = _factor_sieve(x)
     roots = np.left_shift(2, f.omega, dtype=np.int16)  # 2^(omega + 1)
     roots[::3] >>= 1
     roots[::9] = 0
     roots[f.bad5] = 0
     table = f.imph
-    del f
     table += roots
     del roots
     table += 3
@@ -105,6 +110,16 @@ def t_closed_sieve(x: int) -> np.ndarray:
     table //= 6
     table[::2] = 0
     return table
+
+
+def t_closed_sieve(x: int) -> np.ndarray:
+    """Table t with t[n] = T(n) for n <= x, from one pass of the factor sieve
+    (``arith._factor_sieve``) and the closed form of ``_t_closed_table``."""
+    if x < 1:
+        raise ValueError(f"bound must be positive, got {x}")
+    if x > PARTIAL_SUM_T_BOUND:
+        raise ValueError(f"T sieve capped at {PARTIAL_SUM_T_BOUND}")
+    return _t_closed_table(_factor_sieve(x))
 
 
 def partial_sum_T(x: int) -> int:
@@ -218,19 +233,21 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
 
     sum imph(n) / x^2 tends to product/4 and sum T(n) / x^2 to product/24,
     with product the odd Euler product of (1 - 2/p^2).  x is checked against
-    the factor sieve's cap and memory budget before any work starts.
+    the factor sieve's cap and memory budget before any work starts, and
+    both sums come from one factor sieve at x.
     """
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
     _check_factor_sieve(x)
     prod = euler_product_odd(prime_bound)
-    s_imph = partial_sum_imph(x)
+    f = _factor_sieve(x)
+    s_imph = _sum_imph(f.imph)  # before _t_closed_table overwrites f.imph
     ratio_imph = s_imph / (x * x)
     limit_imph = prod.value / 4.0
     limit_t = prod.value / 24.0
     s_t = ratio_t = deviation_t = None
     if x <= PARTIAL_SUM_T_BOUND:
-        s_t = partial_sum_T(x)
+        s_t = int(_t_closed_table(f).sum())
         ratio_t = s_t / (x * x)
         deviation_t = abs(ratio_t - limit_t) / limit_t
     return MeanValueReport(

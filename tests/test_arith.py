@@ -377,6 +377,63 @@ class TestFactorSieve:
             _assert_factor_data(data, n)
 
 
+BLOCK = arith._SIEVE_BLOCK
+
+
+@cache
+def _boundary_table(x):
+    return arith._factor_sieve(x)
+
+
+class TestFactorSieveBlocks:
+    """Entries next to and past the block boundaries of the sieve walk, which
+    the draws above (n <= 10^5, all in the first block) never reach."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]), st.data())
+    def test_fields_match_factorize(self, x, data):
+        windows = [st.integers(BLOCK - 500, x)]
+        if x >= 2 * BLOCK - 50:
+            windows.append(st.integers(2 * BLOCK - 50, x))
+        _assert_factor_data(_boundary_table(x), data.draw(st.one_of(windows)))
+
+    @pytest.mark.parametrize("length", [4099, 65537, 1 << 20])
+    def test_any_block_length_gives_the_same_table(self, monkeypatch, length):
+        x = 2 * BLOCK + 3
+        want = _boundary_table(x)
+        monkeypatch.setattr(arith, "_SIEVE_BLOCK", length)
+        for got, ref in zip(arith._factor_sieve(x), want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
+    def test_prime_powers_starting_inside_a_block(self):
+        # the first multiples of 521^2 and 67^3 in [BLOCK, 2 BLOCK) lie past
+        # the block's start, which is a multiple of neither
+        pinned = {521**2: (521 * 519, 1, 2, False, True), 67**3: (67**2 * 65, 1, 3, False, False)}
+        table = _boundary_table(2 * BLOCK + 3)
+        [(a, block)] = arith._factor_blocks(BLOCK + 7, BLOCK + 40_000)
+        for n, fields in pinned.items():
+            assert a < n < 2 * BLOCK
+            assert tuple(arr[n] for arr in table) == fields
+            assert tuple(arr[n - a] for arr in block) == fields
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, BLOCK - 40), st.integers(0, 40), st.booleans())
+    def test_block_walk_matches_table(self, lo, extra, long):
+        # a long window spans two blocks of the walk; a short one starts
+        # before the table's first boundary and ends past it
+        hi = lo + BLOCK + extra if long else BLOCK + extra
+        table = _boundary_table(2 * BLOCK + 3)
+        n = lo
+        for a, block in arith._factor_blocks(lo, hi):
+            assert a == n
+            for got, want in zip(block, table):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want[a : a + len(got)])
+            n += len(block.imph)
+        assert n == hi + 1
+
+
 class TestIpMembers:
     def test_members(self):
         assert list(ip_members(15)) == [2, 8, 14]

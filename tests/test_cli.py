@@ -104,6 +104,68 @@ class TestImphCommand:
         assert rec["provenance"] == "closed-form"
 
 
+BLOCK = arith._SIEVE_BLOCK
+
+
+class TestImphStreaming:
+    """Range output of ``imph A..B``, walked block by block, against lines
+    built here from one whole table."""
+
+    @pytest.mark.parametrize("lo,hi", [(7, BLOCK + 107), (BLOCK - 30, BLOCK + 30)])
+    def test_text_and_bfile_match_table(self, capsys, lo, hi):
+        table = arith.imph_sieve(hi).tolist()
+        assert cli.main(["imph", f"{lo}..{hi}", "--bfile"]) == 0
+        assert capsys.readouterr().out == "".join(f"{n} {table[n]}\n" for n in range(lo, hi + 1))
+        assert cli.main(["imph", f"{lo}..{hi}"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"imph({n}) = {table[n]}\n" for n in range(lo, hi + 1)
+        )
+
+    def test_json_matches_table(self, capsys):
+        lo, hi = 3, BLOCK + 40
+        table = arith.imph_sieve(hi).tolist()
+        assert cli.main(["imph", f"{lo}..{hi}", "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["inputs"] == {"range": [lo, hi], "bruteforce": False}
+        assert rec["results"] == {str(n): table[n] for n in range(lo, hi + 1)}
+
+    def test_peak_rss_flat_in_range_length(self):
+        code = (
+            "import resource, sys\n"
+            "from cleantri import cli\n"
+            "code = cli.main(['imph', '1..' + sys.argv[1], '--bfile'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        )
+        peaks = []
+        for n in (2 * 10**5, 2 * 10**6):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(n)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300,
+            )
+            rc, kib = map(int, proc.stderr.split())
+            assert rc == 0
+            peaks.append(kib * 1024)
+        assert peaks[1] - peaks[0] <= 10 * 10**6
+
+    def test_bruteforce_work_guard(self, monkeypatch, capsys):
+        # sum n over 1..4472 is 10,001,628 > 10^7 residues; one n past the
+        # one-n cap is refused the same way, before imph is evaluated
+        def forbidden(*args):
+            raise RuntimeError("work started")
+
+        with monkeypatch.context() as m:
+            for name in ("imph", "imph_bruteforce", "_factor_sieve", "_factor_blocks"):
+                m.setattr(arith, name, forbidden)
+            for spec in ("1..100000", "1..4472", str(arith.IMPH_BRUTEFORCE_BOUND + 1)):
+                assert cli.main(["imph", spec, "--bruteforce"]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: --bruteforce")
+        assert cli.main(["imph", "15", "--bruteforce"]) == 0
+        assert capsys.readouterr().out == "imph(15) = 3 (matches brute force)\n"
+        assert cli.main(["imph", "1..30", "--bruteforce"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 30
+
+
 class TestTcountCommand:
     def test_all_methods(self):
         r = run("tcount", "7", "--method", "all")
