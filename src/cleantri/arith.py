@@ -407,6 +407,13 @@ class _FactorData(NamedTuple):
 # 10^8 caps need a budget of 1.7 GB.
 _FACTOR_SIEVE_BYTES_PER_N = 17
 
+# Bytes per n that the one record of ``cleantri imph A..B --json`` holds at
+# its peak: a str key and an int value in a dict, then the chunks and the
+# string of json.dumps.  Child peak RSS grew by 198-202 bytes per n over
+# ranges of 5 * 10^5 and 10^6 n with 7-, 8- and 9-digit n; the default
+# budget admits ranges of up to 5,162,220 n.
+_IMPH_RECORD_BYTES_PER_N = 208
+
 # Entries per block of the factor sieve walk.  A block's arrays (17 bytes an
 # entry, about 4.5 MB) stay in cache while every prime slices them; smaller
 # blocks pay more per-slice call overhead.  _factor_sieve(10^7) on a 2-core

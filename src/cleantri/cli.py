@@ -77,7 +77,8 @@ def cmd_imph(args, parser) -> int:
     b-file lines are written as each block passes, so they hold one block
     whatever the range's length, and the range needs only the sieve cap and
     one block's bytes within the budget.  ``--json`` collects every value
-    into one record, so it keeps the whole-table check of 17 bytes per n.
+    into one record, whose ``arith._IMPH_RECORD_BYTES_PER_N`` bytes per n are
+    checked against the budget before the walk starts.
     ``--bruteforce`` scans n residues for each n, and is refused before any
     work when their sum over the range exceeds ``arith.IMPH_BRUTEFORCE_BOUND``;
     a range it serves fits in one block, which is checked before any line of
@@ -104,7 +105,8 @@ def cmd_imph(args, parser) -> int:
         _emit(record, args.json, [f"{lo} {v}" if args.bfile else f"imph({lo}) = {v}{extra}"])
         return EXIT_OK
     if args.json:
-        arith._check_factor_sieve(hi)
+        need = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1)
+        arith._check_sieve_need(hi, need, f"--json record for {lo}..{hi}")
     line = "{} {}\n" if args.bfile else "imph({}) = {}\n"
     for a, block in arith._factor_blocks(lo, hi):
         values = block.imph.tolist()
@@ -146,10 +148,6 @@ def cmd_tcount(args, parser) -> int:
     }
     if args.bfile:
         _emit(record, args.json, [f"{n} {next(iter(e.values()))}" for n, e in rows])
-    elif len(rows) == 1 and not args.json:
-        n, entry = rows[0]
-        body = " ".join(f"{k}={v}" for k, v in entry.items())
-        print(f"T({n}): {body}")
     else:
         _emit(
             record,
@@ -286,10 +284,8 @@ def cmd_meanvalue(args, parser) -> int:
     if args.x < 1:
         parser.error("--x must be positive")
     report = meanvalue.mean_value_report(args.x, args.primes)
-    ft = meanvalue.feller_tornier(args.primes)
-    ft_zeta = meanvalue.feller_tornier_zeta(args.primes)
     mo = meanvalue.moebius_sum_odd(min(args.primes, 10**6))
-    prod = report.product
+    prod, ft, ft_zeta = report.product, report.feller_tornier, report.feller_tornier_zeta
     prod.check_agrees(mo, ("euler-product", "moebius-sum"))
     record = {
         "command": "meanvalue",

@@ -2,10 +2,13 @@
 
 The mean value of imph(n)/n is (1/2) * prod_{p odd} (1 - 2/p^2), which ties
 the averages of imph and T to the Feller-Tornier constant
-C_FT = 1/2 + (1/2) * prod_p (1 - 2/p^2).  All constants are computed by
-truncated products or sums with explicit tail brackets, and every constant
-has at least two independent representations that are checked against each
-other rather than against hardcoded literals.
+C_FT = 1/2 + (1/2) * prod_p (1 - 2/p^2) = 1/2 + (1/4) * prod_{p odd} (1 - 2/p^2),
+the p = 2 factor being 1/2.  All constants are computed by truncated products
+or sums with explicit tail brackets, and every constant has at least two
+independent representations that are checked against each other rather than
+against hardcoded literals: the odd product against the Moebius sum, and C_FT
+against its zeta(2) form, a product of 1 - 1/(p^2 - 1) over the same primes.
+One walk of the primes gives the odd product, C_FT and the zeta form.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "grosswald_ratios",
 ]
 
-PARTIAL_SUM_IMPH_BOUND = 10**8  # as arith.IMPH_SIEVE_BOUND, past the default budget
 PARTIAL_SUM_T_BOUND = 10**7
 
 
@@ -78,11 +80,7 @@ def _sum_imph(table: np.ndarray) -> int:
 
 
 def partial_sum_imph(x: int) -> int:
-    """Exact sum of imph(n) for n <= x."""
-    if x < 1:
-        raise ValueError(f"bound must be positive, got {x}")
-    if x > PARTIAL_SUM_IMPH_BOUND:
-        raise ValueError(f"partial sum capped at {PARTIAL_SUM_IMPH_BOUND}")
+    """Exact sum of imph(n) for n <= x; ``imph_sieve`` checks x."""
     return _sum_imph(imph_sieve(x))
 
 
@@ -134,51 +132,65 @@ def partial_sum_T(x: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _prime_product(prime_bound: int, c: float, d: float, first: int = 0) -> float:
-    """Product of 1 - c/(p^2 - d) over the primes p <= prime_bound from the first-th
-    on, ascending; in place on one float64 copy, within the prime budget check."""
-    p = _primes_upto(prime_bound)[first:].astype(np.float64)
-    p *= p
-    p -= d
-    np.divide(c, p, out=p)
-    np.subtract(1.0, p, out=p)
-    return float(np.multiply.reduce(p))
+def _prime_products(prime_bound: int) -> tuple[float, float]:
+    """One walk of the primes p <= prime_bound: the product of 1 - 2/p^2 over
+    the odd p, and of 1 - 1/(p^2 - 1) over all p.
+
+    Each product is taken in ascending prime order on one float64 temporary
+    built from the array of p^2 (exact, as p^2 < 2^53), so the peak stays
+    within the prime budget check.
+    """
+    sq = _primes_upto(prime_bound).astype(np.float64)
+    sq *= sq
+    t = np.divide(2.0, sq[1:])  # drop p = 2
+    np.subtract(1.0, t, out=t)
+    odd = float(np.multiply.reduce(t))
+    del t
+    t = np.subtract(sq, 1.0)
+    del sq
+    np.divide(1.0, t, out=t)
+    np.subtract(1.0, t, out=t)
+    return odd, float(np.multiply.reduce(t))
+
+
+def _prime_constants(prime_bound: int, minimum: int = 2) -> tuple[ConstantEstimate, ...]:
+    """The odd Euler product, C_FT and C_FT's zeta form at P = prime_bound,
+    from one walk of the primes, with C_FT checked against the zeta form.
+
+    C_FT = 1/2 + (1/4) * (odd product), as the p = 2 factor of 1 - 2/p^2 is
+    1/2.  The zeta form (1/2) (1 + (1/zeta(2)) prod_{p <= P} (1 - 1/(p^2 - 1)))
+    reads prime by prime the same factors, since
+    (1 - 1/(p^2 - 1)) (1 - 1/p^2) = 1 - 2/p^2, so it checks the product and
+    the prime walk alike.  Tail bracket of each: the omitted factors change
+    the value by at most value * sum_{p > P} 2.5/p^2 < 3/(P - 1).
+    P below ``minimum`` is rejected before any work.
+    """
+    if prime_bound < minimum:
+        raise ValueError(f"prime bound must be at least {minimum}")
+    odd, zeta_prod = _prime_products(prime_bound)
+    tail = 3.0 / (prime_bound - 1)
+    ft = ConstantEstimate(0.5 + 0.25 * odd, prime_bound, tail)
+    zeta = ConstantEstimate(0.5 * (1.0 + zeta_prod / (math.pi**2 / 6.0)), prime_bound, tail)
+    ft.check_agrees(zeta, ("feller-tornier", "zeta"))
+    return ConstantEstimate(odd, prime_bound, tail), ft, zeta
 
 
 def euler_product_odd(prime_bound: int) -> ConstantEstimate:
-    """Truncated product over odd primes p <= P of (1 - 2/p^2).
-
-    Tail bracket: the omitted factors change the value by at most
-    value * sum_{p > P} 2.5/p^2 < 3/(P - 1); accumulation is in ascending
-    prime order for reproducibility.
-    """
-    if prime_bound < 3:
-        raise ValueError("prime bound must be at least 3")
-    value = _prime_product(prime_bound, 2.0, 0.0, first=1)  # drop p = 2
-    return ConstantEstimate(value, prime_bound, 3.0 / (prime_bound - 1))
+    """Truncated product over odd primes p <= P of (1 - 2/p^2), P >= 3, with
+    the tail bracket 3/(P - 1); see ``_prime_constants``."""
+    return _prime_constants(prime_bound, 3)[0]
 
 
 def feller_tornier(prime_bound: int) -> ConstantEstimate:
-    """C_FT = 1/2 + (1/2) prod_{p <= P} (1 - 2/p^2), cross-checked against
-    the zeta(2) representation before being returned."""
-    if prime_bound < 2:
-        raise ValueError("prime bound must be at least 2")
-    prod = _prime_product(prime_bound, 2.0, 0.0)
-    est = ConstantEstimate(0.5 + 0.5 * prod, prime_bound, 3.0 / max(prime_bound - 1, 1))
-    if prime_bound >= 3:
-        est.check_agrees(feller_tornier_zeta(prime_bound), ("feller-tornier", "zeta"))
-    return est
+    """C_FT = 1/2 + (1/4) prod_{odd p <= P} (1 - 2/p^2), P >= 2, checked
+    against the zeta form before being returned; see ``_prime_constants``."""
+    return _prime_constants(prime_bound)[1]
 
 
 def feller_tornier_zeta(prime_bound: int) -> ConstantEstimate:
-    """C_FT via (1/2) (1 + (1/zeta(2)) prod_{p <= P} (1 - 1/(p^2 - 1)))."""
-    if prime_bound < 2:
-        raise ValueError("prime bound must be at least 2")
-    prod = _prime_product(prime_bound, 1.0, 1.0)
-    zeta2 = math.pi**2 / 6.0
-    return ConstantEstimate(
-        0.5 * (1.0 + prod / zeta2), prime_bound, 3.0 / max(prime_bound - 1, 1)
-    )
+    """C_FT via (1/2) (1 + (1/zeta(2)) prod_{p <= P} (1 - 1/(p^2 - 1))), P >= 2;
+    see ``_prime_constants``."""
+    return _prime_constants(prime_bound)[2]
 
 
 def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
@@ -213,8 +225,9 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
 
 @dataclass(frozen=True)
 class MeanValueReport:
-    """Sums up to x against their limits; the T fields are None above
-    PARTIAL_SUM_T_BOUND, where the T sum is not computed."""
+    """Sums up to x against their limits, with the three constants of one
+    prime walk; the T fields are None above PARTIAL_SUM_T_BOUND, where the T
+    sum is not computed."""
 
     x: int
     sum_imph: int
@@ -226,20 +239,24 @@ class MeanValueReport:
     deviation_imph: float
     deviation_t: float | None
     product: ConstantEstimate
+    feller_tornier: ConstantEstimate
+    feller_tornier_zeta: ConstantEstimate
 
 
 def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
     """Empirical sums against the limit constants.
 
     sum imph(n) / x^2 tends to product/4 and sum T(n) / x^2 to product/24,
-    with product the odd Euler product of (1 - 2/p^2).  x is checked against
-    the factor sieve's cap and memory budget before any work starts, and
-    both sums come from one factor sieve at x.
+    with product the odd Euler product of (1 - 2/p^2); product, C_FT and its
+    zeta form come from one walk of the primes (``_prime_constants``), made
+    and dropped before the sieve.  x is checked against the factor sieve's
+    cap and memory budget before any work starts, and both sums come from one
+    factor sieve at x.
     """
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
     _check_factor_sieve(x)
-    prod = euler_product_odd(prime_bound)
+    prod, ft, ft_zeta = _prime_constants(prime_bound, 3)
     f = _factor_sieve(x)
     s_imph = _sum_imph(f.imph)  # before _t_closed_table overwrites f.imph
     ratio_imph = s_imph / (x * x)
@@ -261,6 +278,8 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
         abs(ratio_imph - limit_imph) / limit_imph,
         deviation_t,
         prod,
+        ft,
+        ft_zeta,
     )
 
 

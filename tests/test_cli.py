@@ -147,6 +147,33 @@ class TestImphStreaming:
             peaks.append(kib * 1024)
         assert peaks[1] - peaks[0] <= 10 * 10**6
 
+    def test_json_record_within_budget(self, monkeypatch, capsys):
+        # the --json record is charged before the walk; text lines are not
+        lo, hi = 5, 1004
+        need = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1)
+        walks = []
+        blocks = arith._factor_blocks
+
+        def spy(*args):
+            walks.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(arith, "_factor_blocks", spy)
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
+        assert cli.main(["imph", f"{lo}..{hi}", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and walks == []
+        assert err == (
+            f"error: --json record for {lo}..{hi} needs {need} bytes, budget is {need - 1}; "
+            f"raise {arith.SIEVE_MEMORY_ENV} to at least {need}\n"
+        )
+        assert cli.main(["imph", f"{lo}..{hi}"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == hi - lo + 1
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
+        assert cli.main(["imph", f"{lo}..{hi}", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]) == hi - lo + 1
+        assert walks == [(lo, hi), (lo, hi)]
+
     def test_bruteforce_work_guard(self, monkeypatch, capsys):
         # sum n over 1..4472 is 10,001,628 > 10^7 residues; one n past the
         # one-n cap is refused the same way, before imph is evaluated
@@ -271,10 +298,23 @@ class TestMeanvalueBounds:
         # 70,000,000 exceeds the default budget, 10^8 + 1 the sieve cap
         monkeypatch.delenv(arith.SIEVE_MEMORY_ENV, raising=False)
         calls = []
-        monkeypatch.setattr(meanvalue, "euler_product_odd", lambda *a: calls.append(a))
+        monkeypatch.setattr(meanvalue, "_primes_upto", lambda *a: calls.append(a))
         assert cli.main(["meanvalue", "--x", str(x)]) == 2
         assert calls == []
         assert "error:" in capsys.readouterr().err
+
+    def test_one_prime_walk(self, monkeypatch, capsys):
+        # the odd product, C_FT and its zeta form share one walk of the primes
+        calls = []
+
+        def spy(limit):
+            calls.append(limit)
+            return arith._primes_upto(limit)
+
+        monkeypatch.setattr(meanvalue, "_primes_upto", spy)
+        assert cli.main(["meanvalue", "--x", "1000", "--primes", "1000"]) == 0
+        assert calls == [1000]
+        capsys.readouterr()
 
     def test_t_sum_absent_above_bound(self, monkeypatch, capsys):
         monkeypatch.setattr(meanvalue, "PARTIAL_SUM_T_BOUND", 100)
@@ -286,6 +326,15 @@ class TestMeanvalueBounds:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert "sum T(n), n<=x:    not computed (x > 100)" in out
+
+
+def _skew_zeta(fn):
+    """meanvalue._prime_products with its zeta-form product moved by 0.1."""
+    def broken(*args):
+        odd, zeta = fn(*args)
+        return odd, zeta + 0.1
+
+    return broken
 
 
 def _shifted(fn, by):
@@ -308,7 +357,7 @@ class TestInvariantViolationExit:
              7, ["closed", "geometric"]),
             (arith, "imph_bruteforce", 1, ["imph", "15", "--bruteforce"],
              15, ["closed-form", "bruteforce"]),
-            (meanvalue, "feller_tornier_zeta", 0.1, ["meanvalue", "--x", "1000"],
+            (meanvalue, "_prime_products", _skew_zeta, ["meanvalue", "--x", "1000"],
              None, ["feller-tornier", "zeta"]),
             (meanvalue, "moebius_sum_odd", 0.1, ["meanvalue", "--x", "1000", "--json"],
              None, ["euler-product", "moebius-sum"]),
@@ -319,7 +368,10 @@ class TestInvariantViolationExit:
     def test_exit_3_with_one_json_line(self, monkeypatch, capsys, module, name, fault, argv,
                                        n, routes):
         fn = getattr(module, name)
-        broken = (lambda L, t: t) if fault is None else _shifted(fn, fault)
+        if callable(fault):
+            broken = fault(fn)
+        else:
+            broken = (lambda L, t: t) if fault is None else _shifted(fn, fault)
         monkeypatch.setattr(module, name, broken)
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()

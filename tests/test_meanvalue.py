@@ -31,6 +31,15 @@ class TestPartialSums:
             total += arith.imph(n)
             assert partial_sum_imph(n) == total
 
+    @pytest.mark.parametrize("x,match", [(0, "positive"), (-3, "positive"), (10**8 + 1, "capped")])
+    def test_imph_rejects_before_any_table(self, monkeypatch, x, match):
+        def forbidden(length):
+            raise RuntimeError(f"table of {length} allocated")
+
+        monkeypatch.setattr(arith, "_empty_factor_data", forbidden)
+        with pytest.raises(ValueError, match=match):
+            partial_sum_imph(x)
+
     def test_t_spot(self):
         assert partial_sum_T(10) == 6
         assert partial_sum_T(2) == 1
