@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 IMPH_BRUTEFORCE_BOUND = 10**7
-IMPH_SIEVE_BOUND = 10**8  # needs a 1.7 GB sieve budget; the default admits 6.3 * 10^7
+IMPH_SIEVE_BOUND = 10**8  # the factor sieve's cap; the default budget serves every x up to it
 
 #: Environment variable holding the sieve memory budget in bytes.
 SIEVE_MEMORY_ENV = "CLEANTRI_SIEVE_MEMORY"
@@ -391,61 +391,39 @@ def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _FactorData(NamedTuple):
-    """Per-n factor data for 0 <= n <= x; entry 0 is a placeholder."""
+    """Per-n factor data for one block of consecutive n; at n = 0 imph is 0
+    and no prime is counted.  n is squarefree exactly when omega = Omega."""
 
     imph: np.ndarray  # int64
     omega: np.ndarray  # int8, distinct prime divisors
     big_omega: np.ndarray  # int8, prime divisors with multiplicity
-    squarefree: np.ndarray  # bool
     bad5: np.ndarray  # bool, some prime p = 5 (mod 6) divides n
 
 
-# Bytes per n the factor sieve holds at its peak: the five result arrays
-# (8 + 1 + 1 + 1 + 1), plus the int32 cofactor (4) and one bool mask (1) per
-# entry of the block being sieved, which is never longer than the table.
-# The default 1 GiB budget admits whole tables up to x = 63,161,282; the
-# 10^8 caps need a budget of 1.7 GB.
-_FACTOR_SIEVE_BYTES_PER_N = 17
+# Bytes per entry of a block that the factor sieve walk holds at its peak:
+# the four fields (8 + 1 + 1 + 1) and, while the block is sieved, the int32
+# cofactor (4) and one bool mask (1).  Between blocks the walk holds the
+# fields alone, so a caller's own work on a block may take five bytes per
+# entry besides what it charges.
+_FACTOR_SIEVE_BYTES_PER_N = 16
 
 # Bytes per n that the one record of ``cleantri imph A..B --json`` holds at
 # its peak: a str key and an int value in a dict, then the chunks and the
 # string of json.dumps.  Child peak RSS grew by 198-202 bytes per n over
-# ranges of 5 * 10^5 and 10^6 n with 7-, 8- and 9-digit n; the default
-# budget admits ranges of up to 5,162,220 n.
+# ranges of 5 * 10^5 and 10^6 n with 7-, 8- and 9-digit n; beside the
+# walk's block, the default budget admits ranges of about 5.14 * 10^6 n.
 _IMPH_RECORD_BYTES_PER_N = 208
 
-# Entries per block of the factor sieve walk.  A block's arrays (17 bytes an
-# entry, about 4.5 MB) stay in cache while every prime slices them; smaller
-# blocks pay more per-slice call overhead.  _factor_sieve(10^7) on a 2-core
-# Xeon VM (median of 5): blocks of 2^16, 2^17, 2^18, 2^19 and 2^20 took 1.73,
+# Entries per block of the factor sieve walk.  A block's arrays (about 4 MB)
+# stay in cache while every prime slices them; smaller blocks pay more
+# per-slice call overhead.  Sieving 0..10^7 block by block on a 2-core Xeon
+# VM (median of 5): blocks of 2^16, 2^17, 2^18, 2^19 and 2^20 took 1.73,
 # 1.04, 0.97, 1.06 and 1.37 s, and one whole-array block 1.71 s.
 _SIEVE_BLOCK = 1 << 18
 
 
-def _check_sieve_need(hi: int, need: int, what: str) -> None:
-    """Reject a sieve reaching hi above the cap, or holding need bytes above
-    the memory budget."""
-    if hi > IMPH_SIEVE_BOUND:
-        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
-    budget = sieve_memory_budget()
-    if need > budget:
-        raise ValueError(
-            f"{what} needs {need} bytes, budget is {budget}; "
-            f"raise {SIEVE_MEMORY_ENV} to at least {need}"
-        )
-
-
-def _check_factor_sieve(x: int) -> None:
-    """Reject x above the factor sieve's cap or its memory budget.
-
-    Callers that do other work before sieving call this first, so a rejected
-    x costs nothing.
-    """
-    _check_sieve_need(x, _FACTOR_SIEVE_BYTES_PER_N * (x + 1), f"sieve for x={x}")
-
-
-def _sieve_block(a: int, primes: list[int], f: _FactorData, cof: np.ndarray) -> None:
-    """Fill the views in ``f`` with the factor data of a <= n < a + len(cof);
+def _sieve_block(a: int, primes: list[int], f: _FactorData) -> None:
+    """Fill the views in ``f`` with the factor data of a <= n < a + len;
     ``primes`` holds, ascending, at least the primes <= sqrt(a + len - 1).
 
     Each prime p <= sqrt(a + len - 1) is sliced once per power p^k in range,
@@ -453,18 +431,18 @@ def _sieve_block(a: int, primes: list[int], f: _FactorData, cof: np.ndarray) -> 
     dividing the cofactor cof[i] = a + i by p alongside the multiplicative
     data.  Afterwards cof[i] is 1 or a single prime q > sqrt(a + i), which is
     folded in with a few whole-block steps that reuse the cofactor in place;
-    besides it they need one bool mask of the block's length.  The n = 0
-    entry, when in range, gets imph 0 and no prime factors.
+    besides it they need one bool mask of the block's length.  Both are
+    freed on return.  The n = 0 entry, when in range, gets imph 0 and no
+    prime factors.
     """
-    imph, omega, big_omega, squarefree, bad5 = f
+    imph, omega, big_omega, bad5 = f
     imph.fill(1)
     omega.fill(0)
     big_omega.fill(0)
-    squarefree.fill(True)
     bad5.fill(False)
-    cof.fill(1)
+    cof = np.ones(len(imph), dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
     cof[0] = a
-    np.cumsum(cof, out=cof)  # a, a + 1, ... with no block-sized temporary
+    np.cumsum(cof, out=cof)  # a, a + 1, ... with no second block-sized array
     end = a + len(cof) - 1
     for p in primes:
         if p * p > end:
@@ -481,10 +459,8 @@ def _sieve_block(a: int, primes: list[int], f: _FactorData, cof: np.ndarray) -> 
             big_omega[start::pk] += 1
             if pk > p:
                 imph[start::pk] *= p
-            if pk == p * p:
-                squarefree[start::pk] = False
             pk *= p
-    big = cof > 1
+    big = (cof > 1).view(np.int8)  # 0 or 1, added below with no casting buffer
     omega += big
     big_omega += big
     del big
@@ -502,55 +478,61 @@ def _empty_factor_data(length: int) -> _FactorData:
         np.empty(length, dtype=np.int8),
         np.empty(length, dtype=np.int8),
         np.empty(length, dtype=bool),
-        np.empty(length, dtype=bool),
     )
 
 
-def _factor_sieve(x: int) -> _FactorData:
-    """imph, omega, Omega, squarefree and the p = 5 (mod 6) flag for n <= x.
-
-    The five result arrays are allocated once and filled by ``_sieve_block``
-    in blocks of ``_SIEVE_BLOCK`` entries, with one reused int32 cofactor
-    block.  The check against the memory budget covers everything the sieve
-    holds at once; callers keep their own arrays within that figure.
-    """
-    _check_factor_sieve(x)
-    f = _empty_factor_data(x + 1)
-    cof = np.empty(min(x + 1, _SIEVE_BLOCK), dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
-    primes = _primes_upto(math.isqrt(x)).tolist()
-    for a in range(0, x + 1, _SIEVE_BLOCK):
-        view = _FactorData(*(arr[a : a + _SIEVE_BLOCK] for arr in f))
-        _sieve_block(a, primes, view, cof[: len(view.imph)])
-    return f
-
-
-def _factor_blocks(lo: int, hi: int) -> Iterator[tuple[int, _FactorData]]:
+def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _FactorData]]:
     """Yield (a, data) for consecutive blocks a <= n < a + len(data.imph)
-    covering 0 <= lo <= n <= hi, with the fields of ``_factor_sieve``.
+    covering 0 <= lo <= n <= hi: imph, omega, Omega and the p = 5 (mod 6)
+    flag, sieved by ``_sieve_block``.
 
-    One block's arrays are reused for the next, so read each block before
-    asking for the next.  The walk holds one block (17 bytes an entry) and
-    the primes <= sqrt(hi), whatever the range's length; both are checked
-    against the cap and the memory budget before anything is allocated.
+    The package's one factor sieve walk.  One block's arrays are reused for
+    the next, so read each block before asking for the next; a caller may
+    overwrite them.  The walk holds one block (``_FACTOR_SIEVE_BYTES_PER_N``
+    bytes an entry at its peak) and the primes <= sqrt(hi), whatever the
+    range's length.  Those and the ``holding`` bytes the caller keeps beside
+    the walk are checked against the cap and the memory budget when this is
+    called, before anything is allocated.
     """
+    if hi > IMPH_SIEVE_BOUND:
+        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
     length = min(hi - lo + 1, _SIEVE_BLOCK)
     root = math.isqrt(hi)
-    need = _FACTOR_SIEVE_BYTES_PER_N * length + (_primes_upto_bytes(root) if root >= 2 else 0)
-    _check_sieve_need(hi, need, f"sieve blocks for {lo}..{hi}")
-    primes = _primes_upto(root).tolist()
-    block = _empty_factor_data(length)
-    cof = np.empty(length, dtype=np.int32)
-    for a in range(lo, hi + 1, length):
-        view = _FactorData(*(arr[: hi + 1 - a] for arr in block))
-        _sieve_block(a, primes, view, cof[: len(view.imph)])
-        yield a, view
+    need = holding + _FACTOR_SIEVE_BYTES_PER_N * length
+    need += _primes_upto_bytes(root) if root >= 2 else 0
+    budget = sieve_memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"sieve of {lo}..{hi} needs {need} bytes, budget is {budget}; "
+            f"raise {SIEVE_MEMORY_ENV} to at least {need}"
+        )
+
+    def walk() -> Iterator[tuple[int, _FactorData]]:
+        primes = _primes_upto(root).tolist()
+        block = _empty_factor_data(length)
+        for a in range(lo, hi + 1, length):
+            view = _FactorData(*(arr[: hi + 1 - a] for arr in block))
+            _sieve_block(a, primes, view)
+            yield a, view
+
+    return walk()
+
+
+def _sieve_table(x: int, values: Callable[[int, _FactorData], np.ndarray]) -> np.ndarray:
+    """The int64 table t[n] = values(a, data)[n - a] for 0 <= n <= x, over
+    the blocks (a, data) of the walk; the table is charged to the walk."""
+    if x < 1:
+        raise ValueError(f"bound must be positive, got {x}")
+    blocks = _factor_blocks(0, x, holding=8 * (x + 1))
+    table = np.empty(x + 1, dtype=np.int64)
+    for a, f in blocks:
+        table[a : a + len(f.imph)] = values(a, f)
+    return table
 
 
 def imph_sieve(x: int) -> np.ndarray:
     """Table t with t[n] = imph(n) for 1 <= n <= x (t[0] = 0), from the factor sieve."""
-    if x < 1:
-        raise ValueError(f"bound must be positive, got {x}")
-    return _factor_sieve(x).imph
+    return _sieve_table(x, lambda a, f: f.imph)
 
 
 @lru_cache(maxsize=1 << 15)

@@ -3,8 +3,10 @@
 Subcommands: imph, tcount, reduce, equiv, scott, orbits, meanvalue.
 Output is human-readable by default; ``--json`` emits one structured record
 per invocation and ``--bfile`` (sequence commands) emits OEIS b-file lines
-"n a(n)".  The text and b-file lines of ``imph A..B`` are streamed from the
-factor sieve's block walk, so their memory does not grow with the range.
+"n a(n)".  Every range and sum is read from the factor sieve's one block
+walk (``arith._factor_blocks``): the text and b-file lines of ``imph A..B``
+are streamed from it, so their memory does not grow with the range, and
+``meanvalue`` adds up both of its sums as the blocks pass.
 Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
 cross-check (``arith.InvariantViolation``, reported by ``main`` alone as one JSON
 line on stderr with nothing on stdout) or a Scott violation (after the report),
@@ -77,8 +79,11 @@ def cmd_imph(args, parser) -> int:
     b-file lines are written as each block passes, so they hold one block
     whatever the range's length, and the range needs only the sieve cap and
     one block's bytes within the budget.  ``--json`` collects every value
-    into one record, whose ``arith._IMPH_RECORD_BYTES_PER_N`` bytes per n are
-    checked against the budget before the walk starts.
+    into one record, which the walk's budget check charges
+    ``arith._IMPH_RECORD_BYTES_PER_N`` bytes per n before the walk starts.
+    The record is not streamed: its sorted keys put the ``results`` in string
+    order (``imph 8..12 --json`` gives 10, 11, 12, 8, 9), which a walk in
+    block order cannot write as it goes.
     ``--bruteforce`` scans n residues for each n, and is refused before any
     work when their sum over the range exceeds ``arith.IMPH_BRUTEFORCE_BOUND``;
     a range it serves fits in one block, which is checked before any line of
@@ -104,11 +109,9 @@ def cmd_imph(args, parser) -> int:
         extra = " (matches brute force)" if args.bruteforce else ""
         _emit(record, args.json, [f"{lo} {v}" if args.bfile else f"imph({lo}) = {v}{extra}"])
         return EXIT_OK
-    if args.json:
-        need = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1)
-        arith._check_sieve_need(hi, need, f"--json record for {lo}..{hi}")
+    record_bytes = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1) if args.json else 0
     line = "{} {}\n" if args.bfile else "imph({}) = {}\n"
-    for a, block in arith._factor_blocks(lo, hi):
+    for a, block in arith._factor_blocks(lo, hi, holding=record_bytes):
         values = block.imph.tolist()
         ns = range(a, a + len(values))
         if args.bruteforce:
@@ -306,14 +309,11 @@ def cmd_meanvalue(args, parser) -> int:
         "provenance": "sieve+truncated-products",
     }
     small = " (small x, far from the limit)" if args.x < 10**4 else ""
-    if report.sum_t is None:
-        sum_t = f"not computed (x > {meanvalue.PARTIAL_SUM_T_BOUND})"
-    else:
-        sum_t = f"{report.sum_t}  ratio/x^2 = {report.ratio_t:.7f}"
     lines = [
         f"sum imph(n), n<=x: {report.sum_imph}  ratio/x^2 = {report.ratio_imph:.7f}"
         f"  limit {report.limit_imph:.7f}{small}",
-        f"sum T(n), n<=x:    {sum_t}  limit {report.limit_t:.7f}{small}",
+        f"sum T(n), n<=x:    {report.sum_t}  ratio/x^2 = {report.ratio_t:.7f}"
+        f"  limit {report.limit_t:.7f}{small}",
         f"euler product (odd p <= {prod.prime_bound}): {prod.value:.7f}"
         f" +- {prod.tail_bound:.1e}",
         f"moebius sum (odd d <= {mo.prime_bound}): {mo.value:.7f} +- {mo.tail_bound:.1e}",

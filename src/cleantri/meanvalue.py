@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (
-    InvariantViolation,
-    _check_factor_sieve,
-    _factor_sieve,
-    _FactorData,
-    _primes_upto,
-    imph_sieve,
-)
+from .arith import InvariantViolation, _factor_blocks, _FactorData, _primes_upto, _sieve_table
 
 __all__ = [
     "ConstantEstimate",
@@ -41,8 +34,6 @@ __all__ = [
     "mean_value_report",
     "grosswald_ratios",
 ]
-
-PARTIAL_SUM_T_BOUND = 10**7
 
 
 @dataclass(frozen=True)
@@ -72,59 +63,59 @@ class ConstantEstimate:
 # --------------------------------------------------------------------------
 
 
-def _sum_imph(table: np.ndarray) -> int:
-    """Sum of an imph table, which must vanish on even n >= 2."""
-    if table[2::2].any():  # pragma: no cover - imph vanishes on even n
+def _sum_imph(a: int, imph: np.ndarray) -> int:
+    """Sum of the imph values of a <= n < a + len(imph), which must vanish
+    on even n."""
+    if imph[a % 2 :: 2].any():  # pragma: no cover - imph vanishes on even n
         raise InvariantViolation("even n contributed to the imph sum", routes=("imph-sieve",))
-    return int(table.sum())
+    return int(imph.sum())
 
 
 def partial_sum_imph(x: int) -> int:
-    """Exact sum of imph(n) for n <= x; ``imph_sieve`` checks x."""
-    return _sum_imph(imph_sieve(x))
+    """Exact sum of imph(n) for n <= x, added up block by block."""
+    if x < 1:
+        raise ValueError(f"bound must be positive, got {x}")
+    return sum(_sum_imph(a, f.imph) for a, f in _factor_blocks(0, x))
 
 
-def _t_closed_table(f: _FactorData) -> np.ndarray:
-    """The table of T(n) for n < len(f.imph), built in f.imph's array.
+def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
+    """T(n) for a <= n < a + len(f.imph), built in f.imph's array.
 
-    Applies the scalar closed form 6 T(n) = imph(n) + 2 rho(n) + 3 to whole
-    arrays, with imph(n), omega(n) and the p = 5 (mod 6) flag from the
-    factor sieve.  By the rule of ``arith.quad_root_count``, 2 rho(n) is 0
-    when 9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when 3 | n
-    otherwise, and 2^(omega(n) + 1) in the remaining case.  Even n give 0.
-    f.imph is overwritten; the int16 root-count array keeps the peak within
-    the sieve's own memory budget.
+    Applies the scalar closed form 6 T(n) = imph(n) + 2 rho(n) + 3 to a whole
+    block, with imph(n), omega(n) and the p = 5 (mod 6) flag from the factor
+    sieve.  By the rule of ``arith.quad_root_count``, 2 rho(n) is 0 when
+    9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when 3 | n otherwise,
+    and 2^(omega(n) + 1) in the remaining case.  Even n give 0.  f.imph is
+    overwritten; the int16 root-count array keeps the peak within the walk's
+    own figure.
     """
     roots = np.left_shift(2, f.omega, dtype=np.int16)  # 2^(omega + 1)
-    roots[::3] >>= 1
-    roots[::9] = 0
+    roots[(-a) % 3 :: 3] >>= 1
+    roots[(-a) % 9 :: 9] = 0
     roots[f.bad5] = 0
     table = f.imph
     table += roots
     del roots
     table += 3
-    if (table[1::2] % 6).any():  # pragma: no cover
+    if (table[1 - a % 2 :: 2] % 6).any():  # pragma: no cover
         raise InvariantViolation("closed-form numerator not divisible by 6", routes=("closed",))
     table //= 6
-    table[::2] = 0
+    table[a % 2 :: 2] = 0
     return table
 
 
 def t_closed_sieve(x: int) -> np.ndarray:
-    """Table t with t[n] = T(n) for n <= x, from one pass of the factor sieve
-    (``arith._factor_sieve``) and the closed form of ``_t_closed_table``."""
-    if x < 1:
-        raise ValueError(f"bound must be positive, got {x}")
-    if x > PARTIAL_SUM_T_BOUND:
-        raise ValueError(f"T sieve capped at {PARTIAL_SUM_T_BOUND}")
-    return _t_closed_table(_factor_sieve(x))
+    """Table t with t[n] = T(n) for n <= x, from one walk of the factor sieve
+    (``arith._factor_blocks``) and the closed form of ``_t_closed_block``."""
+    return _sieve_table(x, _t_closed_block)
 
 
 def partial_sum_T(x: int) -> int:
-    """Exact sum of T(n) for n <= x, via the sieved closed form."""
+    """Exact sum of T(n) for n <= x, via the sieved closed form, added up
+    block by block."""
     if x < 1:
         return 0
-    return int(t_closed_sieve(x).sum())
+    return sum(int(_t_closed_block(a, f).sum()) for a, f in _factor_blocks(0, x))
 
 
 # --------------------------------------------------------------------------
@@ -196,26 +187,29 @@ def feller_tornier_zeta(prime_bound: int) -> ConstantEstimate:
 def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
     """The Moebius-sum representation 1 + sum_{d > 1 odd} mu(d) 2^omega(d) / d^2.
 
-    For squarefree d the summand's numerator is (-2)^omega(d); non-squarefree
-    d contribute nothing.  Converges to the odd Euler product.  Tail bracket:
+    For squarefree d (omega(d) = Omega(d)) the summand's numerator is
+    (-2)^omega(d); non-squarefree d contribute nothing.  Converges to the odd
+    Euler product.  The odd terms fill one float64 array, block by block of
+    the sieve walk, and are added up by one ``np.add.reduce``.  Tail bracket:
     |tail| <= sum_{d > D} tau(d)/d^2 <= (ln D + 1 + pi^2/6)/D.
     """
     if d_bound < 1:
         raise ValueError("bound must be positive")
-    if d_bound == 1:
-        return ConstantEstimate(1.0, 1, math.pi**2 / 6 + 1.0)
-    f = _factor_sieve(d_bound)
-    omega, squarefree = f.omega, f.squarefree
-    del f
-    coeff = ((-2.0) ** np.arange(omega.max() + 1))[omega[3::2]]
-    coeff[~squarefree[3::2]] = 0.0
-    del omega, squarefree
-    d = np.arange(3, d_bound + 1, 2, dtype=np.float64)
-    d *= d
-    odd_terms = np.divide(coeff, d, out=coeff)
-    value = 1.0 + float(np.add.reduce(odd_terms))
     tail = (math.log(d_bound) + 1.0 + math.pi**2 / 6.0) / d_bound
-    return ConstantEstimate(value, d_bound, tail)
+    if d_bound < 3:
+        return ConstantEstimate(1.0, d_bound, tail)
+    terms = np.empty((d_bound - 1) // 2)  # d = 3, 5, ..., d_bound
+    for a, f in _factor_blocks(3, d_bound, holding=terms.nbytes):
+        first = a | 1
+        omega, big_omega = f.omega[first - a :: 2], f.big_omega[first - a :: 2]
+        out = terms[(first - 3) // 2 :][: len(omega)]
+        out[:] = ((-2.0) ** np.arange(omega.max() + 1))[omega]
+        out[omega != big_omega] = 0.0
+        d = np.arange(first, first + 2 * len(out), 2, dtype=np.float64)
+        d *= d
+        out /= d
+        del d  # before the next block is sieved
+    return ConstantEstimate(1.0 + float(np.add.reduce(terms)), d_bound, tail)
 
 
 # --------------------------------------------------------------------------
@@ -226,18 +220,17 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
 @dataclass(frozen=True)
 class MeanValueReport:
     """Sums up to x against their limits, with the three constants of one
-    prime walk; the T fields are None above PARTIAL_SUM_T_BOUND, where the T
-    sum is not computed."""
+    prime walk."""
 
     x: int
     sum_imph: int
-    sum_t: int | None
+    sum_t: int
     ratio_imph: float
-    ratio_t: float | None
+    ratio_t: float
     limit_imph: float
     limit_t: float
     deviation_imph: float
-    deviation_t: float | None
+    deviation_t: float
     product: ConstantEstimate
     feller_tornier: ConstantEstimate
     feller_tornier_zeta: ConstantEstimate
@@ -251,22 +244,20 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
     zeta form come from one walk of the primes (``_prime_constants``), made
     and dropped before the sieve.  x is checked against the factor sieve's
     cap and memory budget before any work starts, and both sums come from one
-    factor sieve at x.
+    walk of the factor sieve over 0..x, block by block.
     """
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
-    _check_factor_sieve(x)
+    blocks = _factor_blocks(0, x)
     prod, ft, ft_zeta = _prime_constants(prime_bound, 3)
-    f = _factor_sieve(x)
-    s_imph = _sum_imph(f.imph)  # before _t_closed_table overwrites f.imph
+    s_imph = s_t = 0
+    for a, f in blocks:
+        s_imph += _sum_imph(a, f.imph)  # before _t_closed_block overwrites f.imph
+        s_t += int(_t_closed_block(a, f).sum())
     ratio_imph = s_imph / (x * x)
+    ratio_t = s_t / (x * x)
     limit_imph = prod.value / 4.0
     limit_t = prod.value / 24.0
-    s_t = ratio_t = deviation_t = None
-    if x <= PARTIAL_SUM_T_BOUND:
-        s_t = int(_t_closed_table(f).sum())
-        ratio_t = s_t / (x * x)
-        deviation_t = abs(ratio_t - limit_t) / limit_t
     return MeanValueReport(
         x,
         s_imph,
@@ -276,7 +267,7 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
         limit_imph,
         limit_t,
         abs(ratio_imph - limit_imph) / limit_imph,
-        deviation_t,
+        abs(ratio_t - limit_t) / limit_t,
         prod,
         ft,
         ft_zeta,
@@ -295,21 +286,24 @@ def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:
 
     Grosswald's bound says the average order of 2^Omega(n) is O(x log^2 x),
     which is what makes the 2^omega terms in T(n) negligible on average.  All
-    bounds share one sieve pass; reports come in ascending order of x.
+    bounds share one walk of the sieve, added up block by block; reports come
+    in ascending order of x.
     """
     if not bounds:
         return []
     for x in bounds:
         if x < 1:
             raise ValueError(f"bound must be positive, got {x}")
-    xmax = max(bounds)
-    if xmax > PARTIAL_SUM_T_BOUND:
-        raise ValueError(f"Grosswald sum capped at {PARTIAL_SUM_T_BOUND}")
-    cumulative = np.left_shift(1, _factor_sieve(xmax).big_omega[1:], dtype=np.int64)
-    np.cumsum(cumulative, out=cumulative)
-    out = []
-    for x in sorted(bounds):
-        total = int(cumulative[x - 1])
-        denom = x * math.log(x) ** 2 if x > 1 else 1.0
-        out.append(GrosswaldReport(x, total, total / denom))
+    xs = sorted(bounds)
+    out: list[GrosswaldReport] = []
+    done = 0  # the sum up to the block's start
+    for a, f in _factor_blocks(1, xs[-1]):
+        cumulative = np.left_shift(1, f.big_omega, out=f.imph, dtype=np.int64)
+        np.cumsum(cumulative, out=cumulative)
+        while len(out) < len(xs) and xs[len(out)] < a + len(cumulative):
+            x = xs[len(out)]
+            total = done + int(cumulative[x - a])
+            denom = x * math.log(x) ** 2 if x > 1 else 1.0
+            out.append(GrosswaldReport(x, total, total / denom))
+        done += int(cumulative[-1])
     return out

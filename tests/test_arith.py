@@ -337,9 +337,16 @@ class TestPrimesUpto:
 FACTOR_SIEVE_X = 10**5
 
 
+def _walk_table(x):
+    """The factor data of 0 <= n <= x as whole arrays, copied from the blocks
+    of one walk."""
+    parts = [[arr.copy() for arr in block] for _, block in arith._factor_blocks(0, x)]
+    return arith._FactorData(*map(np.concatenate, zip(*parts)))
+
+
 @cache
 def _factor_table():
-    return arith._factor_sieve(FACTOR_SIEVE_X)
+    return _walk_table(FACTOR_SIEVE_X)
 
 
 def test_caches_bounded():
@@ -356,7 +363,7 @@ def _assert_factor_data(data, n):
     assert data.imph[n] == imph_from_factorization(f)
     assert data.omega[n] == f.omega
     assert data.big_omega[n] == f.big_omega
-    assert data.squarefree[n] == all(e == 1 for _, e in f.factors)
+    assert (data.omega[n] == data.big_omega[n]) == all(e == 1 for _, e in f.factors)
     assert data.bad5[n] == any(p % 6 == 5 for p in f.primes())
 
 
@@ -372,7 +379,7 @@ class TestFactorSieve:
     @example(3)
     def test_every_entry_small_bounds(self, x):
         # small x leave cofactors like 2 and 3 unsieved, since no prime is <= sqrt(x)
-        data = arith._factor_sieve(x)
+        data = _walk_table(x)
         for n in range(1, x + 1):
             _assert_factor_data(data, n)
 
@@ -382,7 +389,7 @@ BLOCK = arith._SIEVE_BLOCK
 
 @cache
 def _boundary_table(x):
-    return arith._factor_sieve(x)
+    return _walk_table(x)
 
 
 class TestFactorSieveBlocks:
@@ -402,14 +409,14 @@ class TestFactorSieveBlocks:
         x = 2 * BLOCK + 3
         want = _boundary_table(x)
         monkeypatch.setattr(arith, "_SIEVE_BLOCK", length)
-        for got, ref in zip(arith._factor_sieve(x), want):
+        for got, ref in zip(_walk_table(x), want):
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
 
     def test_prime_powers_starting_inside_a_block(self):
         # the first multiples of 521^2 and 67^3 in [BLOCK, 2 BLOCK) lie past
         # the block's start, which is a multiple of neither
-        pinned = {521**2: (521 * 519, 1, 2, False, True), 67**3: (67**2 * 65, 1, 3, False, False)}
+        pinned = {521**2: (521 * 519, 1, 2, True), 67**3: (67**2 * 65, 1, 3, False)}
         table = _boundary_table(2 * BLOCK + 3)
         [(a, block)] = arith._factor_blocks(BLOCK + 7, BLOCK + 40_000)
         for n, fields in pinned.items():

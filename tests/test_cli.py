@@ -1,8 +1,10 @@
 import ast
 import dataclasses
 import json
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -148,31 +150,31 @@ class TestImphStreaming:
         assert peaks[1] - peaks[0] <= 10 * 10**6
 
     def test_json_record_within_budget(self, monkeypatch, capsys):
-        # the --json record is charged before the walk; text lines are not
+        # the walk charges the --json record beside its block and primes
+        # before it sieves; text lines are charged no record
         lo, hi = 5, 1004
-        need = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1)
-        walks = []
-        blocks = arith._factor_blocks
+        record = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1)
+        need = record + arith._FACTOR_SIEVE_BYTES_PER_N * (hi - lo + 1)
+        need += arith._primes_upto_bytes(math.isqrt(hi))
+        sieved = []
+        kernel = arith._sieve_block
 
-        def spy(*args):
-            walks.append(args)
-            return blocks(*args)
+        def spy(a, *args):
+            sieved.append(a)
+            return kernel(a, *args)
 
-        monkeypatch.setattr(arith, "_factor_blocks", spy)
+        monkeypatch.setattr(arith, "_sieve_block", spy)
         monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
         assert cli.main(["imph", f"{lo}..{hi}", "--json"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and walks == []
-        assert err == (
-            f"error: --json record for {lo}..{hi} needs {need} bytes, budget is {need - 1}; "
-            f"raise {arith.SIEVE_MEMORY_ENV} to at least {need}\n"
-        )
+        assert out == "" and sieved == []
+        assert err.startswith("error: ") and f"needs {need} bytes" in err
         assert cli.main(["imph", f"{lo}..{hi}"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == hi - lo + 1
         monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
         assert cli.main(["imph", f"{lo}..{hi}", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["results"]) == hi - lo + 1
-        assert walks == [(lo, hi), (lo, hi)]
+        assert sieved == [lo, lo]
 
     def test_bruteforce_work_guard(self, monkeypatch, capsys):
         # sum n over 1..4472 is 10,001,628 > 10^7 residues; one n past the
@@ -181,7 +183,7 @@ class TestImphStreaming:
             raise RuntimeError("work started")
 
         with monkeypatch.context() as m:
-            for name in ("imph", "imph_bruteforce", "_factor_sieve", "_factor_blocks"):
+            for name in ("imph", "imph_bruteforce", "_factor_blocks"):
                 m.setattr(arith, name, forbidden)
             for spec in ("1..100000", "1..4472", str(arith.IMPH_BRUTEFORCE_BOUND + 1)):
                 assert cli.main(["imph", spec, "--bruteforce"]) == 2
@@ -295,13 +297,26 @@ class TestMeanvalueBounds:
 
     @pytest.mark.parametrize("x", [70_000_000, 10**8 + 1])
     def test_rejects_before_any_work(self, monkeypatch, capsys, x):
-        # 70,000,000 exceeds the default budget, 10^8 + 1 the sieve cap
-        monkeypatch.delenv(arith.SIEVE_MEMORY_ENV, raising=False)
+        # under a 4 MB budget, one block of 2^18 entries does not fit beside
+        # the primes up to sqrt(70,000,000); 10^8 + 1 exceeds the sieve cap
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(4 * 10**6))
         calls = []
         monkeypatch.setattr(meanvalue, "_primes_upto", lambda *a: calls.append(a))
+        monkeypatch.setattr(arith, "_primes_upto", lambda *a: calls.append(a))
         assert cli.main(["meanvalue", "--x", str(x)]) == 2
         assert calls == []
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("capped" if x > arith.IMPH_SIEVE_BOUND else "budget") in err
+
+    def test_t_sum_past_ten_million(self, capsys):
+        # the sum up to 10^7 as computed before the T sum was capped there,
+        # and the last term by factorization, not by the sieve
+        argv = ["meanvalue", "--x", "10000001", "--primes", "1000", "--json"]
+        assert cli.main(argv) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["sum_T"] == 2688620492863 + counting.t_closed(10000001)
+        assert res["ratio_T"] == res["sum_T"] / 10000001**2
 
     def test_one_prime_walk(self, monkeypatch, capsys):
         # the odd product, C_FT and its zeta form share one walk of the primes
@@ -315,17 +330,6 @@ class TestMeanvalueBounds:
         assert cli.main(["meanvalue", "--x", "1000", "--primes", "1000"]) == 0
         assert calls == [1000]
         capsys.readouterr()
-
-    def test_t_sum_absent_above_bound(self, monkeypatch, capsys):
-        monkeypatch.setattr(meanvalue, "PARTIAL_SUM_T_BOUND", 100)
-        argv = ["meanvalue", "--x", "1000", "--primes", "1000"]
-        assert cli.main(argv + ["--json"]) == 0
-        res = json.loads(capsys.readouterr().out)["results"]
-        assert res["sum_T"] is None and res["ratio_T"] is None
-        assert res["sum_imph"] == meanvalue.partial_sum_imph(1000)
-        assert cli.main(argv) == 0
-        out = capsys.readouterr().out
-        assert "sum T(n), n<=x:    not computed (x > 100)" in out
 
 
 def _skew_zeta(fn):
@@ -409,6 +413,25 @@ def test_no_assert_in_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_one_sieve_walk():
+    """The factor sieve kernel ``arith._sieve_block`` is called from one place,
+    the block walk ``arith._factor_blocks``, and no second walker is named."""
+    src = pathlib.Path(cli.__file__).parent
+    calls, named = [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        named += [path.name] * len(re.findall(r"\b_factor_sieve\b", text))
+        for top in ast.parse(text, str(path)).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and "_sieve_block" in (
+                    getattr(func, "id", None), getattr(func, "attr", None)
+                ):
+                    calls.append(f"{path.name}:{getattr(top, 'name', None)}")
+    assert calls == ["arith.py:_factor_blocks"]
+    assert named == []
 
 
 def test_exports_resolve():

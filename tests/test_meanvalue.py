@@ -138,14 +138,6 @@ class TestMeanValueReport:
         assert rep.sum_imph == 13
         assert rep.ratio_imph == pytest.approx(0.13)
 
-    def test_t_sum_only_up_to_bound(self, monkeypatch):
-        monkeypatch.setattr(meanvalue, "PARTIAL_SUM_T_BOUND", 100)
-        at = mean_value_report(100, prime_bound=1000)
-        assert at.sum_t == partial_sum_T(100) and at.ratio_t == at.sum_t / 100**2
-        above = mean_value_report(101, prime_bound=1000)
-        assert above.sum_t is above.ratio_t is above.deviation_t is None
-        assert above.sum_imph == partial_sum_imph(101)
-
     def test_convergence_envelope(self):
         devs = [
             mean_value_report(x, prime_bound=10**5).deviation_imph
@@ -182,33 +174,108 @@ class TestGrosswald:
             grosswald_ratios(bounds)
 
 
+class TestBlockWalk:
+    """Every table and sum read block by block equals its one-block value; an
+    odd block length of 1001 (prime to 2, 3 and 9) makes every residue class
+    a block can start in, mod 2, 3 and 9, occur."""
+
+    X = 5000
+
+    def test_t_table_matches_scalar(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIEVE_BLOCK", 1001)
+        table = t_closed_sieve(self.X)
+        assert table.tolist() == [0] + [counting.t_closed(n) for n in range(1, self.X + 1)]
+        assert partial_sum_T(self.X) == int(table.sum())
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            arith.imph_sieve,
+            partial_sum_imph,
+            moebius_sum_odd,
+            lambda x: grosswald_ratios([1, 1000, 1001, 1002, 2 * 1001 + 1, x]),
+            lambda x: mean_value_report(x, prime_bound=1000),
+        ],
+        ids=["imph_sieve", "partial_sum_imph", "moebius_sum_odd", "grosswald_ratios",
+             "mean_value_report"],
+    )
+    def test_same_as_one_block(self, monkeypatch, fn):
+        whole = fn(self.X)
+        monkeypatch.setattr(arith, "_SIEVE_BLOCK", 1001)
+        blocked = fn(self.X)
+        if isinstance(whole, np.ndarray):
+            assert blocked.dtype == whole.dtype and np.array_equal(blocked, whole)
+        else:
+            assert blocked == whole
+
+
+# Each sieve user: the function of x, the first n of its walk, and the bytes
+# it holds beside the walk (its table or its odd Moebius terms).
 SIEVE_USERS = {
-    "imph_sieve": arith.imph_sieve,
-    "t_closed_sieve": t_closed_sieve,
-    "moebius_sum_odd": moebius_sum_odd,
-    "grosswald_ratios": lambda x: grosswald_ratios([x]),
+    "imph_sieve": (arith.imph_sieve, 0, lambda x: 8 * (x + 1)),
+    "t_closed_sieve": (t_closed_sieve, 0, lambda x: 8 * (x + 1)),
+    "moebius_sum_odd": (moebius_sum_odd, 3, lambda x: 8 * ((x - 1) // 2)),
+    "grosswald_ratios": (lambda x: grosswald_ratios([x]), 1, lambda x: 0),
 }
 
 
+def _charged_need(name, x):
+    """The bytes the walk of a sieve user is checked against the budget for:
+    what the caller holds, one block and the primes up to sqrt(x)."""
+    _, lo, holding = SIEVE_USERS[name]
+    block = min(x - lo + 1, arith._SIEVE_BLOCK)
+    return (
+        holding(x)
+        + arith._FACTOR_SIEVE_BYTES_PER_N * block
+        + arith._primes_upto_bytes(math.isqrt(x))
+    )
+
+
+def _traced_peak(fn, *args):
+    fn(*args)  # warm up lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSieveMemoryBudget:
-    @pytest.mark.parametrize("fn", [t_closed_sieve, moebius_sum_odd])
-    def test_budget_covers_whole_sieve(self, monkeypatch, fn):
-        # above the 9 bytes per n of the imph table and prime mask, below the true need
+    @pytest.mark.parametrize("name", sorted(SIEVE_USERS))
+    def test_budget_covers_whole_sieve(self, monkeypatch, name):
+        # one byte short of the charged need is refused before any sieving;
+        # the exact need serves
+        def forbidden(*args):
+            raise RuntimeError("sieving started")
+
         x = 10**6
-        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(16 * (x + 1)))
-        with pytest.raises(ValueError, match="budget"):
-            fn(x)
+        fn, need = SIEVE_USERS[name][0], _charged_need(name, x)
+        with monkeypatch.context() as m:
+            m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
+            m.setattr(arith, "_sieve_block", forbidden)
+            with pytest.raises(ValueError, match=f"needs {need} bytes, budget"):
+                fn(x)
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
+        fn(x)
 
     @pytest.mark.parametrize("name", sorted(SIEVE_USERS))
     def test_peak_within_need(self, name):
         x = 10**5
-        fn = SIEVE_USERS[name]
-        fn(x)  # warm up lazy imports and caches outside the trace
-        tracemalloc.start()
-        try:
-            fn(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        need = arith._FACTOR_SIEVE_BYTES_PER_N * (x + 1)
-        assert peak <= need + 16 * 1024
+        assert _traced_peak(SIEVE_USERS[name][0], x) <= _charged_need(name, x) + 16 * 1024
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            partial_sum_imph,
+            partial_sum_T,
+            lambda x: grosswald_ratios([x // 3, x]),
+            lambda x: mean_value_report(x, prime_bound=1000),
+        ],
+        ids=["partial_sum_imph", "partial_sum_T", "grosswald_ratios", "mean_value_report"],
+    )
+    def test_sums_hold_one_block(self, fn):
+        # four blocks are added up in the memory of one, plus the primes
+        x = 4 * arith._SIEVE_BLOCK
+        block = arith._FACTOR_SIEVE_BYTES_PER_N * arith._SIEVE_BLOCK
+        assert _traced_peak(fn, x) <= block + arith._primes_upto_bytes(math.isqrt(x)) + 16 * 1024
