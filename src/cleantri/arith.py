@@ -8,6 +8,10 @@ output.  It serves 1 <= n < 2^63.
 The central object is imph(n), the count of residues x in [1, n] with
 gcd(x, n) = gcd(x - 1, n) = 1.  It is multiplicative with
 imph(p^e) = p^(e-1) * (p - 2), hence zero on even n.
+
+Only the array routines (the sieves, IP(n) and the six-map table) import
+numpy, each inside its own body, so that the scalar routines and the import
+of the package never load it.  The other modules follow the same rule.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Iterator, NamedTuple
-
-import numpy as np
 
 __all__ = [
     "InvariantViolation",
@@ -114,6 +117,8 @@ def is_prime(n: int) -> bool:
 
 def _eratosthenes(limit: int) -> np.ndarray:
     """The primes p <= limit, ascending, as an int64 array; no budget check."""
+    import numpy as np
+
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -124,11 +129,25 @@ def _eratosthenes(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64, copy=False)
 
 
+def _prime_count_bound(limit: int) -> int:
+    """An upper bound on the count of primes p <= limit, for limit >= 2:
+    1.25506 x / ln x bounds it (Rosser-Schoenfeld 1962)."""
+    return int(1.25506 * limit / math.log(limit)) + 1
+
+
 def _primes_upto_bytes(limit: int) -> int:
     """Bytes _primes_upto(limit) holds at its peak, for limit >= 2: the bool
-    mask and the int64 index array of the primes, whose count is below
-    1.25506 x / ln x (Rosser-Schoenfeld 1962)."""
-    return limit + 1 + 8 * (int(1.25506 * limit / math.log(limit)) + 1)
+    mask and the int64 index array of the primes."""
+    return limit + 1 + 8 * _prime_count_bound(limit)
+
+
+def _walk_primes_bytes(root: int) -> int:
+    """Bytes the factor sieve walk holds for the primes <= root at its peak:
+    the int64 array of _primes_upto and the list read from it, both alive
+    while the list is built, at 8 bytes a prime for the array, 8 for a list
+    slot and 28 for an int object, and 56 for the list itself.  That exceeds
+    the prime sieve's own peak, the mask and the array, for every root >= 2."""
+    return 56 + 44 * _prime_count_bound(root) if root >= 2 else 0
 
 
 def _primes_upto(limit: int) -> np.ndarray:
@@ -141,9 +160,22 @@ def _primes_upto(limit: int) -> np.ndarray:
     return _eratosthenes(limit)
 
 
-# Built without reading the budget, so a malformed CLEANTRI_SIEVE_MEMORY
-# fails only the sieves, never factorize.
-_TRIAL_PRIMES = tuple(_eratosthenes(_TRIAL_LIMIT - 1).tolist())
+def _small_primes(limit: int) -> tuple[int, ...]:
+    """The primes p < limit, ascending, by a bytearray sieve: no numpy and no
+    budget check.  At limit 1000 it takes about 45 us on a 2-core VM, where
+    trial division by every d <= sqrt(n) took 1.3 ms."""
+    mask = bytearray([1]) * limit
+    mask[:2] = bytes(2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if mask[p]:
+            mask[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(compress(range(limit), mask))
+
+
+# Built without numpy, so that importing the package does not load it, and
+# without reading the budget, so a malformed CLEANTRI_SIEVE_MEMORY fails only
+# the sieves, never factorize.
+_TRIAL_PRIMES = _small_primes(_TRIAL_LIMIT)
 
 
 def _brent_rho(n: int) -> int:
@@ -336,6 +368,8 @@ def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:
     x is a member when x and x - 1 are both units; x - 1 is the previous
     entry of the unit mask, and for x = 1 it is 0 = n, the last entry.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > IMPH_BRUTEFORCE_BOUND:
@@ -371,6 +405,8 @@ def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     is checked before the table is built.  m -> n + 1 - m reverses the sorted
     members, so (1 - m)^-1 is m^-1 reversed.
     """
+    import numpy as np
+
     members, phi = _ip_members_and_phi(n)
     inv = np.full_like(members, 1 % n)
     base = members.copy()
@@ -435,6 +471,8 @@ def _sieve_block(a: int, primes: list[int], f: _FactorData) -> None:
     freed on return.  The n = 0 entry, when in range, gets imph 0 and no
     prime factors.
     """
+    import numpy as np
+
     imph, omega, big_omega, bad5 = f
     imph.fill(1)
     omega.fill(0)
@@ -473,6 +511,8 @@ def _sieve_block(a: int, primes: list[int], f: _FactorData) -> None:
 
 def _empty_factor_data(length: int) -> _FactorData:
     """Uninitialised factor data arrays, for _sieve_block to fill."""
+    import numpy as np
+
     return _FactorData(
         np.empty(length, dtype=np.int64),
         np.empty(length, dtype=np.int8),
@@ -498,8 +538,7 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
         raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
     length = min(hi - lo + 1, _SIEVE_BLOCK)
     root = math.isqrt(hi)
-    need = holding + _FACTOR_SIEVE_BYTES_PER_N * length
-    need += _primes_upto_bytes(root) if root >= 2 else 0
+    need = holding + _FACTOR_SIEVE_BYTES_PER_N * length + _walk_primes_bytes(root)
     budget = sieve_memory_budget()
     if need > budget:
         raise ValueError(
@@ -521,6 +560,8 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
 def _sieve_table(x: int, values: Callable[[int, _FactorData], np.ndarray]) -> np.ndarray:
     """The int64 table t[n] = values(a, data)[n - a] for 0 <= n <= x, over
     the blocks (a, data) of the walk; the table is charged to the walk."""
+    import numpy as np
+
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
     blocks = _factor_blocks(0, x, holding=8 * (x + 1))

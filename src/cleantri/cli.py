@@ -32,6 +32,16 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal
 # strings alive at a time.
 _LINES_PER_WRITE = 1 << 15
 
+# Bytes per n that ``tcount A..B`` keeps until its output is written: a row
+# tuple and dict, a str key and an int in the record, then the lines or the
+# string of json.dumps.  Child peak RSS grew by 477 (b-file), 493 (text) and
+# 595 (--json) bytes per n from 1..2 * 10^5 to 1..10^6, and by 503 (text)
+# and 611 (--json) over 10-digit n; beside the interpreter, the default
+# budget admits ranges of about 2.1 * 10^6 n of lines and 1.7 * 10^6 n of
+# --json.  Streaming the rows, as ``imph`` streams its lines, would drop both.
+_TCOUNT_LINE_BYTES_PER_N = 504
+_TCOUNT_RECORD_BYTES_PER_N = 616
+
 
 def _parse_range(spec: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
     """Inclusive 'a..b' range; a bare integer is a singleton range."""
@@ -130,10 +140,31 @@ def cmd_imph(args, parser) -> int:
 
 
 def cmd_tcount(args, parser) -> int:
+    """T(n) on one n or a range, by one route or, with ``all``, by every route
+    that serves n, cross-checked.
+
+    Refused before any work: ``geometric`` past ``counting.GEOMETRIC_N_BOUND``;
+    ``burnside`` and ``all`` on a range holding an odd n past
+    ``counting.BRUTEFORCE_N_BOUND`` (even n are 0 without a table); and a
+    range whose rows, all kept until the output is written, exceed the memory
+    budget at ``_TCOUNT_LINE_BYTES_PER_N`` or, with ``--json``,
+    ``_TCOUNT_RECORD_BYTES_PER_N`` bytes per n.  One n reads no budget.
+    """
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
     if method == "geometric" and hi > counting.GEOMETRIC_N_BOUND:
         parser.error(f"geometric method capped at n = {counting.GEOMETRIC_N_BOUND}")
+    first_capped = max(lo, counting.BRUTEFORCE_N_BOUND + 1) | 1  # least odd n past the cap
+    if method in ("burnside", "all") and first_capped <= hi:
+        raise ValueError(f"Burnside route capped at n = {counting.BRUTEFORCE_N_BOUND}")
+    if lo < hi:
+        per_n = _TCOUNT_RECORD_BYTES_PER_N if args.json else _TCOUNT_LINE_BYTES_PER_N
+        need, budget = per_n * (hi - lo + 1), arith.sieve_memory_budget()
+        if need > budget:
+            raise ValueError(
+                f"tcount of {lo}..{hi} keeps {need} bytes of rows, budget is {budget}; "
+                f"raise {arith.SIEVE_MEMORY_ENV} to at least {need}"
+            )
     rows = []
     for n in range(lo, hi + 1):
         if method == "all":

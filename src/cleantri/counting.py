@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import (
     InvariantViolation,
     _cached_factorization,
@@ -143,6 +141,8 @@ class OrbitDecomposition:
 def orbit_decomposition(n: int) -> OrbitDecomposition:
     """Partition IP(n) into orbits of the six-map action, grouping members by
     the least of their six images (the six images of m are its whole orbit)."""
+    import numpy as np
+
     if n % 2 == 0 and n > 1:
         return OrbitDecomposition(n, ())
     if n > BRUTEFORCE_N_BOUND:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-import numpy as np
-
 from .arith import InvariantViolation, extended_gcd, ip_members, six_maps
 
 __all__ = [
@@ -195,9 +193,11 @@ def boundary_count(t: LatticeTriangle) -> int:
 
 def _pick_interior(a2, b):
     """Interior count I = (2A - B + 2) / 2 by Pick's identity, from twice the
-    area a2 and the boundary count b.  Works alike on ints and int64 arrays."""
+    area a2 and the boundary count b.  Works alike on ints and int64 arrays,
+    and loads no numpy for ints."""
     twice_interior = a2 - b + 2
-    if np.any(twice_interior % 2):  # pragma: no cover
+    odd = twice_interior % 2
+    if odd.any() if hasattr(odd, "any") else odd:  # pragma: no cover
         msg = f"Pick parity violated: twice area {a2}, boundary {b}"
         raise InvariantViolation(msg, None, ("pick",))
     return twice_interior // 2
@@ -212,6 +212,8 @@ def pick_counts(t: LatticeTriangle) -> PickCounts:
 
 def interior_count_enum(t: LatticeTriangle) -> int:
     """Oracle for Pick: count strictly interior lattice points by box scan."""
+    import numpy as np
+
     twice_area(t)
     xs = [v.x for v in t.vertices]
     ys = [v.y for v in t.vertices]
@@ -472,6 +474,8 @@ def scott_exhaustive(grid_bound: int) -> ScottScanReport:
     The only equality class is the legs-3 right isosceles triangle, base
     form (3, 0, 3).
     """
+    import numpy as np
+
     if grid_bound < 0:
         raise ValueError("grid bound must be nonnegative")
     if grid_bound > SCOTT_SCAN_BOUND:

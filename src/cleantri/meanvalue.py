@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arith import InvariantViolation, _factor_blocks, _FactorData, _primes_upto, _sieve_table
 
 __all__ = [
@@ -89,6 +87,8 @@ def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
     overwritten; the int16 root-count array keeps the peak within the walk's
     own figure.
     """
+    import numpy as np
+
     roots = np.left_shift(2, f.omega, dtype=np.int16)  # 2^(omega + 1)
     roots[(-a) % 3 :: 3] >>= 1
     roots[(-a) % 9 :: 9] = 0
@@ -131,6 +131,8 @@ def _prime_products(prime_bound: int) -> tuple[float, float]:
     built from the array of p^2 (exact, as p^2 < 2^53), so the peak stays
     within the prime budget check.
     """
+    import numpy as np
+
     sq = _primes_upto(prime_bound).astype(np.float64)
     sq *= sq
     t = np.divide(2.0, sq[1:])  # drop p = 2
@@ -193,6 +195,8 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
     the sieve walk, and are added up by one ``np.add.reduce``.  Tail bracket:
     |tail| <= sum_{d > D} tau(d)/d^2 <= (ln D + 1 + pi^2/6)/D.
     """
+    import numpy as np
+
     if d_bound < 1:
         raise ValueError("bound must be positive")
     tail = (math.log(d_bound) + 1.0 + math.pi**2 / 6.0) / d_bound
@@ -289,6 +293,8 @@ def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:
     bounds share one walk of the sieve, added up block by block; reports come
     in ascending order of x.
     """
+    import numpy as np
+
     if not bounds:
         return []
     for x in bounds:

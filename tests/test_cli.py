@@ -155,7 +155,7 @@ class TestImphStreaming:
         lo, hi = 5, 1004
         record = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1)
         need = record + arith._FACTOR_SIEVE_BYTES_PER_N * (hi - lo + 1)
-        need += arith._primes_upto_bytes(math.isqrt(hi))
+        need += arith._walk_primes_bytes(math.isqrt(hi))
         sieved = []
         kernel = arith._sieve_block
 
@@ -216,6 +216,49 @@ class TestTcountCommand:
         assert lines[0] == "1 1"
         assert lines[6] == "7 2"
         assert all(line.split()[1] == "0" for line in lines[1::2])
+
+    @pytest.mark.parametrize("method", ["burnside", "all"])
+    def test_burnside_cap_before_any_work(self, monkeypatch, capsys, method):
+        # a range holding an odd n past the cap is refused before its first n;
+        # an even n past it is 0 on every route and still served
+        def forbidden(n):
+            raise RuntimeError(f"t_burnside called at n={n}")
+
+        with monkeypatch.context() as m:
+            m.setattr(counting, "t_burnside", forbidden)
+            for spec in ("1..100001", "100001..100003", "99999..100002"):
+                assert cli.main(["tcount", spec, "--method", method]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err == "error: Burnside route capped at n = 100000\n"
+        assert cli.main(["tcount", "99998..100000", "--method", method]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert cli.main(["tcount", "100002", "--method", "burnside"]) == 0
+        assert capsys.readouterr().out == "T(100002): burnside=0\n"
+
+    def test_rows_within_budget(self, monkeypatch, capsys):
+        # every row is kept until the output is written, so a range is
+        # charged per n before its first n; one n reads no budget
+        def forbidden(n):
+            raise RuntimeError(f"t_closed called at n={n}")
+
+        lo, hi = 5, 1004
+        for per_n, fmt in ((cli._TCOUNT_LINE_BYTES_PER_N, "--bfile"),
+                           (cli._TCOUNT_RECORD_BYTES_PER_N, "--json")):
+            need = per_n * (hi - lo + 1)
+            with monkeypatch.context() as m:
+                m.setattr(counting, "t_closed", forbidden)
+                m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
+                assert cli.main(["tcount", f"{lo}..{hi}", fmt]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: ") and f"keeps {need} bytes" in err
+            monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
+            assert cli.main(["tcount", f"{lo}..{hi}", fmt]) == 0
+            out = capsys.readouterr().out
+            rows = json.loads(out)["results"] if fmt == "--json" else out.splitlines()
+            assert len(rows) == hi - lo + 1
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, "lots")
+        assert cli.main(["tcount", "49"]) == 0
+        assert capsys.readouterr().out == "T(49): closed=7\n"
 
 
 class TestReduceCommand:
@@ -396,6 +439,42 @@ class TestInvariantViolationExit:
         assert cli.main(["tcount", "100001", "--method", "all"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: Burnside route capped at n = 100000\n"
+
+
+def test_point_queries_load_no_numpy():
+    """``import cleantri`` and the scalar commands leave numpy unloaded, in
+    one fresh interpreter; the first array command loads it."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import cleantri\n"
+        "from cleantri import cli\n"
+        "loaded = {'import': 'numpy' in sys.modules}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        loaded[argv[0]] = (cli.main(argv), 'numpy' in sys.modules)\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    loaded['bfile'] = (cli.main(['imph', '1..10', '--bfile']), 'numpy' in sys.modules)\n"
+        "print(json.dumps([loaded, out.getvalue()]))\n"
+    )
+    point = [
+        ["imph", "1000000000039", "--json"],
+        ["tcount", "1000000000039", "--json"],
+        ["reduce", "0", "0", "-3", "-3", "2", "4"],
+        ["equiv", "0", "0", "1", "0", "2", "7", "0", "0", "1", "0", "4", "7"],
+        ["scott", "1", "1", "1", "4", "4", "1"],
+    ]
+    r = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(point)], capture_output=True, text=True, timeout=60
+    )
+    assert r.returncode == 0, r.stderr
+    loaded, bfile = json.loads(r.stdout)
+    assert loaded == {
+        "import": False,
+        **{argv[0]: [0, False] for argv in point},
+        "bfile": [0, True],
+    }
+    assert bfile.splitlines() == ["1 1", "2 0", "3 1", "4 0", "5 3", "6 0", "7 5", "8 0", "9 3", "10 0"]
 
 
 def test_no_assert_in_package():

@@ -227,8 +227,13 @@ def _charged_need(name, x):
     return (
         holding(x)
         + arith._FACTOR_SIEVE_BYTES_PER_N * block
-        + arith._primes_upto_bytes(math.isqrt(x))
+        + arith._walk_primes_bytes(math.isqrt(x))
     )
+
+
+# What the charge leaves out: the headers of the block's arrays and views,
+# the walk's generator frame and the like; about 1 KB in the traced peaks.
+OBJECT_SLACK = 2 * 1024
 
 
 def _traced_peak(fn, *args):
@@ -262,7 +267,7 @@ class TestSieveMemoryBudget:
     @pytest.mark.parametrize("name", sorted(SIEVE_USERS))
     def test_peak_within_need(self, name):
         x = 10**5
-        assert _traced_peak(SIEVE_USERS[name][0], x) <= _charged_need(name, x) + 16 * 1024
+        assert _traced_peak(SIEVE_USERS[name][0], x) <= _charged_need(name, x) + OBJECT_SLACK
 
     @pytest.mark.parametrize(
         "fn",
@@ -278,4 +283,4 @@ class TestSieveMemoryBudget:
         # four blocks are added up in the memory of one, plus the primes
         x = 4 * arith._SIEVE_BLOCK
         block = arith._FACTOR_SIEVE_BYTES_PER_N * arith._SIEVE_BLOCK
-        assert _traced_peak(fn, x) <= block + arith._primes_upto_bytes(math.isqrt(x)) + 16 * 1024
+        assert _traced_peak(fn, x) <= block + arith._walk_primes_bytes(math.isqrt(x)) + OBJECT_SLACK
