@@ -63,10 +63,10 @@ def sieve_memory_budget() -> int:
     raw = os.environ.get(SIEVE_MEMORY_ENV)
     if raw is None:
         return _DEFAULT_SIEVE_MEMORY
-    budget = int(raw)
-    if budget <= 0:
-        raise ValueError(f"{SIEVE_MEMORY_ENV} must be positive, got {budget}")
-    return budget
+    if not raw.strip().isdecimal() or int(raw) <= 0:
+        msg = f"{SIEVE_MEMORY_ENV} must be a positive integer number of bytes, got {raw!r}"
+        raise ValueError(msg)
+    return int(raw)
 
 
 # --------------------------------------------------------------------------
@@ -443,13 +443,6 @@ class _FactorData(NamedTuple):
 # entry besides what it charges.
 _FACTOR_SIEVE_BYTES_PER_N = 16
 
-# Bytes per n that the one record of ``cleantri imph A..B --json`` holds at
-# its peak: a str key and an int value in a dict, then the chunks and the
-# string of json.dumps.  Child peak RSS grew by 198-202 bytes per n over
-# ranges of 5 * 10^5 and 10^6 n with 7-, 8- and 9-digit n; beside the
-# walk's block, the default budget admits ranges of about 5.14 * 10^6 n.
-_IMPH_RECORD_BYTES_PER_N = 208
-
 # Entries per block of the factor sieve walk.  A block's arrays (about 4 MB)
 # stay in cache while every prime slices them; smaller blocks pay more
 # per-slice call overhead.  Sieving 0..10^7 block by block on a 2-core Xeon
@@ -521,6 +514,13 @@ def _empty_factor_data(length: int) -> _FactorData:
     )
 
 
+def _walk_bytes(lo: int, hi: int) -> int:
+    """Bytes the factor sieve walk over lo..hi holds at its peak: one block
+    and the primes <= sqrt(hi)."""
+    length = min(hi - lo + 1, _SIEVE_BLOCK)
+    return _FACTOR_SIEVE_BYTES_PER_N * length + _walk_primes_bytes(math.isqrt(hi))
+
+
 def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _FactorData]]:
     """Yield (a, data) for consecutive blocks a <= n < a + len(data.imph)
     covering 0 <= lo <= n <= hi: imph, omega, Omega and the p = 5 (mod 6)
@@ -538,7 +538,7 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
         raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
     length = min(hi - lo + 1, _SIEVE_BLOCK)
     root = math.isqrt(hi)
-    need = holding + _FACTOR_SIEVE_BYTES_PER_N * length + _walk_primes_bytes(root)
+    need = holding + _walk_bytes(lo, hi)
     budget = sieve_memory_budget()
     if need > budget:
         raise ValueError(

@@ -3,22 +3,23 @@
 Subcommands: imph, tcount, reduce, equiv, scott, orbits, meanvalue.
 Output is human-readable by default; ``--json`` emits one structured record
 per invocation and ``--bfile`` (sequence commands) emits OEIS b-file lines
-"n a(n)".  Every range and sum is read from the factor sieve's one block
-walk (``arith._factor_blocks``): the text and b-file lines of ``imph A..B``
-are streamed from it, so their memory does not grow with the range, and
-``meanvalue`` adds up both of its sums as the blocks pass.
+"n a(n)".  ``imph`` and ``tcount`` stream every range, ``--json`` too, through
+one writer, ``_write_range``, so their memory does not grow with the range;
+``meanvalue`` adds up both of its sums as the factor sieve's blocks pass.
 Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
 cross-check (``arith.InvariantViolation``, reported by ``main`` alone as one JSON
-line on stderr with nothing on stdout) or a Scott violation (after the report),
-141 when the reader closed stdout early (nothing on stderr).
+line on stderr, after any lines a streamed range wrote) or a Scott violation
+(after the report), 141 when the reader closed stdout early (nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import os
 import sys
+from itertools import chain, islice
 
 from . import arith, counting, lattice, meanvalue
 
@@ -27,20 +28,10 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-# Range output is written in joined chunks of this many lines: one write
-# call per chunk even when stdout is unbuffered, and a few MB of line
-# strings alive at a time.
+# Range output is written in joined chunks of this many lines (or --json
+# entries): one write call per chunk even when stdout is unbuffered, and a
+# few MB of strings alive at a time.
 _LINES_PER_WRITE = 1 << 15
-
-# Bytes per n that ``tcount A..B`` keeps until its output is written: a row
-# tuple and dict, a str key and an int in the record, then the lines or the
-# string of json.dumps.  Child peak RSS grew by 477 (b-file), 493 (text) and
-# 595 (--json) bytes per n from 1..2 * 10^5 to 1..10^6, and by 503 (text)
-# and 611 (--json) over 10-digit n; beside the interpreter, the default
-# budget admits ranges of about 2.1 * 10^6 n of lines and 1.7 * 10^6 n of
-# --json.  Streaming the rows, as ``imph`` streams its lines, would drop both.
-_TCOUNT_LINE_BYTES_PER_N = 504
-_TCOUNT_RECORD_BYTES_PER_N = 616
 
 
 def _parse_range(spec: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
@@ -70,34 +61,61 @@ def _triangle(coords: list[int]) -> lattice.LatticeTriangle:
     return lattice.LatticeTriangle.from_coords(*coords)
 
 
+def _write_range(head: dict | None, lo: int, hi: int, blocks, fmt) -> None:
+    """Write the lines of lo <= n <= hi, or with a ``head`` (the record
+    but its results, whose key sorts last) the ``--json`` record, as the
+    values are computed.  ``blocks(a, b, holding)`` yields (start, values)
+    for a <= n <= b in order and checks what it holds, beside ``holding``
+    bytes, when called; ``fmt(n, v)`` gives a line or a ``'"n": v'`` entry.
+
+    ``json.dumps(sort_keys=True)`` orders the results as strings, so they
+    are merged from one walk per digit count, each in that order already as
+    '"' sorts below every digit.  Each walk is charged the others' factor
+    sieve bytes, and every walk's first chunk is computed before any write.
+    """
+    runs, start, sep, end = [(lo, hi)], "", "", ""
+    if head is not None:
+        digits = range(len(str(lo)), len(str(hi)) + 1)
+        runs = [(max(lo, 10 ** (d - 1)), min(hi, 10**d - 1)) for d in digits]
+        start, sep, end = json.dumps(head, sort_keys=True)[:-1] + ', "results": {', ", ", "}}\n"
+    held = [arith._walk_bytes(a, b) for a, b in runs]
+    walks = [blocks(a, b, sum(held) - own) for (a, b), own in zip(runs, held)]
+    streams = [chain.from_iterable(map(fmt, range(s, s + len(v)), v) for s, v in w) for w in walks]
+    items = heapq.merge(*streams) if len(streams) > 1 else streams[0]
+    sys.stdout.write(start + sep.join(islice(items, _LINES_PER_WRITE)))
+    while chunk := sep.join(islice(items, _LINES_PER_WRITE)):
+        sys.stdout.write(sep + chunk)
+    sys.stdout.write(end)
+
+
+def _sieve_blocks(values):
+    """A block source for ``_write_range``: values(a, data) over the factor
+    sieve walk, in lists of at most _LINES_PER_WRITE ints (a block's are 10 MB)."""
+    return lambda lo, hi, holding: (
+        (a + i, table[i : i + _LINES_PER_WRITE].tolist())
+        for a, f in arith._factor_blocks(lo, hi, holding)
+        for table in (values(a, f),)
+        for i in range(0, len(table), _LINES_PER_WRITE)
+    )
+
+
+def _point_blocks(value):
+    """A block source for ``_write_range``: value(n) n by n; holds nothing."""
+    return lambda lo, hi, holding: ((n, [value(n)]) for n in range(lo, hi + 1))
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
-def _check_bruteforce(n: int, v: int) -> None:
-    bf = arith.imph_bruteforce(n)
-    if bf != v:
-        msg = f"imph mismatch at n={n}: closed={v} bruteforce={bf}"
-        raise arith.InvariantViolation(msg, n, ("closed-form", "bruteforce"))
-
-
 def cmd_imph(args, parser) -> int:
-    """imph on one n (by ``arith.imph``, never the sieve) or on a range.
+    """imph on one n (by ``arith.imph``, never the sieve) or on a range (by
+    ``arith._factor_blocks``), written by ``_write_range``.
 
-    A range is walked block by block with ``arith._factor_blocks``.  Text and
-    b-file lines are written as each block passes, so they hold one block
-    whatever the range's length, and the range needs only the sieve cap and
-    one block's bytes within the budget.  ``--json`` collects every value
-    into one record, which the walk's budget check charges
-    ``arith._IMPH_RECORD_BYTES_PER_N`` bytes per n before the walk starts.
-    The record is not streamed: its sorted keys put the ``results`` in string
-    order (``imph 8..12 --json`` gives 10, 11, 12, 8, 9), which a walk in
-    block order cannot write as it goes.
     ``--bruteforce`` scans n residues for each n, and is refused before any
     work when their sum over the range exceeds ``arith.IMPH_BRUTEFORCE_BOUND``;
-    a range it serves fits in one block, which is checked before any line of
-    it is written.
+    every n it serves is checked before anything is written.
     """
     lo, hi = _parse_range(args.spec, parser)
     if args.bruteforce and (lo + hi) * (hi - lo + 1) // 2 > arith.IMPH_BRUTEFORCE_BOUND:
@@ -105,89 +123,68 @@ def cmd_imph(args, parser) -> int:
             f"--bruteforce on {lo}..{hi} scans more than "
             f"{arith.IMPH_BRUTEFORCE_BOUND} residues in all"
         )
-    record = {
+    blocks = _point_blocks(arith.imph) if lo == hi else _sieve_blocks(lambda a, f: f.imph)
+    if args.bruteforce:
+        for a, values in blocks(lo, hi, 0):
+            for n, v in enumerate(values, a):
+                if (bf := arith.imph_bruteforce(n)) != v:
+                    msg = f"imph mismatch at n={n}: closed={v} bruteforce={bf}"
+                    raise arith.InvariantViolation(msg, n, ("closed-form", "bruteforce"))
+    head = {
         "command": "imph",
         "inputs": {"range": [lo, hi], "bruteforce": bool(args.bruteforce)},
-        "results": {},
         "provenance": "closed-form+oracle" if args.bruteforce else "closed-form",
-    }
-    if lo == hi:
-        v = arith.imph(lo)
-        if args.bruteforce:
-            _check_bruteforce(lo, v)
-        record["results"][str(lo)] = v
-        extra = " (matches brute force)" if args.bruteforce else ""
-        _emit(record, args.json, [f"{lo} {v}" if args.bfile else f"imph({lo}) = {v}{extra}"])
-        return EXIT_OK
-    record_bytes = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1) if args.json else 0
-    line = "{} {}\n" if args.bfile else "imph({}) = {}\n"
-    for a, block in arith._factor_blocks(lo, hi, holding=record_bytes):
-        values = block.imph.tolist()
-        ns = range(a, a + len(values))
-        if args.bruteforce:
-            for n, v in zip(ns, values):
-                _check_bruteforce(n, v)
-        if args.json:
-            record["results"].update(zip(map(str, ns), values))
-        else:
-            for i in range(0, len(values), _LINES_PER_WRITE):
-                chunk = slice(i, i + _LINES_PER_WRITE)
-                sys.stdout.write("".join(map(line.format, ns[chunk], values[chunk])))
-        del values  # before the next block's list is built
-    if args.json:
-        _emit(record, True, [])
+    } if args.json else None
+    extra = " (matches brute force)" if args.bruteforce and lo == hi else ""
+    fmt = '"{}": {}' if args.json else "{} {}\n" if args.bfile else f"imph({{}}) = {{}}{extra}\n"
+    _write_range(head, lo, hi, blocks, fmt.format)
     return EXIT_OK
+
+
+def _t_all(n: int) -> dict[str, int]:
+    """T(n) by every route that serves n, cross-checked by ``counting.t_report``."""
+    r = counting.t_report(n, with_geometric=n <= counting.GEOMETRIC_N_BOUND)
+    entry = {"closed": r.t_closed, "burnside": r.t_burnside, "geometric": r.t_geometric}
+    return {k: v for k, v in entry.items() if v is not None}
 
 
 def cmd_tcount(args, parser) -> int:
     """T(n) on one n or a range, by one route or, with ``all``, by every route
-    that serves n, cross-checked.
+    that serves n, cross-checked; written by ``_write_range``.
 
+    A closed range within the sieve cap is read from ``arith._factor_blocks``
+    by ``meanvalue._t_closed_block``; the rest calls the point routes n by n.
     Refused before any work: ``geometric`` past ``counting.GEOMETRIC_N_BOUND``;
     ``burnside`` and ``all`` on a range holding an odd n past
-    ``counting.BRUTEFORCE_N_BOUND`` (even n are 0 without a table); and a
-    range whose rows, all kept until the output is written, exceed the memory
-    budget at ``_TCOUNT_LINE_BYTES_PER_N`` or, with ``--json``,
-    ``_TCOUNT_RECORD_BYTES_PER_N`` bytes per n.  One n reads no budget.
+    ``counting.BRUTEFORCE_N_BOUND`` (even n are 0 without a table).
     """
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
     if method == "geometric" and hi > counting.GEOMETRIC_N_BOUND:
-        parser.error(f"geometric method capped at n = {counting.GEOMETRIC_N_BOUND}")
+        raise ValueError(f"geometric method capped at n = {counting.GEOMETRIC_N_BOUND}")
     first_capped = max(lo, counting.BRUTEFORCE_N_BOUND + 1) | 1  # least odd n past the cap
     if method in ("burnside", "all") and first_capped <= hi:
         raise ValueError(f"Burnside route capped at n = {counting.BRUTEFORCE_N_BOUND}")
-    if lo < hi:
-        per_n = _TCOUNT_RECORD_BYTES_PER_N if args.json else _TCOUNT_LINE_BYTES_PER_N
-        need, budget = per_n * (hi - lo + 1), arith.sieve_memory_budget()
-        if need > budget:
-            raise ValueError(
-                f"tcount of {lo}..{hi} keeps {need} bytes of rows, budget is {budget}; "
-                f"raise {arith.SIEVE_MEMORY_ENV} to at least {need}"
-            )
-    rows = []
-    for n in range(lo, hi + 1):
-        if method == "all":
-            r = counting.t_report(n, with_geometric=n <= counting.GEOMETRIC_N_BOUND)
-            entry = {"closed": r.t_closed, "burnside": r.t_burnside, "geometric": r.t_geometric}
-            entry = {k: v for k, v in entry.items() if v is not None}
-        else:
-            entry = {method: getattr(counting, f"t_{method}")(n)}
-        rows.append((n, entry))
-    record = {
-        "command": "tcount",
-        "inputs": {"range": [lo, hi], "method": method},
-        "results": {str(n): entry for n, entry in rows},
-        "provenance": method,
-    }
-    if args.bfile:
-        _emit(record, args.json, [f"{n} {next(iter(e.values()))}" for n, e in rows])
+    if method == "closed" and lo < hi <= arith.IMPH_SIEVE_BOUND:
+        blocks = _sieve_blocks(meanvalue._t_closed_block)
     else:
-        _emit(
-            record,
-            args.json,
-            [f"T({n}): " + " ".join(f"{k}={v}" for k, v in e.items()) for n, e in rows],
-        )
+        blocks = _point_blocks(_t_all if method == "all" else getattr(counting, f"t_{method}"))
+    mode = "json" if args.json else "bfile" if args.bfile else "text"
+    if method == "all":
+        fmt = {
+            "json": lambda n, e: f'"{n}": {json.dumps(e, sort_keys=True)}',
+            "bfile": lambda n, e: f"{n} {e['closed']}\n",
+            "text": lambda n, e: f"T({n}): " + " ".join(f"{k}={v}" for k, v in e.items()) + "\n",
+        }
+    else:
+        fmt = {
+            "json": ('"{}": {{"%s": {}}}' % method).format,
+            "bfile": "{} {}\n".format,
+            "text": ("T({}): %s={}\n" % method).format,
+        }
+    head = {"command": "tcount", "inputs": {"range": [lo, hi], "method": method},
+            "provenance": method} if args.json else None
+    _write_range(head, lo, hi, blocks, fmt[mode])
     return EXIT_OK
 
 

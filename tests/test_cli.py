@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,8 +9,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cleantri import arith, cli, counting, lattice, meanvalue
 
@@ -97,6 +103,10 @@ class TestImphCommand:
         assert point.returncode == 0 and "35" in point.stdout
         table = subprocess.run(PKG + ["imph", "1..10"], capture_output=True, text=True, env=env)
         assert table.returncode == 2 and "Traceback" not in table.stderr
+        assert table.stderr == (
+            f"error: {arith.SIEVE_MEMORY_ENV} must be a positive integer number of bytes, "
+            "got 'lots'\n"
+        )
 
     def test_json(self):
         r = run("imph", "49", "--json")
@@ -132,49 +142,26 @@ class TestImphStreaming:
         assert rec["results"] == {str(n): table[n] for n in range(lo, hi + 1)}
 
     def test_peak_rss_flat_in_range_length(self):
+        # lines and --json records of both commands; rows or a record kept
+        # whole until the end would grow by hundreds of MB over 1..2 * 10^6
         code = (
             "import resource, sys\n"
             "from cleantri import cli\n"
-            "code = cli.main(['imph', '1..' + sys.argv[1], '--bfile'])\n"
+            "code = cli.main([sys.argv[1], '1..' + sys.argv[2], sys.argv[3]])\n"
             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
         )
-        peaks = []
-        for n in (2 * 10**5, 2 * 10**6):
-            proc = subprocess.run(
-                [sys.executable, "-c", code, str(n)],
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300,
-            )
-            rc, kib = map(int, proc.stderr.split())
-            assert rc == 0
-            peaks.append(kib * 1024)
-        assert peaks[1] - peaks[0] <= 10 * 10**6
-
-    def test_json_record_within_budget(self, monkeypatch, capsys):
-        # the walk charges the --json record beside its block and primes
-        # before it sieves; text lines are charged no record
-        lo, hi = 5, 1004
-        record = arith._IMPH_RECORD_BYTES_PER_N * (hi - lo + 1)
-        need = record + arith._FACTOR_SIEVE_BYTES_PER_N * (hi - lo + 1)
-        need += arith._walk_primes_bytes(math.isqrt(hi))
-        sieved = []
-        kernel = arith._sieve_block
-
-        def spy(a, *args):
-            sieved.append(a)
-            return kernel(a, *args)
-
-        monkeypatch.setattr(arith, "_sieve_block", spy)
-        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
-        assert cli.main(["imph", f"{lo}..{hi}", "--json"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and sieved == []
-        assert err.startswith("error: ") and f"needs {need} bytes" in err
-        assert cli.main(["imph", f"{lo}..{hi}"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == hi - lo + 1
-        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
-        assert cli.main(["imph", f"{lo}..{hi}", "--json"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["results"]) == hi - lo + 1
-        assert sieved == [lo, lo]
+        for command, fmt in [("imph", "--bfile"), ("imph", "--json"),
+                             ("tcount", "--bfile"), ("tcount", "--json")]:
+            peaks = []
+            for n in (2 * 10**5, 2 * 10**6):
+                proc = subprocess.run(
+                    [sys.executable, "-c", code, command, str(n), fmt],
+                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300,
+                )
+                rc, kib = map(int, proc.stderr.split())
+                assert rc == 0
+                peaks.append(kib * 1024)
+            assert peaks[1] - peaks[0] <= 10 * 10**6, (command, fmt, peaks)
 
     def test_bruteforce_work_guard(self, monkeypatch, capsys):
         # sum n over 1..4472 is 10,001,628 > 10^7 residues; one n past the
@@ -193,6 +180,17 @@ class TestImphStreaming:
         assert capsys.readouterr().out == "imph(15) = 3 (matches brute force)\n"
         assert cli.main(["imph", "1..30", "--bruteforce"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 30
+
+    def test_bruteforce_checks_every_n_before_writing(self, monkeypatch, capsys):
+        # a mismatch at the last n of a range of several blocks leaves stdout
+        # empty, in lines and in the --json record alike
+        oracle = arith.imph_bruteforce
+        monkeypatch.setattr(arith, "imph_bruteforce", lambda n: oracle(n) + (n == 29))
+        monkeypatch.setattr(arith, "_SIEVE_BLOCK", 8)
+        for fmt in ([], ["--json"]):
+            assert cli.main(["imph", "1..29", "--bruteforce", *fmt]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err)["n"] == 29
 
 
 class TestTcountCommand:
@@ -235,30 +233,188 @@ class TestTcountCommand:
         assert cli.main(["tcount", "100002", "--method", "burnside"]) == 0
         assert capsys.readouterr().out == "T(100002): burnside=0\n"
 
-    def test_rows_within_budget(self, monkeypatch, capsys):
-        # every row is kept until the output is written, so a range is
-        # charged per n before its first n; one n reads no budget
+    def test_geometric_cap_is_one_error_line(self, monkeypatch, capsys):
         def forbidden(n):
-            raise RuntimeError(f"t_closed called at n={n}")
+            raise RuntimeError(f"t_geometric called at n={n}")
 
+        monkeypatch.setattr(counting, "t_geometric", forbidden)
+        for spec in ("2001", "1999..2001"):
+            assert cli.main(["tcount", spec, "--method", "geometric"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: geometric method capped at n = 2000\n"
+
+
+def _walk_need(runs):
+    """Bytes the factor sieve walks over ``runs`` hold together: a block and
+    the primes up to the square root of its end, for each."""
+    return sum(
+        arith._FACTOR_SIEVE_BYTES_PER_N * min(b - a + 1, arith._SIEVE_BLOCK)
+        + arith._walk_primes_bytes(math.isqrt(b))
+        for a, b in runs
+    )
+
+
+class _Sink:
+    """A stdout that keeps the length of what is written and nothing else."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def _tcount_entry(method, n):
+    if method != "all":
+        return {method: getattr(counting, f"t_{method}")(n)}
+    entry = {"closed": counting.t_closed(n), "burnside": counting.t_burnside(n)}
+    if n <= counting.GEOMETRIC_N_BOUND:
+        entry["geometric"] = counting.t_geometric(n)
+    return entry
+
+
+def _expected(command, method, lo, hi, mode):
+    """The output of ``command lo..hi`` in ``mode``, built from one point
+    route call per n and, for --json, one json.dumps of the whole record."""
+    ns = range(lo, hi + 1)
+    if command == "imph":
+        results = {n: arith.imph(n) for n in ns}
+        inputs, provenance = {"range": [lo, hi], "bruteforce": False}, "closed-form"
+        first, text = results, {n: f"imph({n}) = {v}" for n, v in results.items()}
+    else:
+        results = {n: _tcount_entry(method, n) for n in ns}
+        inputs, provenance = {"range": [lo, hi], "method": method}, method
+        first = {n: next(iter(e.values())) for n, e in results.items()}
+        text = {n: f"T({n}): " + " ".join(f"{k}={v}" for k, v in e.items())
+                for n, e in results.items()}
+    if mode == "json":
+        record = {"command": command, "inputs": inputs, "provenance": provenance,
+                  "results": {str(n): v for n, v in results.items()}}
+        return json.dumps(record, sort_keys=True) + "\n"
+    lines = {n: f"{n} {first[n]}" for n in ns} if mode == "bfile" else text
+    return "".join(lines[n] + "\n" for n in ns)
+
+
+class TestRangeWriter:
+    """``imph`` and ``tcount`` ranges, lines and --json records alike, written
+    by one streamed writer as the walks pass."""
+
+    @pytest.mark.parametrize("command", ["imph", "tcount"])
+    def test_json_walks_within_budget(self, monkeypatch, capsys, command):
+        # --json merges one walk per digit count, and each is charged the
+        # others' blocks and primes before any is sieved, so one byte short
+        # of their sum is refused before the first write, and the sum serves
         lo, hi = 5, 1004
-        for per_n, fmt in ((cli._TCOUNT_LINE_BYTES_PER_N, "--bfile"),
-                           (cli._TCOUNT_RECORD_BYTES_PER_N, "--json")):
-            need = per_n * (hi - lo + 1)
-            with monkeypatch.context() as m:
-                m.setattr(counting, "t_closed", forbidden)
-                m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
-                assert cli.main(["tcount", f"{lo}..{hi}", fmt]) == 2
-                out, err = capsys.readouterr()
-                assert out == "" and err.startswith("error: ") and f"keeps {need} bytes" in err
-            monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
-            assert cli.main(["tcount", f"{lo}..{hi}", fmt]) == 0
-            out = capsys.readouterr().out
-            rows = json.loads(out)["results"] if fmt == "--json" else out.splitlines()
-            assert len(rows) == hi - lo + 1
+        runs = [(5, 9), (10, 99), (100, 999), (1000, 1004)]
+        need = _walk_need(runs)
+        sieved = []
+        kernel = arith._sieve_block
+
+        def spy(a, *args):
+            sieved.append(a)
+            return kernel(a, *args)
+
+        monkeypatch.setattr(arith, "_sieve_block", spy)
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
+        assert cli.main([command, f"{lo}..{hi}", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and sieved == []
+        assert err.startswith("error: ") and f"needs {need} bytes" in err
+        # lines take one walk over the whole range, well within that budget
+        assert cli.main([command, f"{lo}..{hi}", "--bfile"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == hi - lo + 1
+        assert sieved == [lo]
+        sieved.clear()
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
+        assert cli.main([command, f"{lo}..{hi}", "--json"]) == 0
+        assert capsys.readouterr().out == _expected(command, "closed", lo, hi, "json")
+        assert sieved == [a for a, _ in runs]
+
+    def test_lines_within_budget(self, monkeypatch, capsys):
+        # a closed tcount range is one walk, charged before its first n; one
+        # n reads no budget, so a malformed one spares it
+        lo, hi = 5, 1004
+        need = _walk_need([(lo, hi)])
+        def forbidden(limit):
+            raise RuntimeError(f"primes sieved to {limit}")
+
+        with monkeypatch.context() as m:
+            m.setattr(arith, "_primes_upto", forbidden)
+            m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
+            assert cli.main(["tcount", f"{lo}..{hi}", "--bfile"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"needs {need} bytes" in err
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
+        assert cli.main(["tcount", f"{lo}..{hi}", "--bfile"]) == 0
+        assert capsys.readouterr().out == _expected("tcount", "closed", lo, hi, "bfile")
         monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, "lots")
         assert cli.main(["tcount", "49"]) == 0
         assert capsys.readouterr().out == "T(49): closed=7\n"
+
+    @pytest.mark.parametrize("command", ["imph", "tcount"])
+    def test_json_peak_within_walks(self, monkeypatch, command):
+        # small blocks and chunks: a record of 10^5 entries (a dict of them
+        # alone would take about 10 MB) is written in the walks' bytes
+        # and a fixed slack for the lists and strings in flight
+        import numpy  # noqa: F401  (loaded before tracing, as by any earlier array command)
+
+        block, hi = 1000, 10**5
+        monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 500)
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        runs = [(10 ** (d - 1), min(hi, 10**d - 1)) for d in range(1, 7)]
+        tracemalloc.start()
+        try:
+            assert cli.main([command, f"1..{hi}", "--json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 10 * hi
+        assert peak <= _walk_need(runs) + 256 * 1024
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        route=st.sampled_from([
+            ("imph", "closed", (9, 99, 999_999), 150),
+            ("tcount", "closed", (9, 99, 999_999), 150),
+            ("tcount", "burnside", (9, 99, 99_999), 150),
+            ("tcount", "all", (9, 99), 40),
+        ]),
+        data=st.data(),
+    )
+    def test_matches_point_routes(self, route, data):
+        # ranges across the digit-count edge after ``edge`` and, with blocks
+        # of 64, block edges; chunks of 7 lines split blocks and the merge
+        command, method, edges, width = route
+        edge = data.draw(st.sampled_from(edges))
+        lo = max(1, edge - data.draw(st.integers(0, width)))
+        hi = edge + data.draw(st.integers(0, width))
+        if method == "burnside":
+            hi = min(hi, counting.BRUTEFORCE_N_BOUND)
+        argv = [command, f"{lo}..{hi}"] + (["--method", method] if command == "tcount" else [])
+        with mock.patch.object(arith, "_SIEVE_BLOCK", 64), \
+                mock.patch.object(cli, "_LINES_PER_WRITE", 7):
+            for mode, flags in (("text", []), ("bfile", ["--bfile"]), ("json", ["--json"])):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(argv + flags) == 0
+                assert out.getvalue() == _expected(command, method, lo, hi, mode), mode
+
+    def test_far_closed_range(self, capsys):
+        # past the sieve cap, a closed range is served by the point route
+        lo, hi = 10**12, 10**12 + 20
+        assert cli.main(["tcount", f"{lo}..{hi}"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"T({n}): closed={counting.t_closed(n)}\n" for n in range(lo, hi + 1)
+        )
+        assert cli.main(["tcount", f"{lo}..{hi}", "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["results"] == {str(n): {"closed": counting.t_closed(n)} for n in range(lo, hi + 1)}
+        assert list(rec["results"]) == sorted(map(str, range(lo, hi + 1)))
 
 
 class TestReduceCommand:
@@ -511,6 +667,22 @@ def test_one_sieve_walk():
                     calls.append(f"{path.name}:{getattr(top, 'name', None)}")
     assert calls == ["arith.py:_factor_blocks"]
     assert named == []
+
+
+def test_one_range_writer():
+    """``cli.py`` writes to ``sys.stdout`` only in its range writer, and
+    defines no bytes-per-n charge: a second range path would need both."""
+    path = pathlib.Path(cli.__file__)
+    writes, charges = [], []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and ast.unparse(func) == "sys.stdout.write":
+                writes.append(getattr(top, "name", None))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                charges += [node.id] * node.id.endswith("_BYTES_PER_N")
+    assert writes and set(writes) == {"_write_range"}
+    assert charges == []
 
 
 def test_exports_resolve():
