@@ -516,7 +516,9 @@ def _empty_factor_data(length: int) -> _FactorData:
 
 def _walk_bytes(lo: int, hi: int) -> int:
     """Bytes the factor sieve walk over lo..hi holds at its peak: one block
-    and the primes <= sqrt(hi)."""
+    and the primes <= sqrt(hi); refused first for hi past the sieve cap."""
+    if hi > IMPH_SIEVE_BOUND:
+        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
     length = min(hi - lo + 1, _SIEVE_BLOCK)
     return _FACTOR_SIEVE_BYTES_PER_N * length + _walk_primes_bytes(math.isqrt(hi))
 
@@ -534,11 +536,8 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
     the walk are checked against the cap and the memory budget when this is
     called, before anything is allocated.
     """
-    if hi > IMPH_SIEVE_BOUND:
-        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
-    length = min(hi - lo + 1, _SIEVE_BLOCK)
-    root = math.isqrt(hi)
     need = holding + _walk_bytes(lo, hi)
+    length = min(hi - lo + 1, _SIEVE_BLOCK)
     budget = sieve_memory_budget()
     if need > budget:
         raise ValueError(
@@ -547,7 +546,7 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
         )
 
     def walk() -> Iterator[tuple[int, _FactorData]]:
-        primes = _primes_upto(root).tolist()
+        primes = _primes_upto(math.isqrt(hi)).tolist()
         block = _empty_factor_data(length)
         for a in range(lo, hi + 1, length):
             view = _FactorData(*(arr[: hi + 1 - a] for arr in block))

@@ -61,25 +61,22 @@ def _triangle(coords: list[int]) -> lattice.LatticeTriangle:
     return lattice.LatticeTriangle.from_coords(*coords)
 
 
-def _write_range(head: dict | None, lo: int, hi: int, blocks, fmt) -> None:
-    """Write the lines of lo <= n <= hi, or with a ``head`` (the record
-    but its results, whose key sorts last) the ``--json`` record, as the
-    values are computed.  ``blocks(a, b, holding)`` yields (start, values)
-    for a <= n <= b in order and checks what it holds, beside ``holding``
-    bytes, when called; ``fmt(n, v)`` gives a line or a ``'"n": v'`` entry.
+def _write_range(head: dict | None, lo: int, hi: int, source, value, fmt) -> None:
+    """Write the lines of lo <= n <= hi, or with a ``head`` (the record but its
+    results, whose key sorts last) the ``--json`` record, as values are computed.
+    ``source(value, runs)`` makes every check, then gives one walk per run a..b
+    of (start, values) in order; ``fmt(n, v)`` gives a line or a ``'"n": v'`` entry.
 
     ``json.dumps(sort_keys=True)`` orders the results as strings, so they
-    are merged from one walk per digit count, each in that order already as
-    '"' sorts below every digit.  Each walk is charged the others' factor
-    sieve bytes, and every walk's first chunk is computed before any write.
+    are merged from one run per digit count, each in that order already as
+    '"' sorts below every digit.  Every walk's first chunk precedes any write.
     """
     runs, start, sep, end = [(lo, hi)], "", "", ""
     if head is not None:
         digits = range(len(str(lo)), len(str(hi)) + 1)
         runs = [(max(lo, 10 ** (d - 1)), min(hi, 10**d - 1)) for d in digits]
         start, sep, end = json.dumps(head, sort_keys=True)[:-1] + ', "results": {', ", ", "}}\n"
-    held = [arith._walk_bytes(a, b) for a, b in runs]
-    walks = [blocks(a, b, sum(held) - own) for (a, b), own in zip(runs, held)]
+    walks = source(value, runs)
     streams = [chain.from_iterable(map(fmt, range(s, s + len(v)), v) for s, v in w) for w in walks]
     items = heapq.merge(*streams) if len(streams) > 1 else streams[0]
     sys.stdout.write(start + sep.join(islice(items, _LINES_PER_WRITE)))
@@ -88,20 +85,22 @@ def _write_range(head: dict | None, lo: int, hi: int, blocks, fmt) -> None:
     sys.stdout.write(end)
 
 
-def _sieve_blocks(values):
-    """A block source for ``_write_range``: values(a, data) over the factor
-    sieve walk, in lists of at most _LINES_PER_WRITE ints (a block's are 10 MB)."""
-    return lambda lo, hi, holding: (
-        (a + i, table[i : i + _LINES_PER_WRITE].tolist())
-        for a, f in arith._factor_blocks(lo, hi, holding)
-        for table in (values(a, f),)
-        for i in range(0, len(table), _LINES_PER_WRITE)
-    )
+def _sieve_blocks(values, runs):
+    """A block source for ``_write_range``: values(a, data) in lists of at most
+    _LINES_PER_WRITE ints (a block's are 10 MB), one walk per run charged the others'."""
+    held = [arith._walk_bytes(a, b) for a, b in runs]
+    return [
+        ((a + i, table[i : i + _LINES_PER_WRITE].tolist())
+         for a, f in arith._factor_blocks(lo, hi, sum(held) - own)
+         for table in (values(a, f),)
+         for i in range(0, len(table), _LINES_PER_WRITE))
+        for (lo, hi), own in zip(runs, held)
+    ]
 
 
-def _point_blocks(value):
+def _point_blocks(value, runs):
     """A block source for ``_write_range``: value(n) n by n; holds nothing."""
-    return lambda lo, hi, holding: ((n, [value(n)]) for n in range(lo, hi + 1))
+    return [((n, [value(n)]) for n in range(a, b + 1)) for a, b in runs]
 
 
 # --------------------------------------------------------------------------
@@ -123,9 +122,11 @@ def cmd_imph(args, parser) -> int:
             f"--bruteforce on {lo}..{hi} scans more than "
             f"{arith.IMPH_BRUTEFORCE_BOUND} residues in all"
         )
-    blocks = _point_blocks(arith.imph) if lo == hi else _sieve_blocks(lambda a, f: f.imph)
+    source, value = _point_blocks, arith.imph
+    if lo < hi:
+        source, value = _sieve_blocks, lambda a, f: f.imph
     if args.bruteforce:
-        for a, values in blocks(lo, hi, 0):
+        for a, values in source(value, [(lo, hi)])[0]:
             for n, v in enumerate(values, a):
                 if (bf := arith.imph_bruteforce(n)) != v:
                     msg = f"imph mismatch at n={n}: closed={v} bruteforce={bf}"
@@ -137,7 +138,7 @@ def cmd_imph(args, parser) -> int:
     } if args.json else None
     extra = " (matches brute force)" if args.bruteforce and lo == hi else ""
     fmt = '"{}": {}' if args.json else "{} {}\n" if args.bfile else f"imph({{}}) = {{}}{extra}\n"
-    _write_range(head, lo, hi, blocks, fmt.format)
+    _write_range(head, lo, hi, source, value, fmt.format)
     return EXIT_OK
 
 
@@ -155,8 +156,8 @@ def cmd_tcount(args, parser) -> int:
     A closed range within the sieve cap is read from ``arith._factor_blocks``
     by ``meanvalue._t_closed_block``; the rest calls the point routes n by n.
     Refused before any work: ``geometric`` past ``counting.GEOMETRIC_N_BOUND``;
-    ``burnside`` and ``all`` on a range holding an odd n past
-    ``counting.BRUTEFORCE_N_BOUND`` (even n are 0 without a table).
+    a range holding an odd n past ``counting.BRUTEFORCE_N_BOUND`` for ``burnside``
+    and ``all``, or from ``arith.FACTORIZE_BOUND`` for any (even n are always 0).
     """
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
@@ -165,10 +166,11 @@ def cmd_tcount(args, parser) -> int:
     first_capped = max(lo, counting.BRUTEFORCE_N_BOUND + 1) | 1  # least odd n past the cap
     if method in ("burnside", "all") and first_capped <= hi:
         raise ValueError(f"Burnside route capped at n = {counting.BRUTEFORCE_N_BOUND}")
+    if (first := max(lo, arith.FACTORIZE_BOUND) | 1) <= hi:  # least odd n factorize refuses
+        raise ValueError(f"factorize is capped below 2^63, got {first}")
+    source, value = _point_blocks, _t_all if method == "all" else getattr(counting, f"t_{method}")
     if method == "closed" and lo < hi <= arith.IMPH_SIEVE_BOUND:
-        blocks = _sieve_blocks(meanvalue._t_closed_block)
-    else:
-        blocks = _point_blocks(_t_all if method == "all" else getattr(counting, f"t_{method}"))
+        source, value = _sieve_blocks, meanvalue._t_closed_block
     mode = "json" if args.json else "bfile" if args.bfile else "text"
     if method == "all":
         fmt = {
@@ -184,7 +186,7 @@ def cmd_tcount(args, parser) -> int:
         }
     head = {"command": "tcount", "inputs": {"range": [lo, hi], "method": method},
             "provenance": method} if args.json else None
-    _write_range(head, lo, hi, blocks, fmt[mode])
+    _write_range(head, lo, hi, source, value, fmt[mode])
     return EXIT_OK
 
 

@@ -81,6 +81,26 @@ class TestImphCommand:
         assert odd.returncode == 2 and "2^63" in odd.stderr
         assert "Traceback" not in odd.stderr
 
+    @pytest.mark.parametrize("command", ["imph", "tcount"])
+    def test_past_float_range(self, capsys, command):
+        # n far past a float's range: an even n is 0 and an odd one exits 2,
+        # and a range is refused at its cap before any charge is computed
+        even = 10**700
+        line = {"imph": f"imph({even}) = 0", "tcount": f"T({even}): closed=0"}
+        assert cli.main([command, str(even)]) == 0
+        assert capsys.readouterr() == (line[command] + "\n", "")
+        assert cli.main([command, str(even), "--json"]) == 0
+        value = {"imph": 0, "tcount": {"closed": 0}}
+        assert json.loads(capsys.readouterr().out)["results"] == {str(even): value[command]}
+        assert cli.main([command, str(even + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: factorize is capped below 2^63, got {even + 1}\n"
+        assert cli.main([command, f"{even}..{even + 2}", "--json"]) == 2
+        out, err = capsys.readouterr()
+        refusal = {"imph": f"sieve capped at {arith.IMPH_SIEVE_BOUND}, got {even + 2}",
+                   "tcount": f"factorize is capped below 2^63, got {even + 1}"}
+        assert out == "" and err == f"error: {refusal[command]}\n"
+
     def test_closed_pipe_exits_141_quietly(self):
         # as `cleantri imph 1..100000 --bfile | head -1`: the output far
         # exceeds a pipe's buffer, so writes fail once the reader is gone
@@ -232,6 +252,29 @@ class TestTcountCommand:
         assert len(capsys.readouterr().out.splitlines()) == 3
         assert cli.main(["tcount", "100002", "--method", "burnside"]) == 0
         assert capsys.readouterr().out == "T(100002): burnside=0\n"
+
+    def test_unfactorable_range_refused_before_any_work(self, monkeypatch, capsys):
+        # a closed range past the sieve cap streams n by n, so an odd n past
+        # factorize's domain, even many chunks in, is refused before the first
+        big = arith.FACTORIZE_BOUND
+        done = []
+        t_closed = counting.t_closed
+
+        def spy(n):
+            done.append(n)
+            return t_closed(n)
+
+        monkeypatch.setattr(counting, "t_closed", spy)
+        monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+        for spec in (f"{big - 20}..{big + 1}", f"{big + 1}..{big + 3}"):
+            for flags in ([], ["--bfile"], ["--json"]):
+                assert cli.main(["tcount", spec, *flags]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and done == []
+                assert err == f"error: factorize is capped below 2^63, got {big + 1}\n"
+        assert cli.main(["tcount", f"{big - 3}..{big}", "--bfile"]) == 0
+        lines = [f"{n} {t_closed(n)}\n" for n in range(big - 3, big + 1)]
+        assert capsys.readouterr().out == "".join(lines)
 
     def test_geometric_cap_is_one_error_line(self, monkeypatch, capsys):
         def forbidden(n):
