@@ -154,9 +154,13 @@ def _primes_upto(limit: int) -> np.ndarray:
     """The primes p <= limit, ascending, as an int64 array (Eratosthenes).
 
     The package's one prime source; mask and index array must fit the budget.
+    The mask alone holds limit + 1 bytes, so a limit at the budget is refused
+    before its byte count, which a float cannot hold past about 10^308.
     """
-    if limit >= 2 and _primes_upto_bytes(limit) > sieve_memory_budget():
-        raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
+    if limit >= 2:
+        budget = sieve_memory_budget()
+        if limit >= budget or _primes_upto_bytes(limit) > budget:
+            raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
     return _eratosthenes(limit)
 
 

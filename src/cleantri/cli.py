@@ -143,29 +143,28 @@ def cmd_imph(args, parser) -> int:
 
 
 def _t_all(n: int) -> dict[str, int]:
-    """T(n) by every route that serves n, cross-checked by ``counting.t_report``."""
-    r = counting.t_report(n, with_geometric=n <= counting.GEOMETRIC_N_BOUND)
-    entry = {"closed": r.t_closed, "burnside": r.t_burnside, "geometric": r.t_geometric}
-    return {k: v for k, v in entry.items() if v is not None}
+    """T(n) by all three routes, cross-checked by ``counting.t_report``."""
+    r = counting.t_report(n, with_geometric=True)
+    return {"closed": r.t_closed, "burnside": r.t_burnside, "geometric": r.t_geometric}
 
 
 def cmd_tcount(args, parser) -> int:
-    """T(n) on one n or a range, by one route or, with ``all``, by every route
-    that serves n, cross-checked; written by ``_write_range``.
+    """T(n) on one n or a range, by one route or, with ``all``, by all three,
+    cross-checked; written by ``_write_range``.
 
     A closed range within the sieve cap is read from ``arith._factor_blocks``
     by ``meanvalue._t_closed_block``; the rest calls the point routes n by n.
-    Refused before any work: ``geometric`` past ``counting.GEOMETRIC_N_BOUND``;
-    a range holding an odd n past ``counting.BRUTEFORCE_N_BOUND`` for ``burnside``
-    and ``all``, or from ``arith.FACTORIZE_BOUND`` for any (even n are always 0).
+    Refused before any work: a range holding an odd n past
+    ``counting.BRUTEFORCE_N_BOUND``, the one cap of the Burnside and geometric
+    routes, for every method but ``closed``, or from ``arith.FACTORIZE_BOUND``
+    for any (even n are always 0).
     """
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
-    if method == "geometric" and hi > counting.GEOMETRIC_N_BOUND:
-        raise ValueError(f"geometric method capped at n = {counting.GEOMETRIC_N_BOUND}")
     first_capped = max(lo, counting.BRUTEFORCE_N_BOUND + 1) | 1  # least odd n past the cap
-    if method in ("burnside", "all") and first_capped <= hi:
-        raise ValueError(f"Burnside route capped at n = {counting.BRUTEFORCE_N_BOUND}")
+    if method != "closed" and first_capped <= hi:
+        route = "geometric" if method == "geometric" else "Burnside"
+        raise ValueError(f"{route} route capped at n = {counting.BRUTEFORCE_N_BOUND}")
     if (first := max(lo, arith.FACTORIZE_BOUND) | 1) <= hi:  # least odd n factorize refuses
         raise ValueError(f"factorize is capped below 2^63, got {first}")
     source, value = _point_blocks, _t_all if method == "all" else getattr(counting, f"t_{method}")

@@ -6,8 +6,10 @@ Everything here is built on their one kernel, ``arith.six_maps`` and
 ``arith.six_map_table``.  T(n), the number of equivalence classes of clean
 triangles of twice-area n, is computed three ways that share no formula: a
 closed form from the prime factorization, the Burnside average of the
-fixed-point counts read off the kernel's table, and the distinct
-``lattice.clean_key`` values of the enumerated triangles.
+fixed-point counts read off the kernel's table, and the distinct class keys
+of the base-form clean triangles, ``lattice.clean_keys``, which reduces all
+of them at once on arrays by extended Euclid.  The two oracle routes serve
+odd n up to 10^5.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .arith import (
     six_map_table,
     six_maps,
 )
-from .lattice import clean_key, enumerate_clean
+from .lattice import clean_keys
 
 __all__ = [
     "OrbitDecomposition",
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 BRUTEFORCE_N_BOUND = 10**5
-GEOMETRIC_N_BOUND = 2000
+GEOMETRIC_N_BOUND = BRUTEFORCE_N_BOUND
 
 
 def _check_member(m: int, n: int) -> None:
@@ -165,14 +167,19 @@ def canonical_m(m: int, n: int) -> int:
 
 
 def t_geometric(n: int) -> int:
-    """Geometric oracle for T(n): the distinct ``lattice.clean_key`` values of
-    the enumerated clean triangles of twice-area n.  The key comes from
-    base-form reduction alone, so no residue map is used."""
+    """Geometric oracle for T(n): the number of distinct ``lattice.clean_keys``,
+    the least base-form m over the six vertex orders of each base-form clean
+    triangle, for odd n up to 10^5.  The keys come from extended Euclid on
+    the triangles' edges alone, so no residue map or modular inverse is used."""
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n % 2 == 0:
+        return 0
     if n > GEOMETRIC_N_BOUND:
         raise ValueError(f"geometric route capped at n = {GEOMETRIC_N_BOUND}")
-    return len({clean_key(t) for t in enumerate_clean(n)})
+    return int(np.count_nonzero(np.bincount(clean_keys(n))))
 
 
 @dataclass(frozen=True)

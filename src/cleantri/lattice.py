@@ -6,7 +6,8 @@ base-form representative (0,0), (b,0), (m,h) by an affine unimodular map,
 with the witness map returned alongside.  Clean triangles (boundary lattice
 points = vertices only) reduce to b = 1.  Their equivalence test compares
 the orbits of m under the six residue maps mod h (``arith.six_maps``), while
-clean_key classifies them from the reduction alone.
+clean_key classifies them from the reduction alone, and clean_keys does the
+same for every base-form clean triangle of one h at once, on arrays.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "scott_check",
     "scott_exhaustive",
     "enumerate_clean",
+    "clean_keys",
 ]
 
 ENUM_BOX_BOUND = 10**8
@@ -523,15 +525,75 @@ def enumerate_clean(h: int) -> list[LatticeTriangle]:
     clean triangles of twice-area h up to unimodular equivalence (with
     repetition across an orbit).
     """
+    return [LatticeTriangle.from_coords(0, 0, 1, 0, m, h) for m in _clean_members(h).tolist()]
+
+
+def _clean_members(h: int) -> np.ndarray:
+    """The m of the base-form clean triangles (0,0), (1,0), (m,h): IP(h), as an
+    increasing int64 array, empty for even h > 1."""
     if h < 1:
         raise ValueError(f"h must be positive, got {h}")
     if h > ENUMERATE_CLEAN_BOUND:
         raise ValueError(f"enumeration capped at {ENUMERATE_CLEAN_BOUND}")
-    if h % 2 == 0 and h > 1:
-        return []
-    return [
-        LatticeTriangle.from_coords(0, 0, 1, 0, int(m), h) for m in ip_members(h)
-    ]
+    return ip_members(h)
+
+
+def clean_keys(h: int) -> np.ndarray:
+    """The m of ``clean_key`` for every triangle of ``enumerate_clean(h)``, in
+    member order, as an int64 array: ``_reduce_oriented`` on whole arrays,
+    ``_KEYS_PER_CHUNK`` members at a time, so that memory stays bounded."""
+    import numpy as np
+
+    members = _clean_members(h)
+    keys = np.empty_like(members)
+    for i in range(0, len(members), _KEYS_PER_CHUNK):
+        keys[i : i + _KEYS_PER_CHUNK] = _least_keys(members[i : i + _KEYS_PER_CHUNK], h)
+    return keys
+
+
+# Members clean_keys reduces at once; the arrays of one chunk peak near 5 MB.
+_KEYS_PER_CHUNK = 1 << 13
+
+
+def _least_keys(members: np.ndarray, h: int) -> np.ndarray:
+    """The least base-form m over the six vertex orders (o, e, v) of each
+    triangle (0,0), (1,0), (m,h), m in ``members``.
+
+    Extended Euclid, run on the three edges of every triangle at once, gives
+    s u.x + t u.y = g for each edge u, and g = +-1 on a clean triangle; the
+    reversed edge -u takes (-s, -t).  The base-form m of an order is
+    g (s w.x + t w.y) mod h for its base edge u = e - o and w = v - o:
+    another Bezout pair moves it by a multiple of h, and the flip into the
+    upper half plane leaves it alone.  No residue map and no modular inverse
+    is used.
+    """
+    import numpy as np
+
+    corners = np.zeros((2, 3, len(members)), dtype=np.int64)  # x, y of (0,0), (1,0), (m,h)
+    corners[0, 1], corners[0, 2], corners[1, 2] = 1, members, h
+    r0, r1 = corners[:, [1, 2, 2]] - corners[:, [0, 0, 1]]  # edges 0->1, 0->2, 1->2
+    s0, s1, t0, t1 = (np.full_like(r0, c) for c in (1, 0, 0, 1))
+    # Each step maps (r0, r1) to (r1, r0 - q r1), and s and t alike, in place.
+    # A finished entry, (g, 0) or (0, g), is masked to q = 0, so it only swaps.
+    while np.logical_and(r0, r1).any():
+        q = np.floor_divide(r0, r1, out=np.zeros_like(r0), where=r1 != 0)
+        for a, b in ((r0, r1), (s0, s1), (t0, t1)):
+            a -= q * b
+        r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
+    g, done = r0 + r1, r1 == 0
+    if (np.abs(g) != 1).any():  # pragma: no cover - every edge of a clean triangle is primitive
+        msg = f"an edge of a base-form triangle of twice-area {h} is not primitive"
+        raise InvariantViolation(msg, h, ("geometric",))
+    o, e, v = np.array(list(permutations(range(3)))).T
+    edge, sign = o + e - 1, np.where(o < e, 1, -1)[:, None]
+    s = np.where(done, s0, s1)[edge] * sign
+    t = np.where(done, t0, t1)[edge] * sign
+    s *= corners[0, v] - corners[0, o]
+    t *= corners[1, v] - corners[1, o]
+    s += t
+    s *= g[edge]
+    s %= h
+    return s.min(axis=0)
 
 
 @lru_cache(maxsize=4096)

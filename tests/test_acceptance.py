@@ -73,7 +73,7 @@ def test_criterion_3_t_triple_agreement():
     elapsed_b = time.monotonic() - start
     assert elapsed_b < 60.0, f"burnside sweep took {elapsed_b:.1f}s"
     start = time.monotonic()
-    for n in range(1, 501, 2):
+    for n in range(1, 2001, 2):
         assert t_geometric(n) == t_closed(n), f"n={n}"
     elapsed_g = time.monotonic() - start
     assert elapsed_g < 120.0, f"geometric sweep took {elapsed_g:.1f}s"
@@ -83,7 +83,7 @@ def test_criterion_3_t_triple_agreement():
     report(
         3,
         f"t_closed = t_burnside to 1e4 ({elapsed_b:.1f}s), "
-        f"= t_geometric to 500 ({elapsed_g:.1f}s)",
+        f"= t_geometric to 2000 ({elapsed_g:.1f}s)",
     )
 
 

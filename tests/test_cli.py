@@ -277,14 +277,19 @@ class TestTcountCommand:
         assert capsys.readouterr().out == "".join(lines)
 
     def test_geometric_cap_is_one_error_line(self, monkeypatch, capsys):
+        # the geometric route shares the Burnside cap and its rule: a range
+        # holding an odd n past it is refused before its first n
+        assert cli.main(["tcount", "2001", "--method", "geometric"]) == 0
+        assert capsys.readouterr().out == f"T(2001): geometric={counting.t_closed(2001)}\n"
+
         def forbidden(n):
             raise RuntimeError(f"t_geometric called at n={n}")
 
         monkeypatch.setattr(counting, "t_geometric", forbidden)
-        for spec in ("2001", "1999..2001"):
+        for spec in ("100001", "99999..100001"):
             assert cli.main(["tcount", spec, "--method", "geometric"]) == 2
             out, err = capsys.readouterr()
-            assert out == "" and err == "error: geometric method capped at n = 2000\n"
+            assert out == "" and err == "error: geometric route capped at n = 100000\n"
 
 
 def _walk_need(runs):
@@ -313,10 +318,7 @@ class _Sink:
 def _tcount_entry(method, n):
     if method != "all":
         return {method: getattr(counting, f"t_{method}")(n)}
-    entry = {"closed": counting.t_closed(n), "burnside": counting.t_burnside(n)}
-    if n <= counting.GEOMETRIC_N_BOUND:
-        entry["geometric"] = counting.t_geometric(n)
-    return entry
+    return {m: getattr(counting, f"t_{m}")(n) for m in ("closed", "burnside", "geometric")}
 
 
 def _expected(command, method, lo, hi, mode):
@@ -559,6 +561,18 @@ class TestMeanvalueBounds:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["sum_T"] == 2688620492863 + counting.t_closed(10000001)
         assert res["ratio_T"] == res["sum_T"] / 10000001**2
+
+    def test_prime_bound_past_float_range(self, monkeypatch, capsys):
+        # a prime bound too large for a float is refused by the budget with
+        # one error line before any sieve runs, not by an OverflowError
+        def forbidden(*args):
+            raise RuntimeError("sieve run")
+
+        monkeypatch.setattr(arith, "_eratosthenes", forbidden)
+        monkeypatch.setattr(arith, "_sieve_block", forbidden)
+        assert cli.main(["meanvalue", "--x", "10", "--primes", str(10**400)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: prime sieve to {10**400} exceeds the memory budget\n"
 
     def test_one_prime_walk(self, monkeypatch, capsys):
         # the odd product, C_FT and its zeta form share one walk of the primes

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cleantri import arith, counting, lattice
 from cleantri.arith import InvariantViolation, ip_members
@@ -199,9 +201,32 @@ class TestGeometric:
         for n in range(1, 100, 2):
             assert t_geometric(n) == t_closed(n)
 
+    @pytest.mark.parametrize("n,value", [(99991, 16666), (99999, 5246)])
+    def test_at_the_cap(self, n, value):
+        assert t_geometric(n) == t_closed(n) == value
+
     def test_bound(self):
-        with pytest.raises(ValueError):
-            t_geometric(2001)
+        # even n are 0 before the cap is checked, as on the Burnside route
+        assert t_geometric(2 * counting.GEOMETRIC_N_BOUND) == 0
+        with pytest.raises(ValueError, match="geometric route capped"):
+            t_geometric(counting.GEOMETRIC_N_BOUND + 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 999).map(lambda k: 2 * k + 1))
+    def test_array_keys_match_scalar_oracle(self, h):
+        # member by member, the array reduction equals clean_key's scalar one
+        triangles = lattice.enumerate_clean(h)
+        keys = lattice.clean_keys(h).tolist()
+        assert len(keys) == len(triangles) == arith.imph(h)
+        assert [(h, k) for k in keys] == [lattice.clean_key(t) for t in triangles]
+
+    def test_array_keys_across_chunks(self, monkeypatch):
+        # h = 1 has the one member 1, reduced to m = 0; even h have none; and
+        # where the members are cut into chunks changes no key
+        whole = {h: lattice.clean_keys(h).tolist() for h in (1, 2, 1000, 91, 1999)}
+        assert whole[1] == [0] and whole[2] == whole[1000] == []
+        monkeypatch.setattr(lattice, "_KEYS_PER_CHUNK", 5)
+        assert {h: lattice.clean_keys(h).tolist() for h in whole} == whole
 
 
 class TestIndependence:
@@ -209,12 +234,20 @@ class TestIndependence:
         def broken(*args):
             raise AssertionError("residue maps used")
 
-        # the kernel's formula, and the orbit test equivalent_clean goes through
+        expected = {n: t_closed(n) for n in (*range(1, 100, 2), 2003, 4001)}
+        # the kernel's formula, table and maps under every name they are
+        # imported as, the modular inverse, and the orbit test equivalent_clean
+        # goes through; n past the old scalar route's cap of 2000 too
         monkeypatch.setattr(arith, "_six_images", broken)
+        monkeypatch.setattr(arith, "mod_inverse", broken)
+        for module in (arith, counting):
+            monkeypatch.setattr(module, "six_map_table", broken)
+        for module in (arith, counting, lattice):
+            monkeypatch.setattr(module, "six_maps", broken)
         monkeypatch.setattr(lattice, "_orbit_min", broken)
         counting._fix_counts_vectorized.cache_clear()
-        for n in range(1, 100, 2):
-            assert t_geometric(n) == t_closed(n)
+        for n, value in expected.items():
+            assert t_geometric(n) == value
         with pytest.raises(AssertionError, match="residue maps used"):
             t_burnside(7)
         with pytest.raises(AssertionError, match="residue maps used"):
