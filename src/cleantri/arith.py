@@ -431,8 +431,8 @@ def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _FactorData(NamedTuple):
-    """Per-n factor data for one block of consecutive n; at n = 0 imph is 0
-    and no prime is counted.  n is squarefree exactly when omega = Omega."""
+    """Per-n factor data for one block of the odd n = a, a + 2, ...; entry i
+    holds n = a + 2i.  n is squarefree exactly when omega = Omega."""
 
     imph: np.ndarray  # int64
     omega: np.ndarray  # int8, distinct prime divisors
@@ -447,26 +447,42 @@ class _FactorData(NamedTuple):
 # entry besides what it charges.
 _FACTOR_SIEVE_BYTES_PER_N = 16
 
-# Entries per block of the factor sieve walk.  A block's arrays (about 4 MB)
-# stay in cache while every prime slices them; smaller blocks pay more
-# per-slice call overhead.  Sieving 0..10^7 block by block on a 2-core Xeon
-# VM (median of 5): blocks of 2^16, 2^17, 2^18, 2^19 and 2^20 took 1.73,
-# 1.04, 0.97, 1.06 and 1.37 s, and one whole-array block 1.71 s.
+# numpy casts the int32 cofactor to int64 through a buffer of 8192 entries
+# (np.getbufsize()) when the kernel multiplies it into imph, after the mask
+# is freed; a block of fewer entries holds the difference besides its 16 B.
+_CAST_BUFFER_BYTES = 8 * 8192
+
+# Entries (odd n) per block of the factor sieve walk, so a block covers twice
+# as many numbers.  Smaller blocks pay more per-slice call overhead; larger
+# ones hold more, in every walk (a --json range holds up to nine).  Walking
+# 0..10^7 on a 2-core Xeon VM (median of 5): blocks of 2^16, 2^17, 2^18,
+# 2^19 and 2^20 entries took 0.48, 0.35, 0.29, 0.26 and 0.23 s, and one
+# whole-range block 0.41 s; 2^18 peaks at 4 MB, 2^20 at 16 MB.
 _SIEVE_BLOCK = 1 << 18
+
+# The walk spot-checks each block at its first and last entries and at two
+# fixed by this multiple of the block's start (Knuth's golden-ratio hash).
+_SPOT_HASH = 0x9E3779B97F4A7C15
+
+
+def _odd_offset(a: int, m: int) -> int:
+    """The index i of the first multiple n = a + 2i of odd m in the odd n =
+    a, a + 2, ...: i = -a / 2 (mod m), with (m + 1) / 2 the inverse of 2."""
+    return (-a) % m * ((m + 1) // 2) % m
 
 
 def _sieve_block(a: int, primes: list[int], f: _FactorData) -> None:
-    """Fill the views in ``f`` with the factor data of a <= n < a + len;
-    ``primes`` holds, ascending, at least the primes <= sqrt(a + len - 1).
+    """Fill the views in ``f`` with the factor data of the odd n = a + 2i,
+    0 <= i < len, for odd a; ``primes`` holds, ascending, at least the odd
+    primes <= sqrt(a + 2 len - 2), and not 2.
 
-    Each prime p <= sqrt(a + len - 1) is sliced once per power p^k in range,
-    from the first multiple of p^k at or after a (p^k itself when a = 0),
-    dividing the cofactor cof[i] = a + i by p alongside the multiplicative
-    data.  Afterwards cof[i] is 1 or a single prime q > sqrt(a + i), which is
-    folded in with a few whole-block steps that reuse the cofactor in place;
-    besides it they need one bool mask of the block's length.  Both are
-    freed on return.  The n = 0 entry, when in range, gets imph 0 and no
-    prime factors.
+    Each such prime p is sliced once per power p^k in range, with stride p^k
+    from the first odd multiple of p^k at or after a (``_odd_offset``),
+    dividing the cofactor cof[i] = a + 2i by p alongside the multiplicative
+    data.  Afterwards cof[i] is 1 or a single prime q > sqrt(a + 2i), which
+    is folded in with a few whole-block steps that reuse the cofactor in
+    place; besides it they need one bool mask of the block's length.  Both
+    are freed on return.
     """
     import numpy as np
 
@@ -475,25 +491,25 @@ def _sieve_block(a: int, primes: list[int], f: _FactorData) -> None:
     omega.fill(0)
     big_omega.fill(0)
     bad5.fill(False)
-    cof = np.ones(len(imph), dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
+    cof = np.full(len(imph), 2, dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
     cof[0] = a
-    np.cumsum(cof, out=cof)  # a, a + 1, ... with no second block-sized array
-    end = a + len(cof) - 1
+    np.cumsum(cof, out=cof, dtype=np.int32)  # a, a + 2, ...: no second array, no cast buffer
+    end = a + 2 * len(cof) - 2
     for p in primes:
         if p * p > end:
             break
-        start = (-a) % p if a else p
+        start = _odd_offset(a, p)
         imph[start::p] *= p - 2
         omega[start::p] += 1
         if p % 6 == 5:
             bad5[start::p] = True
         pk = p
         while pk <= end:
-            start = (-a) % pk if a else pk
+            if pk > p:
+                start = _odd_offset(a, pk)
+                imph[start::pk] *= p
             cof[start::pk] //= p
             big_omega[start::pk] += 1
-            if pk > p:
-                imph[start::pk] *= p
             pk *= p
     big = (cof > 1).view(np.int8)  # 0 or 1, added below with no casting buffer
     omega += big
@@ -502,8 +518,6 @@ def _sieve_block(a: int, primes: list[int], f: _FactorData) -> None:
     cof -= 2
     imph *= np.abs(cof, out=cof)  # q - 2 for a prime cofactor, 1 for cofactor 1
     bad5 |= np.remainder(cof, 6, out=cof) == 3  # q - 2 = 3 (mod 6) iff q = 5 (mod 6)
-    if a == 0:
-        imph[0] = 0
 
 
 def _empty_factor_data(length: int) -> _FactorData:
@@ -518,19 +532,39 @@ def _empty_factor_data(length: int) -> _FactorData:
     )
 
 
+def _odd_count(lo: int, hi: int) -> int:
+    """The count of odd n with lo <= n <= hi, for lo <= hi + 1."""
+    return (hi + 1) // 2 - lo // 2
+
+
 def _walk_bytes(lo: int, hi: int) -> int:
     """Bytes the factor sieve walk over lo..hi holds at its peak: one block
     and the primes <= sqrt(hi); refused first for hi past the sieve cap."""
     if hi > IMPH_SIEVE_BOUND:
         raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
-    length = min(hi - lo + 1, _SIEVE_BLOCK)
-    return _FACTOR_SIEVE_BYTES_PER_N * length + _walk_primes_bytes(math.isqrt(hi))
+    length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
+    block = _FACTOR_SIEVE_BYTES_PER_N * length + max(0, _CAST_BUFFER_BYTES - length)
+    return block + _walk_primes_bytes(math.isqrt(hi))
+
+
+def _spot_check(a: int, sieved: np.ndarray) -> None:
+    """Compare a block's sieved imph of the odd n = a + 2i with ``imph``,
+    which factorizes, at its first and last entries and two entries fixed by
+    a hash of a; raise ``InvariantViolation`` at the first that differs."""
+    h = a * _SPOT_HASH
+    for i in (0, len(sieved) - 1, h % len(sieved), (h >> 32) % len(sieved)):
+        n = a + 2 * i
+        if (want := imph(n)) != sieved[i]:
+            msg = f"sieved imph({n}) = {sieved[i]}, factorize gives {want}"
+            raise InvariantViolation(msg, n, ("sieve", "factorize"))
 
 
 def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _FactorData]]:
-    """Yield (a, data) for consecutive blocks a <= n < a + len(data.imph)
-    covering 0 <= lo <= n <= hi: imph, omega, Omega and the p = 5 (mod 6)
-    flag, sieved by ``_sieve_block``.
+    """Yield (a, data) for consecutive blocks of the odd n = a + 2i,
+    0 <= i < len(data.imph), covering the odd n with 0 <= lo <= n <= hi:
+    imph, omega, Omega and the p = 5 (mod 6) flag, sieved by ``_sieve_block``
+    and spot-checked against ``imph`` by ``_spot_check``.  Even n have imph
+    and T zero; the walk does not sieve them.
 
     The package's one factor sieve walk.  One block's arrays are reused for
     the next, so read each block before asking for the next; a caller may
@@ -541,7 +575,7 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
     called, before anything is allocated.
     """
     need = holding + _walk_bytes(lo, hi)
-    length = min(hi - lo + 1, _SIEVE_BLOCK)
+    length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
     budget = sieve_memory_budget()
     if need > budget:
         raise ValueError(
@@ -550,27 +584,41 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
         )
 
     def walk() -> Iterator[tuple[int, _FactorData]]:
-        primes = _primes_upto(math.isqrt(hi)).tolist()
+        if not length:
+            return
+        primes = _primes_upto(math.isqrt(hi))[1:].tolist()  # p = 2 divides no odd n
         block = _empty_factor_data(length)
-        for a in range(lo, hi + 1, length):
-            view = _FactorData(*(arr[: hi + 1 - a] for arr in block))
+        for a in range(lo | 1, hi + 1, 2 * length):
+            view = _FactorData(*(arr[: (hi - a) // 2 + 1] for arr in block))
             _sieve_block(a, primes, view)
+            _spot_check(a, view.imph)
             yield a, view
 
     return walk()
 
 
+def _spread_odd(odd: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lay the values ``odd`` of the odd n = a, a + 2, ... over ``out``, which
+    holds the consecutive n = a, a + 1, ... (2 len(odd) of them, or one
+    fewer), with 0 at the even n, where imph and T vanish; returns ``out``."""
+    out[::2] = odd
+    out[1::2] = 0
+    return out
+
+
 def _sieve_table(x: int, values: Callable[[int, _FactorData], np.ndarray]) -> np.ndarray:
-    """The int64 table t[n] = values(a, data)[n - a] for 0 <= n <= x, over
-    the blocks (a, data) of the walk; the table is charged to the walk."""
+    """The int64 table t[n] for 0 <= n <= x: values(a, data)[i] at the odd
+    n = a + 2i of the blocks (a, data) of the walk, and 0 at even n; the
+    table is charged to the walk."""
     import numpy as np
 
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
     blocks = _factor_blocks(0, x, holding=8 * (x + 1))
     table = np.empty(x + 1, dtype=np.int64)
+    table[0] = 0
     for a, f in blocks:
-        table[a : a + len(f.imph)] = values(a, f)
+        _spread_odd(values(a, f), table[a : a + 2 * len(f.imph)])
     return table
 
 

@@ -33,6 +33,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal
 # few MB of strings alive at a time.
 _LINES_PER_WRITE = 1 << 15
 
+# A closed tcount range past the sieve cap factorizes each odd n, about
+# 175 us near 10^12, so this many odd n take about 18 s.
+_POINT_RANGE_ODD_BOUND = 10**5
+
 
 def _parse_range(spec: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
     """Inclusive 'a..b' range; a bare integer is a singleton range."""
@@ -86,16 +90,27 @@ def _write_range(head: dict | None, lo: int, hi: int, source, value, fmt) -> Non
 
 
 def _sieve_blocks(values, runs):
-    """A block source for ``_write_range``: values(a, data) in lists of at most
-    _LINES_PER_WRITE ints (a block's are 10 MB), one walk per run charged the others'."""
+    """A block source for ``_write_range``: values(a, data) at the odd n of the
+    walk's blocks, spread with 0 at the even n by ``arith._spread_odd``, in
+    lists of about _LINES_PER_WRITE ints; one walk per run charged the others'."""
+    import numpy as np
+
     held = [arith._walk_bytes(a, b) for a, b in runs]
-    return [
-        ((a + i, table[i : i + _LINES_PER_WRITE].tolist())
-         for a, f in arith._factor_blocks(lo, hi, sum(held) - own)
-         for table in (values(a, f),)
-         for i in range(0, len(table), _LINES_PER_WRITE))
-        for (lo, hi), own in zip(runs, held)
-    ]
+    step = _LINES_PER_WRITE // 2 + 1  # odd n per list
+
+    def lists(lo, hi, blocks):
+        line = np.empty(2 * step, dtype=np.int64)
+        if lo % 2 == 0:
+            yield lo, [0]  # the walk starts at the first odd n
+        for a, f in blocks:
+            odd = values(a, f)
+            for i in range(0, len(odd), step):
+                s, part = a + 2 * i, odd[i : i + step]
+                out = line[: min(2 * len(part), hi + 1 - s)]
+                yield s, arith._spread_odd(part, out).tolist()
+
+    return [lists(lo, hi, arith._factor_blocks(lo, hi, sum(held) - own))
+            for (lo, hi), own in zip(runs, held)]
 
 
 def _point_blocks(value, runs):
@@ -154,10 +169,14 @@ def cmd_tcount(args, parser) -> int:
 
     A closed range within the sieve cap is read from ``arith._factor_blocks``
     by ``meanvalue._t_closed_block``; the rest calls the point routes n by n.
-    Refused before any work: a range holding an odd n past
-    ``counting.BRUTEFORCE_N_BOUND``, the one cap of the Burnside and geometric
-    routes, for every method but ``closed``, or from ``arith.FACTORIZE_BOUND``
-    for any (even n are always 0).
+    Refused before any work (even n are always 0):
+    - for every method but ``closed``, a range holding an odd n past
+      ``counting.BRUTEFORCE_N_BOUND``, the one cap of the Burnside and
+      geometric routes, or whose odd n sum past ``arith.IMPH_BRUTEFORCE_BOUND``,
+      as each costs about imph(n);
+    - a range holding an odd n from ``arith.FACTORIZE_BOUND`` on;
+    - a closed range past the sieve cap, which factorizes n by n, holding
+      more than ``_POINT_RANGE_ODD_BOUND`` odd n.
     """
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
@@ -165,8 +184,19 @@ def cmd_tcount(args, parser) -> int:
     if method != "closed" and first_capped <= hi:
         route = "geometric" if method == "geometric" else "Burnside"
         raise ValueError(f"{route} route capped at n = {counting.BRUTEFORCE_N_BOUND}")
+    # the odd n up to y are the first (y + 1) // 2 odd numbers, which sum to its square
+    if method != "closed" and ((hi + 1) // 2) ** 2 - (lo // 2) ** 2 > arith.IMPH_BRUTEFORCE_BOUND:
+        raise ValueError(
+            f"--method {method} on {lo}..{hi} sums more than "
+            f"{arith.IMPH_BRUTEFORCE_BOUND} over its odd n"
+        )
     if (first := max(lo, arith.FACTORIZE_BOUND) | 1) <= hi:  # least odd n factorize refuses
         raise ValueError(f"factorize is capped below 2^63, got {first}")
+    if hi > arith.IMPH_SIEVE_BOUND and (odd := arith._odd_count(lo, hi)) > _POINT_RANGE_ODD_BOUND:
+        raise ValueError(
+            f"a range past the sieve cap ({arith.IMPH_SIEVE_BOUND}) is served n by n, "
+            f"so capped at {_POINT_RANGE_ODD_BOUND} odd n; {lo}..{hi} holds {odd}"
+        )
     source, value = _point_blocks, _t_all if method == "all" else getattr(counting, f"t_{method}")
     if method == "closed" and lo < hi <= arith.IMPH_SIEVE_BOUND:
         source, value = _sieve_blocks, meanvalue._t_closed_block

@@ -16,7 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import InvariantViolation, _factor_blocks, _FactorData, _primes_upto, _sieve_table
+from .arith import (
+    InvariantViolation,
+    _factor_blocks,
+    _FactorData,
+    _odd_offset,
+    _primes_upto,
+    _sieve_table,
+)
 
 __all__ = [
     "ConstantEstimate",
@@ -61,46 +68,37 @@ class ConstantEstimate:
 # --------------------------------------------------------------------------
 
 
-def _sum_imph(a: int, imph: np.ndarray) -> int:
-    """Sum of the imph values of a <= n < a + len(imph), which must vanish
-    on even n."""
-    if imph[a % 2 :: 2].any():  # pragma: no cover - imph vanishes on even n
-        raise InvariantViolation("even n contributed to the imph sum", routes=("imph-sieve",))
-    return int(imph.sum())
-
-
 def partial_sum_imph(x: int) -> int:
     """Exact sum of imph(n) for n <= x, added up block by block."""
     if x < 1:
         raise ValueError(f"bound must be positive, got {x}")
-    return sum(_sum_imph(a, f.imph) for a, f in _factor_blocks(0, x))
+    return sum(int(f.imph.sum()) for _, f in _factor_blocks(0, x))
 
 
 def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
-    """T(n) for a <= n < a + len(f.imph), built in f.imph's array.
+    """T(n) for the odd n = a + 2i of a block of the walk, built in f.imph's
+    array.
 
     Applies the scalar closed form 6 T(n) = imph(n) + 2 rho(n) + 3 to a whole
     block, with imph(n), omega(n) and the p = 5 (mod 6) flag from the factor
     sieve.  By the rule of ``arith.quad_root_count``, 2 rho(n) is 0 when
     9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when 3 | n otherwise,
-    and 2^(omega(n) + 1) in the remaining case.  Even n give 0.  f.imph is
-    overwritten; the int16 root-count array keeps the peak within the walk's
-    own figure.
+    and 2^(omega(n) + 1) in the remaining case.  f.imph is overwritten; the
+    int16 root-count array keeps the peak within the walk's own figure.
     """
     import numpy as np
 
     roots = np.left_shift(2, f.omega, dtype=np.int16)  # 2^(omega + 1)
-    roots[(-a) % 3 :: 3] >>= 1
-    roots[(-a) % 9 :: 9] = 0
+    roots[_odd_offset(a, 3) :: 3] >>= 1
+    roots[_odd_offset(a, 9) :: 9] = 0
     roots[f.bad5] = 0
     table = f.imph
     table += roots
-    del roots
     table += 3
-    if (table[1 - a % 2 :: 2] % 6).any():  # pragma: no cover
+    if np.remainder(table, 6, out=roots, casting="unsafe").any():  # pragma: no cover
         raise InvariantViolation("closed-form numerator not divisible by 6", routes=("closed",))
+    del roots
     table //= 6
-    table[a % 2 :: 2] = 0
     return table
 
 
@@ -204,15 +202,16 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
         return ConstantEstimate(1.0, d_bound, tail)
     terms = np.empty((d_bound - 1) // 2)  # d = 3, 5, ..., d_bound
     for a, f in _factor_blocks(3, d_bound, holding=terms.nbytes):
-        first = a | 1
-        omega, big_omega = f.omega[first - a :: 2], f.big_omega[first - a :: 2]
-        out = terms[(first - 3) // 2 :][: len(omega)]
-        out[:] = ((-2.0) ** np.arange(omega.max() + 1))[omega]
-        out[omega != big_omega] = 0.0
-        d = np.arange(first, first + 2 * len(out), 2, dtype=np.float64)
-        d *= d
+        out = terms[(a - 3) // 2 :][: len(f.omega)]
+        np.ldexp(1.0, f.omega, out=out)  # 2^omega, then the sign (-1)^omega
+        np.negative(out, out=out, where=(f.omega & 1).view(bool))
+        out[f.omega != f.big_omega] = 0.0
+        d = f.imph  # d = a, a + 2, ... in the block's own int64 array
+        d.fill(2)
+        d[0] = a
+        np.cumsum(d, out=d)
+        d *= d  # exact in int64 (d <= 10^8); the division rounds it to float64 once
         out /= d
-        del d  # before the next block is sieved
     return ConstantEstimate(1.0 + float(np.add.reduce(terms)), d_bound, tail)
 
 
@@ -256,7 +255,7 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
     prod, ft, ft_zeta = _prime_constants(prime_bound, 3)
     s_imph = s_t = 0
     for a, f in blocks:
-        s_imph += _sum_imph(a, f.imph)  # before _t_closed_block overwrites f.imph
+        s_imph += int(f.imph.sum())  # before _t_closed_block overwrites f.imph
         s_t += int(_t_closed_block(a, f).sum())
     ratio_imph = s_imph / (x * x)
     ratio_t = s_t / (x * x)
@@ -289,9 +288,12 @@ def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:
     """Sum of 2^Omega(n) for n <= x, with the ratio to x ln^2 x, at each bound.
 
     Grosswald's bound says the average order of 2^Omega(n) is O(x log^2 x),
-    which is what makes the 2^omega terms in T(n) negligible on average.  All
-    bounds share one walk of the sieve, added up block by block; reports come
-    in ascending order of x.
+    which is what makes the 2^omega terms in T(n) negligible on average.
+    Writing n = 2^k m with m odd gives sum_{n<=x} 2^Omega(n) =
+    sum_{k>=0} 2^k O(floor(x / 2^k)), where O(y) sums 2^Omega(m) over the odd
+    m <= y.  One walk of the sieve over the odd n, added up block by block,
+    records O at every cut floor(x / 2^k) of every bound; reports come in
+    ascending order of x.
     """
     import numpy as np
 
@@ -301,15 +303,19 @@ def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:
         if x < 1:
             raise ValueError(f"bound must be positive, got {x}")
     xs = sorted(bounds)
-    out: list[GrosswaldReport] = []
-    done = 0  # the sum up to the block's start
+    cuts = np.unique([x >> k for x in xs for k in range(x.bit_length())])
+    odd_sums = np.empty_like(cuts)  # O at each cut
+    done = 0  # the sum over the odd m below the block's start
     for a, f in _factor_blocks(1, xs[-1]):
         cumulative = np.left_shift(1, f.big_omega, out=f.imph, dtype=np.int64)
         np.cumsum(cumulative, out=cumulative)
-        while len(out) < len(xs) and xs[len(out)] < a + len(cumulative):
-            x = xs[len(out)]
-            total = done + int(cumulative[x - a])
-            denom = x * math.log(x) ** 2 if x > 1 else 1.0
-            out.append(GrosswaldReport(x, total, total / denom))
+        i, j = np.searchsorted(cuts, [a, a + 2 * len(cumulative)])
+        odd_sums[i:j] = cumulative[(cuts[i:j] - a) // 2] + done
         done += int(cumulative[-1])
+    out = []
+    for x in xs:
+        at = np.searchsorted(cuts, [x >> k for k in range(x.bit_length())])
+        total = sum(int(o) << k for k, o in enumerate(odd_sums[at]))
+        denom = x * math.log(x) ** 2 if x > 1 else 1.0
+        out.append(GrosswaldReport(x, total, total / denom))
     return out

@@ -338,10 +338,18 @@ FACTOR_SIEVE_X = 10**5
 
 
 def _walk_table(x):
-    """The factor data of 0 <= n <= x as whole arrays, copied from the blocks
-    of one walk."""
-    parts = [[arr.copy() for arr in block] for _, block in arith._factor_blocks(0, x)]
-    return arith._FactorData(*map(np.concatenate, zip(*parts)))
+    """The factor data of the odd n <= x at index n of whole arrays, copied
+    from the blocks of one walk; even entries stay 0."""
+    table = arith._FactorData(*(np.zeros(x + 1, arr.dtype) for arr in arith._empty_factor_data(0)))
+    for a, block in arith._factor_blocks(0, x):
+        for arr, got in zip(table, block):
+            arr[a : a + 2 * len(got) : 2] = got
+    return table
+
+
+def _odd_upto(n):
+    """The greatest odd number <= n."""
+    return n - 1 + n % 2
 
 
 @cache
@@ -370,7 +378,7 @@ def _assert_factor_data(data, n):
 class TestFactorSieve:
     # factorize reaches the same fields by trial division and rho, not by sieving
     @settings(max_examples=500, deadline=None)
-    @given(st.integers(min_value=1, max_value=FACTOR_SIEVE_X))
+    @given(st.integers(min_value=1, max_value=FACTOR_SIEVE_X).map(_odd_upto))
     def test_fields_match_factorize(self, n):
         _assert_factor_data(_factor_table(), n)
 
@@ -378,13 +386,14 @@ class TestFactorSieve:
     @given(st.integers(min_value=1, max_value=400))
     @example(3)
     def test_every_entry_small_bounds(self, x):
-        # small x leave cofactors like 2 and 3 unsieved, since no prime is <= sqrt(x)
+        # small x leave cofactors like 3 and 5 unsieved, since no odd prime is <= sqrt(x)
         data = _walk_table(x)
-        for n in range(1, x + 1):
+        for n in range(1, x + 1, 2):
             _assert_factor_data(data, n)
 
 
 BLOCK = arith._SIEVE_BLOCK
+SPAN = 2 * BLOCK  # the numbers one block of odd n covers
 
 
 @cache
@@ -397,16 +406,16 @@ class TestFactorSieveBlocks:
     the draws above (n <= 10^5, all in the first block) never reach."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]), st.data())
+    @given(st.sampled_from([SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 3]), st.data())
     def test_fields_match_factorize(self, x, data):
-        windows = [st.integers(BLOCK - 500, x)]
-        if x >= 2 * BLOCK - 50:
-            windows.append(st.integers(2 * BLOCK - 50, x))
-        _assert_factor_data(_boundary_table(x), data.draw(st.one_of(windows)))
+        windows = [st.integers(SPAN - 1000, x)]
+        if x >= 2 * SPAN - 100:
+            windows.append(st.integers(2 * SPAN - 100, x))
+        _assert_factor_data(_boundary_table(x), _odd_upto(data.draw(st.one_of(windows))))
 
     @pytest.mark.parametrize("length", [4099, 65537, 1 << 20])
     def test_any_block_length_gives_the_same_table(self, monkeypatch, length):
-        x = 2 * BLOCK + 3
+        x = 2 * SPAN + 3
         want = _boundary_table(x)
         monkeypatch.setattr(arith, "_SIEVE_BLOCK", length)
         for got, ref in zip(_walk_table(x), want):
@@ -414,31 +423,35 @@ class TestFactorSieveBlocks:
             assert np.array_equal(got, ref)
 
     def test_prime_powers_starting_inside_a_block(self):
-        # the first multiples of 521^2 and 67^3 in [BLOCK, 2 BLOCK) lie past
+        # the first multiples of 521^2 and 67^3 in [BLOCK, SPAN) lie past
         # the block's start, which is a multiple of neither
         pinned = {521**2: (521 * 519, 1, 2, True), 67**3: (67**2 * 65, 1, 3, False)}
-        table = _boundary_table(2 * BLOCK + 3)
+        table = _boundary_table(2 * SPAN + 3)
         [(a, block)] = arith._factor_blocks(BLOCK + 7, BLOCK + 40_000)
         for n, fields in pinned.items():
-            assert a < n < 2 * BLOCK
+            assert a < n < SPAN
             assert tuple(arr[n] for arr in table) == fields
-            assert tuple(arr[n - a] for arr in block) == fields
+            assert tuple(arr[(n - a) // 2] for arr in block) == fields
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, BLOCK - 40), st.integers(0, 40), st.booleans())
+    @given(st.integers(1, SPAN - 40), st.integers(0, 40), st.booleans())
     def test_block_walk_matches_table(self, lo, extra, long):
         # a long window spans two blocks of the walk; a short one starts
         # before the table's first boundary and ends past it
-        hi = lo + BLOCK + extra if long else BLOCK + extra
-        table = _boundary_table(2 * BLOCK + 3)
-        n = lo
+        hi = lo + SPAN + extra if long else SPAN + extra
+        table = _boundary_table(2 * SPAN + 3)
+        n = lo | 1
         for a, block in arith._factor_blocks(lo, hi):
             assert a == n
             for got, want in zip(block, table):
                 assert got.dtype == want.dtype
-                assert np.array_equal(got, want[a : a + len(got)])
-            n += len(block.imph)
-        assert n == hi + 1
+                assert np.array_equal(got, want[a : a + 2 * len(got) : 2])
+            n += 2 * len(block.imph)
+        assert n in (hi + 1, hi + 2)
+
+    def test_no_odd_n_no_block(self):
+        assert list(arith._factor_blocks(4, 4)) == []
+        assert [a for a, _ in arith._factor_blocks(4, 5)] == [5]
 
 
 class TestIpMembers:

@@ -136,14 +136,14 @@ class TestImphCommand:
         assert rec["provenance"] == "closed-form"
 
 
-BLOCK = arith._SIEVE_BLOCK
+SPAN = 2 * arith._SIEVE_BLOCK  # the numbers one block of odd n covers
 
 
 class TestImphStreaming:
     """Range output of ``imph A..B``, walked block by block, against lines
     built here from one whole table."""
 
-    @pytest.mark.parametrize("lo,hi", [(7, BLOCK + 107), (BLOCK - 30, BLOCK + 30)])
+    @pytest.mark.parametrize("lo,hi", [(7, SPAN + 107), (SPAN - 30, SPAN + 30)])
     def test_text_and_bfile_match_table(self, capsys, lo, hi):
         table = arith.imph_sieve(hi).tolist()
         assert cli.main(["imph", f"{lo}..{hi}", "--bfile"]) == 0
@@ -154,7 +154,7 @@ class TestImphStreaming:
         )
 
     def test_json_matches_table(self, capsys):
-        lo, hi = 3, BLOCK + 40
+        lo, hi = 3, SPAN + 40
         table = arith.imph_sieve(hi).tolist()
         assert cli.main(["imph", f"{lo}..{hi}", "--json"]) == 0
         rec = json.loads(capsys.readouterr().out)
@@ -276,6 +276,46 @@ class TestTcountCommand:
         lines = [f"{n} {t_closed(n)}\n" for n in range(big - 3, big + 1)]
         assert capsys.readouterr().out == "".join(lines)
 
+    @pytest.mark.parametrize("method", ["burnside", "geometric", "all"])
+    def test_work_guard_before_any_work(self, monkeypatch, capsys, method):
+        # each odd n costs about imph(n) on these routes, so a range whose odd
+        # n sum past 10^7 is refused before its first n: 1..6325 sums to
+        # 3163^2 = 10,004,569, 1..6324 to 3162^2 = 9,998,244
+        def forbidden(n, *args, **kwargs):
+            raise RuntimeError(f"route called at n={n}")
+
+        with monkeypatch.context() as m:
+            for name in ("t_burnside", "t_geometric", "t_report"):
+                m.setattr(counting, name, forbidden)
+            for spec in ("1..6325", "99001..99300", "2..100000"):
+                assert cli.main(["tcount", spec, "--method", method]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err == (
+                    f"error: --method {method} on {spec} sums more than 10000000 over its odd n\n"
+                )
+        served = []
+        monkeypatch.setattr(counting, "t_burnside", lambda n: served.append(n) or 0)
+        assert cli.main(["tcount", "1..6324", "--method", "burnside", "--bfile"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6324 and len(served) == 6324
+
+    def test_far_range_length_cap_before_any_work(self, monkeypatch, capsys):
+        # a closed range past the sieve cap factorizes n by n: more than 10^5
+        # odd n are refused before the first, 10^5 of them are served
+        calls = []
+        monkeypatch.setattr(counting, "t_closed", lambda n: calls.append(n) or 0)
+        lo = 10**12
+        for hi, held in ((lo + 2 * 10**5 + 1, 10**5 + 1), (10**15, (10**15 - lo) // 2)):
+            assert cli.main(["tcount", f"{lo}..{hi}", "--json"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and calls == []
+            assert err == (
+                f"error: a range past the sieve cap (100000000) is served n by n, "
+                f"so capped at 100000 odd n; {lo}..{hi} holds {held}\n"
+            )
+        assert cli.main(["tcount", f"{lo}..{lo + 2 * 10**5 - 1}", "--bfile"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 * 10**5
+        assert len(calls) == 2 * 10**5
+
     def test_geometric_cap_is_one_error_line(self, monkeypatch, capsys):
         # the geometric route shares the Burnside cap and its rule: a range
         # holding an odd n past it is refused before its first n
@@ -293,12 +333,15 @@ class TestTcountCommand:
 
 
 def _walk_need(runs):
-    """Bytes the factor sieve walks over ``runs`` hold together: a block and
-    the primes up to the square root of its end, for each."""
+    """Bytes the factor sieve walks over ``runs`` hold together: a block of
+    odd n (16 B each, and the cast buffer's excess over a short block's
+    mask) and the primes up to the square root of its end, for each."""
+    blocks = [min((b + 1) // 2 - a // 2, arith._SIEVE_BLOCK) for a, b in runs]
     return sum(
-        arith._FACTOR_SIEVE_BYTES_PER_N * min(b - a + 1, arith._SIEVE_BLOCK)
+        arith._FACTOR_SIEVE_BYTES_PER_N * n
+        + max(0, arith._CAST_BUFFER_BYTES - n)
         + arith._walk_primes_bytes(math.isqrt(b))
-        for a, b in runs
+        for n, (_, b) in zip(blocks, runs)
     )
 
 
@@ -376,7 +419,7 @@ class TestRangeWriter:
         monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
         assert cli.main([command, f"{lo}..{hi}", "--json"]) == 0
         assert capsys.readouterr().out == _expected(command, "closed", lo, hi, "json")
-        assert sieved == [a for a, _ in runs]
+        assert sieved == [a | 1 for a, _ in runs]  # each walk's first odd n
 
     def test_lines_within_budget(self, monkeypatch, capsys):
         # a closed tcount range is one walk, charged before its first n; one
@@ -448,6 +491,38 @@ class TestRangeWriter:
                 with contextlib.redirect_stdout(out):
                     assert cli.main(argv + flags) == 0
                 assert out.getvalue() == _expected(command, method, lo, hi, mode), mode
+
+    @pytest.mark.parametrize("command", ["imph", "tcount"])
+    @pytest.mark.parametrize("lo,hi", [(2, 130), (128, 258), (127, 256), (98, 100), (256, 384)])
+    def test_even_ends_across_block_edges(self, command, lo, hi):
+        # blocks of 64 odd n cover 128 numbers, so 129 and 257 start blocks:
+        # a range starting on an even n holds it before the walk's first odd
+        # n, and one ending on an even n holds it after the walk's last
+        argv = [command, f"{lo}..{hi}"]
+        with mock.patch.object(arith, "_SIEVE_BLOCK", 64), \
+                mock.patch.object(cli, "_LINES_PER_WRITE", 7):
+            for mode, flags in (("text", []), ("bfile", ["--bfile"]), ("json", ["--json"])):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(argv + flags) == 0
+                assert out.getvalue() == _expected(command, "closed", lo, hi, mode), mode
+
+    @pytest.mark.parametrize("argv", [
+        ["imph", "1..1000000", "--bfile"],
+        ["meanvalue", "--x", "1000000", "--primes", "1000"],
+    ])
+    def test_spot_check_catches_a_wrong_slice_start(self, monkeypatch, capsys, argv):
+        # the slice start of every n, not of the odd n, corrupts every block;
+        # the walk's spot check stops the first before any line is written
+        monkeypatch.setattr(arith, "_odd_offset", lambda a, m: (-a) % m)
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "invariant" and record["routes"] == ["sieve", "factorize"]
+        n = record["n"]
+        assert n % 2 == 1 and 1 <= n < 2 * arith._SIEVE_BLOCK
+        assert f"factorize gives {arith.imph(n)}" in record["message"]
 
     def test_far_closed_range(self, capsys):
         # past the sieve cap, a closed range is served by the point route

@@ -1,8 +1,12 @@
 import math
 import tracemalloc
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cleantri import arith, counting, meanvalue
 from cleantri.meanvalue import (
@@ -17,6 +21,15 @@ from cleantri.meanvalue import (
     partial_sum_imph,
     t_closed_sieve,
 )
+
+
+@cache
+def _two_pow_big_omega_sums():
+    """totals[x] = sum of 2^Omega(n) over n <= x, for x <= 2000, from factorize."""
+    totals = [0]
+    for n in range(1, 2001):
+        totals.append(totals[-1] + 2 ** arith.factorize(n).big_omega)
+    return totals
 
 
 class TestPartialSums:
@@ -168,6 +181,29 @@ class TestGrosswald:
             assert single.total == r.total
             assert single.ratio_to_xlog2x == pytest.approx(r.ratio_to_xlog2x)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 2000),
+                st.tuples(st.integers(1, 10), st.sampled_from([-1, 1])).map(
+                    lambda kd: 2 ** kd[0] + kd[1]
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([5, 64, arith._SIEVE_BLOCK]),
+    )
+    def test_grosswald_matches_factorize(self, bounds, block):
+        # the odd-n walk's cuts floor(x / 2^k), in blocks of any length,
+        # against 2^Omega(n) summed over every n from its factorization
+        totals = _two_pow_big_omega_sums()
+        with mock.patch.object(arith, "_SIEVE_BLOCK", block):
+            reports = grosswald_ratios(bounds)
+        assert [r.x for r in reports] == sorted(bounds)
+        assert [r.total for r in reports] == [totals[x] for x in sorted(bounds)]
+
     @pytest.mark.parametrize("bounds", [[0, 100], [-5, 10], [0]])
     def test_rejects_bounds_below_one(self, bounds):
         with pytest.raises(ValueError, match="positive"):
@@ -175,9 +211,9 @@ class TestGrosswald:
 
 
 class TestBlockWalk:
-    """Every table and sum read block by block equals its one-block value; an
-    odd block length of 1001 (prime to 2, 3 and 9) makes every residue class
-    a block can start in, mod 2, 3 and 9, occur."""
+    """Every table and sum read block by block equals its one-block value; a
+    block length of 1001 odd n, 2002 numbers (prime to 3 and 9), moves the
+    start of each block, always odd, to another residue class mod 3 and 9."""
 
     X = 5000
 
@@ -193,7 +229,7 @@ class TestBlockWalk:
             arith.imph_sieve,
             partial_sum_imph,
             moebius_sum_odd,
-            lambda x: grosswald_ratios([1, 1000, 1001, 1002, 2 * 1001 + 1, x]),
+            lambda x: grosswald_ratios([1, 1000, 1001, 1002, 2 * 1001, 2 * 1001 + 1, x]),
             lambda x: mean_value_report(x, prime_bound=1000),
         ],
         ids=["imph_sieve", "partial_sum_imph", "moebius_sum_odd", "grosswald_ratios",
@@ -223,10 +259,11 @@ def _charged_need(name, x):
     """The bytes the walk of a sieve user is checked against the budget for:
     what the caller holds, one block and the primes up to sqrt(x)."""
     _, lo, holding = SIEVE_USERS[name]
-    block = min(x - lo + 1, arith._SIEVE_BLOCK)
+    block = min((x + 1) // 2 - lo // 2, arith._SIEVE_BLOCK)  # 16 B for each odd n
     return (
         holding(x)
         + arith._FACTOR_SIEVE_BYTES_PER_N * block
+        + max(0, arith._CAST_BUFFER_BYTES - block)
         + arith._walk_primes_bytes(math.isqrt(x))
     )
 
@@ -280,7 +317,7 @@ class TestSieveMemoryBudget:
         ids=["partial_sum_imph", "partial_sum_T", "grosswald_ratios", "mean_value_report"],
     )
     def test_sums_hold_one_block(self, fn):
-        # four blocks are added up in the memory of one, plus the primes
-        x = 4 * arith._SIEVE_BLOCK
+        # four blocks of odd n are added up in the memory of one, plus the primes
+        x = 8 * arith._SIEVE_BLOCK
         block = arith._FACTOR_SIEVE_BYTES_PER_N * arith._SIEVE_BLOCK
         assert _traced_peak(fn, x) <= block + arith._walk_primes_bytes(math.isqrt(x)) + OBJECT_SLACK
