@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
@@ -115,18 +115,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _eratosthenes(limit: int) -> np.ndarray:
-    """The primes p <= limit, ascending, as an int64 array; no budget check."""
-    import numpy as np
+def _prime_mask(limit: int) -> bytearray:
+    """A bytearray of limit + 1 entries (none for limit < 0) in which entry n
+    is 1 exactly when n is prime, by Eratosthenes on the odd n alone: each odd
+    prime p <= sqrt(limit) strikes p^2, p^2 + 2p, ...
 
+    The package's one prime sieve; it imports no numpy and reads no budget.
+    At limit 10^4 it takes well under a millisecond.
+    """
     if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
+        return bytearray(max(limit + 1, 0))
+    mask = bytearray([0, 1]) * (limit // 2 + 1)  # 1 at every odd n
+    del mask[limit + 1 :]  # in place: a trimmed copy would double the peak
+    mask[1:3] = b"\0\1"
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64, copy=False)
+            mask[p * p :: 2 * p] = bytes(len(range(p * p, limit + 1, 2 * p)))
+    return mask
+
+
+# The odd primes <= sqrt(IMPH_SIEVE_BOUND), which every walk of the factor
+# sieve reads, and the primes below _TRIAL_LIMIT, which factorize divides by.
+# Both are read off one mask at import, without numpy and without reading the
+# budget, so a malformed CLEANTRI_SIEVE_MEMORY fails only the sieves.
+_SIEVE_PRIMES = tuple(compress(count(), _prime_mask(math.isqrt(IMPH_SIEVE_BOUND))))[1:]
+_TRIAL_PRIMES = (2, *(p for p in _SIEVE_PRIMES if p < _TRIAL_LIMIT))
 
 
 def _prime_count_bound(limit: int) -> int:
@@ -136,50 +149,25 @@ def _prime_count_bound(limit: int) -> int:
 
 
 def _primes_upto_bytes(limit: int) -> int:
-    """Bytes _primes_upto(limit) holds at its peak, for limit >= 2: the bool
-    mask and the int64 index array of the primes."""
+    """Bytes _primes_upto(limit) holds at its peak, for limit >= 2: the mask
+    and the int64 index array of the primes."""
     return limit + 1 + 8 * _prime_count_bound(limit)
 
 
-def _walk_primes_bytes(root: int) -> int:
-    """Bytes the factor sieve walk holds for the primes <= root at its peak:
-    the int64 array of _primes_upto and the list read from it, both alive
-    while the list is built, at 8 bytes a prime for the array, 8 for a list
-    slot and 28 for an int object, and 56 for the list itself.  That exceeds
-    the prime sieve's own peak, the mask and the array, for every root >= 2."""
-    return 56 + 44 * _prime_count_bound(root) if root >= 2 else 0
-
-
 def _primes_upto(limit: int) -> np.ndarray:
-    """The primes p <= limit, ascending, as an int64 array (Eratosthenes).
+    """The primes p <= limit, ascending, as an int64 array read off
+    ``_prime_mask``; mask and index array must fit the budget.
 
-    The package's one prime source; mask and index array must fit the budget.
     The mask alone holds limit + 1 bytes, so a limit at the budget is refused
     before its byte count, which a float cannot hold past about 10^308.
     """
+    import numpy as np
+
     if limit >= 2:
         budget = sieve_memory_budget()
         if limit >= budget or _primes_upto_bytes(limit) > budget:
             raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
-    return _eratosthenes(limit)
-
-
-def _small_primes(limit: int) -> tuple[int, ...]:
-    """The primes p < limit, ascending, by a bytearray sieve: no numpy and no
-    budget check.  At limit 1000 it takes about 45 us on a 2-core VM, where
-    trial division by every d <= sqrt(n) took 1.3 ms."""
-    mask = bytearray([1]) * limit
-    mask[:2] = bytes(2)
-    for p in range(2, math.isqrt(limit - 1) + 1):
-        if mask[p]:
-            mask[p * p :: p] = bytes(len(range(p * p, limit, p)))
-    return tuple(compress(range(limit), mask))
-
-
-# Built without numpy, so that importing the package does not load it, and
-# without reading the budget, so a malformed CLEANTRI_SIEVE_MEMORY fails only
-# the sieves, never factorize.
-_TRIAL_PRIMES = _small_primes(_TRIAL_LIMIT)
+    return np.flatnonzero(np.frombuffer(_prime_mask(limit), bool))
 
 
 def _brent_rho(n: int) -> int:
@@ -452,6 +440,11 @@ _FACTOR_SIEVE_BYTES_PER_N = 16
 # is freed; a block of fewer entries holds the difference besides its 16 B.
 _CAST_BUFFER_BYTES = 8 * 8192
 
+# Bytes a walk holds besides its block, whatever its range: the headers of the
+# block's arrays and views, the generator's frame and the spot checks' ints;
+# 2.4 to 4.2 KB in the traced peaks of the sums and tables at x <= 2^21.
+_WALK_OBJECT_BYTES = 6 * 1024
+
 # Entries (odd n) per block of the factor sieve walk, so a block covers twice
 # as many numbers.  Smaller blocks pay more per-slice call overhead; larger
 # ones hold more, in every walk (a --json range holds up to nine).  Walking
@@ -471,7 +464,7 @@ def _odd_offset(a: int, m: int) -> int:
     return (-a) % m * ((m + 1) // 2) % m
 
 
-def _sieve_block(a: int, primes: list[int], f: _FactorData) -> None:
+def _sieve_block(a: int, primes: tuple[int, ...], f: _FactorData) -> None:
     """Fill the views in ``f`` with the factor data of the odd n = a + 2i,
     0 <= i < len, for odd a; ``primes`` holds, ascending, at least the odd
     primes <= sqrt(a + 2 len - 2), and not 2.
@@ -539,12 +532,12 @@ def _odd_count(lo: int, hi: int) -> int:
 
 def _walk_bytes(lo: int, hi: int) -> int:
     """Bytes the factor sieve walk over lo..hi holds at its peak: one block
-    and the primes <= sqrt(hi); refused first for hi past the sieve cap."""
+    and ``_WALK_OBJECT_BYTES``; refused first for hi past the sieve cap."""
     if hi > IMPH_SIEVE_BOUND:
         raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
     length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
     block = _FACTOR_SIEVE_BYTES_PER_N * length + max(0, _CAST_BUFFER_BYTES - length)
-    return block + _walk_primes_bytes(math.isqrt(hi))
+    return block + _WALK_OBJECT_BYTES
 
 
 def _spot_check(a: int, sieved: np.ndarray) -> None:
@@ -569,8 +562,9 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
     The package's one factor sieve walk.  One block's arrays are reused for
     the next, so read each block before asking for the next; a caller may
     overwrite them.  The walk holds one block (``_FACTOR_SIEVE_BYTES_PER_N``
-    bytes an entry at its peak) and the primes <= sqrt(hi), whatever the
-    range's length.  Those and the ``holding`` bytes the caller keeps beside
+    bytes an entry at its peak) and ``_WALK_OBJECT_BYTES``, whatever the
+    range's length; it reads the primes from ``_SIEVE_PRIMES``, built once
+    at import.  Those bytes and the ``holding`` bytes the caller keeps beside
     the walk are checked against the cap and the memory budget when this is
     called, before anything is allocated.
     """
@@ -586,11 +580,10 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
     def walk() -> Iterator[tuple[int, _FactorData]]:
         if not length:
             return
-        primes = _primes_upto(math.isqrt(hi))[1:].tolist()  # p = 2 divides no odd n
         block = _empty_factor_data(length)
         for a in range(lo | 1, hi + 1, 2 * length):
             view = _FactorData(*(arr[: (hi - a) // 2 + 1] for arr in block))
-            _sieve_block(a, primes, view)
+            _sieve_block(a, _SIEVE_PRIMES, view)
             _spot_check(a, view.imph)
             yield a, view
 

@@ -159,7 +159,7 @@ def cmd_imph(args, parser) -> int:
 
 def _t_all(n: int) -> dict[str, int]:
     """T(n) by all three routes, cross-checked by ``counting.t_report``."""
-    r = counting.t_report(n, with_geometric=True)
+    r = counting.t_report(n)
     return {"closed": r.t_closed, "burnside": r.t_burnside, "geometric": r.t_geometric}
 
 

@@ -26,7 +26,7 @@ from .arith import (
     six_map_table,
     six_maps,
 )
-from .lattice import clean_keys
+from .lattice import _orbit_min, clean_keys
 
 __all__ = [
     "OrbitDecomposition",
@@ -160,10 +160,11 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
 
 
 def canonical_m(m: int, n: int) -> int:
-    """Orbit representative: the least of g1(m)..g6(m); for n >= 3 it is the
-    m of ``lattice.clean_key`` of (0,0), (1,0), (m,n)."""
+    """Orbit representative: the least of g1(m)..g6(m), by ``lattice._orbit_min``
+    and its cache; for n >= 3 it is the m of ``lattice.clean_key`` of (0,0),
+    (1,0), (m,n)."""
     _check_member(m, n)
-    return min(six_maps(m, n))
+    return _orbit_min(m, n)
 
 
 def t_geometric(n: int) -> int:
@@ -187,13 +188,13 @@ class TCountReport:
     n: int
     t_closed: int
     t_burnside: int
-    t_geometric: int | None
+    t_geometric: int
     fix_counts: tuple[int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
         for agree, routes in (
             (self.t_closed == self.t_burnside, ("closed", "burnside")),
-            (self.t_geometric in (None, self.t_closed), ("closed", "geometric")),
+            (self.t_closed == self.t_geometric, ("closed", "geometric")),
             (6 * self.t_burnside == sum(self.fix_counts), ("burnside", "fix-counts")),
         ):
             if not agree:
@@ -201,12 +202,12 @@ class TCountReport:
                 raise InvariantViolation(msg, self.n, routes)
 
 
-def t_report(n: int, with_geometric: bool = False) -> TCountReport:
-    """T(n) by the closed form, the Burnside average and, with ``with_geometric``,
-    the geometric classes, cross-checked by ``TCountReport``.  ``t_burnside``
-    checks n, and its cap, first, before any table is built."""
+def t_report(n: int) -> TCountReport:
+    """T(n) by the closed form, the Burnside average and the geometric
+    classes, cross-checked by ``TCountReport``.  ``t_burnside`` checks n, and
+    its cap, which the geometric route shares, first, before any table is
+    built."""
     burnside = t_burnside(n)
     if n % 2 == 0:
-        return TCountReport(n, 0, 0, 0 if with_geometric else None, (0,) * 6)
-    geo = t_geometric(n) if with_geometric else None
-    return TCountReport(n, t_closed(n), burnside, geo, _fix_counts_vectorized(n))
+        return TCountReport(n, 0, 0, 0, (0,) * 6)
+    return TCountReport(n, t_closed(n), burnside, t_geometric(n), _fix_counts_vectorized(n))

@@ -190,7 +190,9 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
     For squarefree d (omega(d) = Omega(d)) the summand's numerator is
     (-2)^omega(d); non-squarefree d contribute nothing.  Converges to the odd
     Euler product.  The odd terms fill one float64 array, block by block of
-    the sieve walk, and are added up by one ``np.add.reduce``.  Tail bracket:
+    the sieve walk, and are added up by one ``np.add.reduce``; the array is
+    charged to the walk, whose cap and budget are checked before it is
+    allocated.  Tail bracket:
     |tail| <= sum_{d > D} tau(d)/d^2 <= (ln D + 1 + pi^2/6)/D.
     """
     import numpy as np
@@ -200,8 +202,10 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
     tail = (math.log(d_bound) + 1.0 + math.pi**2 / 6.0) / d_bound
     if d_bound < 3:
         return ConstantEstimate(1.0, d_bound, tail)
-    terms = np.empty((d_bound - 1) // 2)  # d = 3, 5, ..., d_bound
-    for a, f in _factor_blocks(3, d_bound, holding=terms.nbytes):
+    count = (d_bound - 1) // 2  # d = 3, 5, ..., d_bound
+    blocks = _factor_blocks(3, d_bound, holding=8 * count)  # checked before terms exist
+    terms = np.empty(count)
+    for a, f in blocks:
         out = terms[(a - 3) // 2 :][: len(f.omega)]
         np.ldexp(1.0, f.omega, out=out)  # 2^omega, then the sign (-1)^omega
         np.negative(out, out=out, where=(f.omega & 1).view(bool))

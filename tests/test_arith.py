@@ -310,6 +310,35 @@ class TestImphSieve:
             imph_sieve(10)
 
 
+@cache
+def _primality_upto_3000():
+    """Entry n is 1 when n is prime, for n <= 3000, by the trial-division oracle."""
+    return [int(_trial_division(n) == ((n, 1),)) for n in range(3001)]
+
+
+class TestPrimeMask:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3000))
+    @example(0)
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(9)
+    @example(3000)
+    def test_matches_trial_division(self, limit):
+        mask = arith._prime_mask(limit)
+        assert type(mask) is bytearray
+        assert list(mask) == _primality_upto_3000()[: limit + 1]
+
+    def test_trial_primes(self):
+        # factorize divides by exactly the primes below 1000, which begin the
+        # walk's 1,228 odd primes up to 10^4
+        primes = [n for n, bit in enumerate(_primality_upto_3000()) if bit and n < 1000]
+        assert list(arith._TRIAL_PRIMES) == primes
+        assert len(primes) == 168 and primes[-1] == 997
+        assert len(arith._SIEVE_PRIMES) == 1228 and list(arith._SIEVE_PRIMES[:167]) == primes[1:]
+
+
 class TestPrimesUpto:
     LIMIT = 10**6
     PRIME_COUNT = 78498

@@ -3,7 +3,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import math
 import os
 import pathlib
 import re
@@ -335,13 +334,13 @@ class TestTcountCommand:
 def _walk_need(runs):
     """Bytes the factor sieve walks over ``runs`` hold together: a block of
     odd n (16 B each, and the cast buffer's excess over a short block's
-    mask) and the primes up to the square root of its end, for each."""
+    mask) and the fixed per-walk objects, for each."""
     blocks = [min((b + 1) // 2 - a // 2, arith._SIEVE_BLOCK) for a, b in runs]
     return sum(
         arith._FACTOR_SIEVE_BYTES_PER_N * n
         + max(0, arith._CAST_BUFFER_BYTES - n)
-        + arith._walk_primes_bytes(math.isqrt(b))
-        for n, (_, b) in zip(blocks, runs)
+        + arith._WALK_OBJECT_BYTES
+        for n in blocks
     )
 
 
@@ -393,7 +392,7 @@ class TestRangeWriter:
     @pytest.mark.parametrize("command", ["imph", "tcount"])
     def test_json_walks_within_budget(self, monkeypatch, capsys, command):
         # --json merges one walk per digit count, and each is charged the
-        # others' blocks and primes before any is sieved, so one byte short
+        # others' blocks and objects before any is sieved, so one byte short
         # of their sum is refused before the first write, and the sum serves
         lo, hi = 5, 1004
         runs = [(5, 9), (10, 99), (100, 999), (1000, 1004)]
@@ -426,11 +425,11 @@ class TestRangeWriter:
         # n reads no budget, so a malformed one spares it
         lo, hi = 5, 1004
         need = _walk_need([(lo, hi)])
-        def forbidden(limit):
-            raise RuntimeError(f"primes sieved to {limit}")
+        def forbidden(a, *args):
+            raise RuntimeError(f"block sieved at {a}")
 
         with monkeypatch.context() as m:
-            m.setattr(arith, "_primes_upto", forbidden)
+            m.setattr(arith, "_sieve_block", forbidden)
             m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
             assert cli.main(["tcount", f"{lo}..{hi}", "--bfile"]) == 2
             out, err = capsys.readouterr()
@@ -616,8 +615,8 @@ class TestMeanvalueBounds:
 
     @pytest.mark.parametrize("x", [70_000_000, 10**8 + 1])
     def test_rejects_before_any_work(self, monkeypatch, capsys, x):
-        # under a 4 MB budget, one block of 2^18 entries does not fit beside
-        # the primes up to sqrt(70,000,000); 10^8 + 1 exceeds the sieve cap
+        # under a 4 MB budget, one block of 2^18 entries (4.19 MB) does not
+        # fit; 10^8 + 1 exceeds the sieve cap
         monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(4 * 10**6))
         calls = []
         monkeypatch.setattr(meanvalue, "_primes_upto", lambda *a: calls.append(a))
@@ -643,7 +642,7 @@ class TestMeanvalueBounds:
         def forbidden(*args):
             raise RuntimeError("sieve run")
 
-        monkeypatch.setattr(arith, "_eratosthenes", forbidden)
+        monkeypatch.setattr(arith, "_prime_mask", forbidden)
         monkeypatch.setattr(arith, "_sieve_block", forbidden)
         assert cli.main(["meanvalue", "--x", "10", "--primes", str(10**400)]) == 2
         out, err = capsys.readouterr()
@@ -799,6 +798,46 @@ def test_one_sieve_walk():
                     calls.append(f"{path.name}:{getattr(top, 'name', None)}")
     assert calls == ["arith.py:_factor_blocks"]
     assert named == []
+
+
+def test_one_prime_sieve():
+    """``arith._prime_mask`` is the one prime sieve: no other function strikes
+    an Eratosthenes ``p * p`` slice, only ``_primes_upto`` and the module's
+    prime tuple call it, and the sieves it replaced are not named."""
+    src = pathlib.Path(cli.__file__).parent
+    slices, calls, named = [], [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        named += re.findall(r"\b(?:_eratosthenes|_small_primes)\b", text)
+        for top in ast.parse(text, str(path)).body:
+            targets = getattr(top, "targets", None)
+            where = ast.unparse(targets[0]) if targets else getattr(top, "name", None)
+            for node in ast.walk(top):
+                low = getattr(node, "lower", None)
+                if isinstance(node, ast.Slice) and isinstance(low, ast.BinOp) and (
+                    isinstance(low.op, ast.Mult) and ast.dump(low.left) == ast.dump(low.right)
+                ):
+                    slices.append(f"{path.name}:{where}")
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and "_prime_mask" in (
+                    getattr(func, "id", None), getattr(func, "attr", None)
+                ):
+                    calls.append(f"{path.name}:{where}")
+    assert slices == ["arith.py:_prime_mask"]
+    assert calls == ["arith.py:_SIEVE_PRIMES", "arith.py:_primes_upto"]
+    assert named == []
+
+
+def test_json_range_sieves_no_primes(monkeypatch, capsys):
+    """A ``--json`` range of six walks reads the primes built at import and
+    calls the prime source ``_primes_upto`` not once."""
+    expected = arith.imph_sieve(120000)
+    calls = []
+    monkeypatch.setattr(arith, "_primes_upto", lambda *a: calls.append(a))
+    assert cli.main(["imph", "8..120000", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert calls == []
+    assert results == {str(n): int(expected[n]) for n in range(8, 120001)}
 
 
 def test_one_range_writer():

@@ -117,15 +117,15 @@ class TestTCounts:
             assert (im + fix_count_closed(2, n) + 2 * fix_count_closed(4, n) + 2) % 6 == 0
 
     def test_report(self):
-        rep = t_report(21, with_geometric=True)
+        rep = t_report(21)
         assert rep.t_closed == rep.t_burnside == rep.t_geometric == 2
         assert sum(rep.fix_counts) == 12
 
     def test_report_validation(self):
         for args, routes in [
-            ((7, 2, 3, None, (5, 1, 1, 2, 2, 1)), ("closed", "burnside")),
+            ((7, 2, 3, 2, (5, 1, 1, 2, 2, 1)), ("closed", "burnside")),
             ((7, 2, 2, 3, (5, 1, 1, 2, 2, 1)), ("closed", "geometric")),
-            ((7, 2, 2, None, (5, 1, 1, 2, 2, 2)), ("burnside", "fix-counts")),
+            ((7, 2, 2, 2, (5, 1, 1, 2, 2, 2)), ("burnside", "fix-counts")),
         ]:
             with pytest.raises(InvariantViolation) as info:
                 TCountReport(*args)
@@ -140,7 +140,7 @@ class TestTCounts:
         with pytest.raises(ValueError, match="Burnside route capped"):
             t_report(100001)
         with pytest.raises(ValueError, match="Burnside route capped"):
-            t_report(999999, with_geometric=True)
+            t_report(999999)
         with pytest.raises(ValueError, match="positive"):
             t_report(0)
 

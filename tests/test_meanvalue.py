@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from functools import cache
 from unittest import mock
@@ -257,19 +256,19 @@ SIEVE_USERS = {
 
 def _charged_need(name, x):
     """The bytes the walk of a sieve user is checked against the budget for:
-    what the caller holds, one block and the primes up to sqrt(x)."""
+    what the caller holds, one block and the fixed per-walk objects."""
     _, lo, holding = SIEVE_USERS[name]
     block = min((x + 1) // 2 - lo // 2, arith._SIEVE_BLOCK)  # 16 B for each odd n
     return (
         holding(x)
         + arith._FACTOR_SIEVE_BYTES_PER_N * block
         + max(0, arith._CAST_BUFFER_BYTES - block)
-        + arith._walk_primes_bytes(math.isqrt(x))
+        + arith._WALK_OBJECT_BYTES
     )
 
 
-# What the charge leaves out: the headers of the block's arrays and views,
-# the walk's generator frame and the like; about 1 KB in the traced peaks.
+# Room above the charge, whose fixed per-walk figure covers the headers of the
+# block's arrays and views, the walk's generator frame and the like.
 OBJECT_SLACK = 2 * 1024
 
 
@@ -317,7 +316,28 @@ class TestSieveMemoryBudget:
         ids=["partial_sum_imph", "partial_sum_T", "grosswald_ratios", "mean_value_report"],
     )
     def test_sums_hold_one_block(self, fn):
-        # four blocks of odd n are added up in the memory of one, plus the primes
+        # four blocks of odd n are added up in the memory of one, plus the
+        # fixed per-walk objects
         x = 8 * arith._SIEVE_BLOCK
         block = arith._FACTOR_SIEVE_BYTES_PER_N * arith._SIEVE_BLOCK
-        assert _traced_peak(fn, x) <= block + arith._walk_primes_bytes(math.isqrt(x)) + OBJECT_SLACK
+        assert _traced_peak(fn, x) <= block + arith._WALK_OBJECT_BYTES + OBJECT_SLACK
+
+    @pytest.mark.parametrize("d_bound", [10**8 + 1, 10**12, 10**20])
+    def test_moebius_cap_before_terms(self, d_bound):
+        # the term array is charged to the walk, so a bound past the sieve cap
+        # is refused by the cap, not by numpy failing to allocate the terms
+        with pytest.raises(ValueError, match="capped"):
+            moebius_sum_odd(d_bound)
+
+    def test_moebius_refusal_allocates_no_terms(self, monkeypatch):
+        # one byte short of the need at 10^6 (4 MB of terms) refuses at once
+        x = 10**6
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(_charged_need("moebius_sum_odd", x) - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                moebius_sum_odd(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
