@@ -540,23 +540,34 @@ def _walk_bytes(lo: int, hi: int) -> int:
     return block + _WALK_OBJECT_BYTES
 
 
-def _spot_check(a: int, sieved: np.ndarray) -> None:
-    """Compare a block's sieved imph of the odd n = a + 2i with ``imph``,
-    which factorizes, at its first and last entries and two entries fixed by
-    a hash of a; raise ``InvariantViolation`` at the first that differs."""
+def _spot_indices(a: int, length: int) -> tuple[int, int, int, int]:
+    """The entries of a block of ``length`` odd n = a + 2i that the walk
+    spot-checks: its first and last, and two fixed by a hash of a."""
     h = a * _SPOT_HASH
-    for i in (0, len(sieved) - 1, h % len(sieved), (h >> 32) % len(sieved)):
+    return (0, length - 1, h % length, (h >> 32) % length)
+
+
+def _spot_check(a: int, f: _FactorData) -> None:
+    """Compare a block's sieved factor row of the odd n = a + 2i with one
+    ``factorize(n)`` at each of its ``_spot_indices``: imph, omega, Omega and
+    the p = 5 (mod 6) flag; raise ``InvariantViolation`` at the first field
+    that differs."""
+    for i in _spot_indices(a, len(f.imph)):
         n = a + 2 * i
-        if (want := imph(n)) != sieved[i]:
-            msg = f"sieved imph({n}) = {sieved[i]}, factorize gives {want}"
-            raise InvariantViolation(msg, n, ("sieve", "factorize"))
+        fac = factorize(n)
+        bad5 = any(p % 6 == 5 for p in fac.primes())
+        want = (imph_from_factorization(fac), fac.omega, fac.big_omega, bad5)
+        for name, row, value in zip(_FactorData._fields, f, want):
+            if row[i] != value:
+                msg = f"sieved {name}({n}) = {row[i]}, factorize gives {value}"
+                raise InvariantViolation(msg, n, ("sieve", "factorize"))
 
 
 def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _FactorData]]:
     """Yield (a, data) for consecutive blocks of the odd n = a + 2i,
     0 <= i < len(data.imph), covering the odd n with 0 <= lo <= n <= hi:
     imph, omega, Omega and the p = 5 (mod 6) flag, sieved by ``_sieve_block``
-    and spot-checked against ``imph`` by ``_spot_check``.  Even n have imph
+    and spot-checked against ``factorize`` by ``_spot_check``.  Even n have imph
     and T zero; the walk does not sieve them.
 
     The package's one factor sieve walk.  One block's arrays are reused for
@@ -584,7 +595,7 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
         for a in range(lo | 1, hi + 1, 2 * length):
             view = _FactorData(*(arr[: (hi - a) // 2 + 1] for arr in block))
             _sieve_block(a, _SIEVE_PRIMES, view)
-            _spot_check(a, view.imph)
+            _spot_check(a, view)
             yield a, view
 
     return walk()

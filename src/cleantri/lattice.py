@@ -60,9 +60,6 @@ class LatticePoint:
     def __sub__(self, other: "LatticePoint") -> "LatticePoint":
         return LatticePoint(self.x - other.x, self.y - other.y)
 
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(self.x + other.x, self.y + other.y)
-
 
 @dataclass(frozen=True)
 class LatticeTriangle:
@@ -103,10 +100,6 @@ class AffineUnimodularMap:
     @classmethod
     def identity(cls) -> "AffineUnimodularMap":
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def translation(cls, t: LatticePoint) -> "AffineUnimodularMap":
-        return cls(1, 0, 0, 1, t)
 
     def apply(self, p: LatticePoint) -> LatticePoint:
         return LatticePoint(
@@ -263,81 +256,49 @@ def _reduce_oriented(
 ) -> tuple[BaseForm, AffineUnimodularMap]:
     """Reduce with the base edge directed origin -> other.
 
-    Steps: translate origin to (0,0); map the primitive base direction to
-    (1,0) via an extended-Euclid companion row; flip into the upper half
-    plane if needed; shear the apex x-coordinate into [0, h).
+    The map is built in one step.  With the primitive base direction w and
+    an extended-Euclid pair s w.x + t w.y = 1, its rows are (s, t) and
+    +-(-w.y, w.x), the sign putting the apex in the upper half plane; the
+    first row is then sheared by -q to bring the apex x-coordinate into
+    [0, h), and the translation is -M origin.
     """
-    shift = AffineUnimodularMap.translation(LatticePoint(-origin.x, -origin.y))
     u = other - origin
     v = apex - origin
     g = math.gcd(abs(u.x), abs(u.y))
     w = LatticePoint(u.x // g, u.y // g)
     _, s, t = extended_gcd(w.x, w.y)
-    # rows (s, t) and (-w.y, w.x): sends w -> (1, 0), determinant +1
-    m0 = AffineUnimodularMap(s, t, -w.y, w.x)
-    L = m0.compose(shift)
-    a = L.apply(apex)
-    if a.y < 0:
-        L = AffineUnimodularMap(1, 0, 0, -1).compose(L)
-        a = LatticePoint(a.x, -a.y)
-    h = a.y
-    q = a.x // h
-    if q != 0:
-        L = AffineUnimodularMap(1, -q, 0, 1).compose(L)
-    m = a.x - q * h
-    return BaseForm(g, m, h), L
-
-
-def _reduce_once(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularMap]:
-    """Single reduction pass: pick a richest edge, reduce both directions.
-
-    Ties between equally rich edges go to the lexicographically smallest
-    sorted endpoint pair; of the two directions of the chosen edge the
-    smaller (b, m, h) wins.
-    """
-    twice_area(t)
-    verts = t.vertices
-    edges = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        p, q = verts[i], verts[j]
-        lo, hi = sorted((p, q))
-        edges.append((-_edge_gcd(p, q), (lo.x, lo.y, hi.x, hi.y), lo, hi))
-    edges.sort(key=lambda e: (e[0], e[1]))
-    _, _, lo, hi = edges[0]
-    apex = next(v for v in verts if v not in (lo, hi))
-    best: tuple[BaseForm, AffineUnimodularMap] | None = None
-    for origin, other in ((lo, hi), (hi, lo)):
-        bf, L = _reduce_oriented(origin, other, apex)
-        if best is None or bf.as_tuple() < best[0].as_tuple():
-            best = (bf, L)
-    return best
+    c, d = -w.y, w.x
+    h = c * v.x + d * v.y
+    if h < 0:
+        c, d, h = -c, -d, -h
+    x = s * v.x + t * v.y
+    q = x // h
+    a, b = s - q * c, t - q * d
+    shift = LatticePoint(-(a * origin.x + b * origin.y), -(c * origin.x + d * origin.y))
+    return BaseForm(g, x - q * h, h), AffineUnimodularMap(a, b, c, d, shift)
 
 
 def reduce_to_base_form(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularMap]:
     """Reduce t to (0,0), (b,0), (m,h) and return the witness map.
 
-    Runs the single reduction pass until the (b, m, h) triples repeat and
-    returns the smallest triple of that cycle.  The stabilization makes the
-    operation idempotent: reducing an already-reduced triangle returns the
-    same triple, even when several edges tie for the most lattice points.
+    One pass: the base is a richest edge, ties going to the lexicographically
+    smallest sorted endpoint pair, and of its two directions the smaller
+    (b, m, h) wins.  The pass is idempotent.  The triple of an oriented edge
+    and its apex is invariant under unimodular maps, so the base edge
+    (0,0)-(b,0) of a base form gives back the same two triples, and it wins
+    every tie of (0,0), (b,0), (m,h) except in (b, 0, b), where the edge
+    (0,0)-(0,b) sorts first and gives the same triple (b, 0, b).
     """
-    seen: dict[tuple[int, int, int], int] = {}
-    chain: list[tuple[BaseForm, AffineUnimodularMap]] = []
-    cur = t
-    L = AffineUnimodularMap.identity()
-    while True:
-        bf, step = _reduce_once(cur)
-        L = step.compose(L)
-        key = bf.as_tuple()
-        if key in seen:
-            cycle = chain[seen[key] :]
-            break
-        seen[key] = len(chain)
-        chain.append((bf, L))
-        cur = bf.triangle()
-    bf, L = min(cycle, key=lambda pair: pair[0].as_tuple())
-    image = apply_map(L, t)
-    if image.vertex_set() != bf.triangle().vertex_set():  # pragma: no cover
+    twice_area(t)
+    _, lo, hi = min(
+        (-_edge_gcd(p, q), *sorted((p, q))) for p, q in ((t.v0, t.v1), (t.v1, t.v2), (t.v2, t.v0))
+    )
+    apex = next(v for v in t.vertices if v not in (lo, hi))
+    bf, L = min(
+        (_reduce_oriented(lo, hi, apex), _reduce_oriented(hi, lo, apex)),
+        key=lambda pair: pair[0].as_tuple(),
+    )
+    if apply_map(L, t).vertex_set() != bf.triangle().vertex_set():  # pragma: no cover
         msg = f"witness map does not realize the base form for {t}"
         raise InvariantViolation(msg, bf.b * bf.h, ("reduction", "witness"))
     return bf, L
@@ -353,34 +314,6 @@ def _orbit_min(m: int, h: int) -> int:
     return min(six_maps(m, h))
 
 
-def _affine_map_between(
-    t1: LatticeTriangle, t2: LatticeTriangle
-) -> AffineUnimodularMap | None:
-    """Search the six vertex bijections for a unimodular map t1 -> t2."""
-    p0, p1, p2 = t1.vertices
-    e1, e2 = p1 - p0, p2 - p0
-    det = e1.x * e2.y - e1.y * e2.x
-    w = t2.vertices
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        q0, q1, q2 = (w[i] for i in perm)
-        f1, f2 = q1 - q0, q2 - q0
-        # M * [e1 e2] = [f1 f2]  =>  M = [f1 f2] * adj([e1 e2]) / det
-        na = f1.x * e2.y - f2.x * e1.y
-        nb = -f1.x * e2.x + f2.x * e1.x
-        nc = f1.y * e2.y - f2.y * e1.y
-        nd = -f1.y * e2.x + f2.y * e1.x
-        if any(v % det for v in (na, nb, nc, nd)):
-            continue
-        a, b, c, d = (v // det for v in (na, nb, nc, nd))
-        if a * d - b * c not in (1, -1):
-            continue
-        t = LatticePoint(q0.x - a * p0.x - b * p0.y, q0.y - c * p0.x - d * p0.y)
-        L = AffineUnimodularMap(a, b, c, d, t)
-        if apply_map(L, t1).vertex_set() == t2.vertex_set():
-            return L
-    return None
-
-
 def equivalent_clean(
     t1: LatticeTriangle, t2: LatticeTriangle, with_witness: bool = False
 ):
@@ -388,8 +321,11 @@ def equivalent_clean(
 
     Reduces both triangles to base form (b = 1 for clean input) and compares
     the minimal elements of the residue orbits of m mod h.  With
-    ``with_witness=True`` returns (equivalent, map-or-None), the witness being
-    found by an independent vertex-bijection search on the reduced forms.
+    ``with_witness=True`` returns (equivalent, map-or-None).  The witness
+    comes from the same reduction, with no residue map: the first vertex
+    order of the second base form that ``_reduce_oriented`` takes to the
+    first base form gives the one affine map between them, in that order,
+    and its inverse bridges the two reductions.
     """
     for t in (t1, t2):
         if not is_clean(t):
@@ -406,11 +342,12 @@ def equivalent_clean(
         return equivalent
     witness = None
     if equivalent:
-        bridge = _affine_map_between(bf1.triangle(), bf2.triangle())
+        orders = (_reduce_oriented(*order) for order in permutations(bf2.triangle().vertices))
+        bridge = next((L for bf, L in orders if bf == bf1), None)
         if bridge is None:  # pragma: no cover - orbit test and search must agree
             msg = "orbit test succeeded but no witness map exists"
             raise InvariantViolation(msg, bf1.h, ("orbit", "witness"))
-        witness = r2.inverse().compose(bridge).compose(r1)
+        witness = r2.inverse().compose(bridge.inverse()).compose(r1)
         if apply_map(witness, t1).vertex_set() != t2.vertex_set():  # pragma: no cover
             msg = "composed witness map failed verification"
             raise InvariantViolation(msg, bf1.h, ("orbit", "witness"))

@@ -23,6 +23,10 @@ from .arith import (
     _odd_offset,
     _primes_upto,
     _sieve_table,
+    _spot_indices,
+    factorize,
+    imph_from_factorization,
+    quad_root_count,
 )
 
 __all__ = [
@@ -84,7 +88,9 @@ def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
     sieve.  By the rule of ``arith.quad_root_count``, 2 rho(n) is 0 when
     9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when 3 | n otherwise,
     and 2^(omega(n) + 1) in the remaining case.  f.imph is overwritten; the
-    int16 root-count array keeps the peak within the walk's own figure.
+    int16 root-count array keeps the peak within the walk's own figure.  At
+    the walk's ``_spot_indices`` the result is compared with the closed form
+    of one ``factorize(n)``.
     """
     import numpy as np
 
@@ -95,10 +101,18 @@ def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
     table = f.imph
     table += roots
     table += 3
-    if np.remainder(table, 6, out=roots, casting="unsafe").any():  # pragma: no cover
-        raise InvariantViolation("closed-form numerator not divisible by 6", routes=("closed",))
+    if np.remainder(table, 6, out=roots, casting="unsafe").any():
+        n = a + 2 * int(roots.nonzero()[0][0])
+        raise InvariantViolation(f"closed-form numerator of T({n}) not divisible by 6", n, ("closed",))
     del roots
     table //= 6
+    for i in _spot_indices(a, len(table)):
+        n = a + 2 * i
+        fac = factorize(n)
+        want = (imph_from_factorization(fac) + 2 * quad_root_count(fac) + 3) // 6
+        if table[i] != want:
+            msg = f"sieved T({n}) = {table[i]}, factorize gives {want}"
+            raise InvariantViolation(msg, n, ("sieve", "factorize"))
     return table
 
 

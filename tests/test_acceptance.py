@@ -234,6 +234,8 @@ def test_criterion_12_cli_contract():
         ("tcount", "6"),
         ("reduce", "0", "0", "-3", "-3", "2", "4"),
         ("reduce", "0", "0", "1", "0", "3", "5"),
+        ("reduce", "0", "0", "3", "0", "0", "3"),
+        ("equiv", "0", "0", "1", "0", "3", "7", "0", "0", "1", "0", "5", "7"),
         ("scott", "1", "1", "1", "4", "4", "1"),
         ("scott", "--scan", "4"),
         ("scott", "0", "0", "1", "0", "0", "1"),
@@ -247,6 +249,9 @@ def test_criterion_12_cli_contract():
     assert run("imph", "1..10", "--bfile").stdout.startswith("1 1\n2 0\n")
     assert "closed=2 burnside=2 geometric=2" in run("tcount", "7", "--method", "all").stdout
     assert "b=3 m=0 h=2" in run("reduce", "0", "0", "-3", "-3", "2", "4").stdout
+    assert "M=[[0,1],[1,0]] t=(0,0)" in run("reduce", "0", "0", "3", "0", "0", "3").stdout
+    equiv = run("equiv", "0", "0", "1", "0", "3", "7", "0", "0", "1", "0", "5", "7").stdout
+    assert equiv == "equivalent: yes\nwitness: M=[[-1,1],[0,1]] t=(1,0)\n"
     assert "0.13" in run("meanvalue", "--x", "10", "--primes", "1000").stdout
     # b-file round trip: contiguous ascending indices, parseable values
     out = run("tcount", "1..99", "--bfile").stdout

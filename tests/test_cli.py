@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from unittest import mock
 
@@ -523,6 +525,42 @@ class TestRangeWriter:
         assert n % 2 == 1 and 1 <= n < 2 * arith._SIEVE_BLOCK
         assert f"factorize gives {arith.imph(n)}" in record["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["tcount", "1..1000000", "--bfile"],
+        ["meanvalue", "--x", "1000000"],
+    ])
+    @pytest.mark.parametrize("fn,old,new,caught", [
+        (arith._sieve_block, "omega[start::p] += 1", "omega[start::p] += 2", "sieved omega("),
+        (arith._sieve_block, "big_omega[start::pk] += 1", "big_omega[start::pk] += 2",
+         "sieved big_omega("),
+        (arith._sieve_block, "== 3  # q - 2", "== 1  # q - 2", "sieved bad5("),
+        (arith._sieve_block, "if p % 6 == 5:", "if p % 6 == 1:", "closed-form numerator of T("),
+        (meanvalue._t_closed_block, "_odd_offset(a, 3) :: 3", "_odd_offset(a, 3) + 1 :: 3",
+         "closed-form numerator of T("),
+        (meanvalue._t_closed_block, "_odd_offset(a, 9) :: 9", "_odd_offset(a, 9) + 1 :: 9",
+         "closed-form numerator of T("),
+        (meanvalue._t_closed_block, "table += 3", "table += 9", "sieved T("),
+    ])
+    def test_factor_row_mutation_exits_3(self, monkeypatch, capsys, argv, fn, old, new, caught):
+        # a wrong update of one field of the factor row, or of the closed
+        # form built from it, stops the first block before any line is written
+        module = sys.modules[fn.__module__]
+        source = textwrap.dedent(inspect.getsource(fn))
+        assert source.count(old) == 1
+        namespace = dict(vars(module))
+        code = "from __future__ import annotations\n" + source.replace(old, new)
+        exec(compile(code, module.__file__, "exec"), namespace)
+        monkeypatch.setattr(module, fn.__name__, namespace[fn.__name__])
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        record = json.loads(err)
+        n = record["n"]
+        assert record["message"].startswith(caught + f"{n})")
+        assert n % 2 == 1 and 1 <= n < 2 * arith._SIEVE_BLOCK
+        routes = ["closed"] if caught.startswith("closed") else ["sieve", "factorize"]
+        assert record["error"] == "invariant" and record["routes"] == routes
+
     def test_far_closed_range(self, capsys):
         # past the sieve cap, a closed range is served by the point route
         lo, hi = 10**12, 10**12 + 20
@@ -551,6 +589,16 @@ class TestReduceCommand:
         r = run("reduce", "0", "0", "1", "1", "2", "2")
         assert r.returncode == 2
 
+    def test_tied_edges_bytes(self, capsys):
+        # legs and hypotenuse tie at three lattice points each
+        assert cli.main(["reduce", "0", "0", "3", "0", "0", "3"]) == 0
+        assert capsys.readouterr() == (
+            "base form: b=3 m=0 h=3\n"
+            "witness: M=[[0,1],[1,0]] t=(0,0)\n"
+            "pick: I=1 B=9 twice_area=9\n",
+            "",
+        )
+
 
 class TestEquivCommand:
     def test_equivalent(self):
@@ -566,6 +614,11 @@ class TestEquivCommand:
     def test_rejects_non_clean(self):
         r = run("equiv", "0", "0", "-3", "-3", "2", "4", "0", "0", "3", "0", "2", "2")
         assert r.returncode == 2
+
+    def test_orbit_of_two_witness_bytes(self, capsys):
+        # m = 3 and m = 5 form one class of size 2 for h = 7
+        assert cli.main(["equiv", "0", "0", "1", "0", "3", "7", "0", "0", "1", "0", "5", "7"]) == 0
+        assert capsys.readouterr() == ("equivalent: yes\nwitness: M=[[-1,1],[0,1]] t=(1,0)\n", "")
 
 
 class TestScottCommand:

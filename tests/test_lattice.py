@@ -1,12 +1,15 @@
+import hashlib
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cleantri.arith import ip_members
+from cleantri import lattice
+from cleantri.arith import InvariantViolation, ip_members
 from cleantri.counting import canonical_m
 from cleantri.lattice import (
     AffineUnimodularMap,
@@ -250,12 +253,70 @@ class TestEquivalentClean:
                     for b in members:
                         assert equivalent_clean(a, b)
 
+    def test_bridge_search_checks_orbit_test(self, monkeypatch):
+        # an orbit test that calls every pair equivalent leaves no bridge
+        monkeypatch.setattr(lattice, "_orbit_min", lambda m, h: 0)
+        with pytest.raises(InvariantViolation) as e:
+            equivalent_clean(T(0, 0, 1, 0, 3, 7), T(0, 0, 1, 0, 2, 7), with_witness=True)
+        assert (e.value.n, e.value.routes) == (7, ("orbit", "witness"))
+
+    def test_composed_witness_is_verified(self, monkeypatch):
+        # a reduction map of t1 off by one step leaves a witness that misses t2
+        t1, t2 = T(0, 0, 1, 0, 2, 7), T(0, 0, 1, 0, 4, 7)
+
+        def shifted(t):
+            bf, L = reduce_to_base_form(t)
+            step = int(t == t1)
+            return bf, AffineUnimodularMap(L.a, L.b, L.c, L.d, LatticePoint(L.t.x + step, L.t.y))
+
+        monkeypatch.setattr(lattice, "_reduce_cached", shifted)
+        with pytest.raises(InvariantViolation) as e:
+            equivalent_clean(t1, t2, with_witness=True)
+        assert (e.value.n, e.value.routes) == (7, ("orbit", "witness"))
+
     def test_agrees_with_random_maps(self):
         rng = np.random.default_rng(9)
         for h in (7, 9, 13, 15):
             for t in enumerate_clean(h):
                 image = apply_map(random_unimodular(rng), t)
                 assert equivalent_clean(t, image)
+
+
+def _digest(rows):
+    return hashlib.md5(repr(rows).encode()).hexdigest()
+
+
+def _map_row(L):
+    return (L.a, L.b, L.c, L.d, L.t.x, L.t.y)
+
+
+class TestPinnedOutputs:
+    """Base forms, reduction maps and equivalence witnesses, pinned by digests
+    recorded while the reduction still iterated to a fixed point and the
+    witness came from a separate vertex-bijection solver."""
+
+    def test_grid_reductions(self):
+        grid = [(x, y) for x in range(4) for y in range(4)]
+        rows = []
+        for p, q, r in permutations(grid, 3):
+            if (q[0] - p[0]) * (r[1] - p[1]) != (q[1] - p[1]) * (r[0] - p[0]):
+                bf, L = reduce_to_base_form(T(*p, *q, *r))
+                rows.append((bf.as_tuple(), _map_row(L)))
+        assert len(rows) == 3096
+        assert _digest(rows) == "a1a23e7d0960c216b1003d03af36b33a"
+
+    def test_base_form_witnesses(self):
+        rows, orbit_sizes = [], set()
+        for h in range(1, 22, 2):
+            tris = enumerate_clean(h)
+            orbit_sizes |= set(Counter(map(clean_key, tris)).values())
+            for a in tris:
+                for b in tris:
+                    eq, W = equivalent_clean(a, b, with_witness=True)
+                    rows.append((eq, W and _map_row(W)))
+        assert orbit_sizes == {1, 2, 3, 6}
+        assert (len(rows), sum(eq for eq, _ in rows)) == (795, 315)
+        assert _digest(rows) == "455d67b1fe7dcf8600119b6f58ba074c"
 
 
 class TestScott:
