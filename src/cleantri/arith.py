@@ -1,8 +1,9 @@
 """Exact integer arithmetic underpinning the triangle counts.
 
-Everything here is deterministic: factorize trial-divides by the primes
-below 1000 and hands the cofactor left to a fixed-witness Miller-Rabin test
-and Brent's cycle method (fixed parameters), so repeated runs give identical
+Everything here is deterministic: factorize divides out the primes below
+1000 that divide gcd(n, their product) and hands the cofactor left to
+Miller-Rabin, with as many prime witnesses as are proven below it, and to
+Brent's cycle method (fixed parameters), so repeated runs give identical
 output.  It serves 1 <= n < 2^63.
 
 The central object is imph(n), the count of residues x in [1, n] with
@@ -73,11 +74,26 @@ def sieve_memory_budget() -> int:
 # primality / factorization
 # --------------------------------------------------------------------------
 
-# Miller-Rabin with the witnesses 2..41 is deterministic below psi_13 =
-# 3,317,044,064,679,887,385,961,981 (Sorenson-Webster, Math. Comp. 2017);
-# the witnesses 2..37 alone are fooled at psi_12 = 399165290221 * 798330580441.
+# Miller-Rabin with the first k prime witnesses is proven for every n below
+# psi_k, the least odd composite that is a strong pseudoprime to all k of them
+# (G. Jaeschke, Math. Comp. 61, 1993; J. Sorenson and J. Webster, Math. Comp.
+# 86, 2017); _MR_PSI pairs each psi_k with k, skipping the k whose psi_k
+# equals the next one's.  The witnesses 2..37 are fooled at
+# psi_12 = 399165290221 * 798330580441, and all 13 at _MR_BOUND = psi_13.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (
+    (2047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (_MR_BOUND, 13),
+)
 
 #: factorize serves 1 <= n < FACTORIZE_BOUND; larger n may have two prime
 #: factors too big for rho to find in reasonable time.
@@ -89,7 +105,12 @@ _TRIAL_LIMIT = 1000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, valid for n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin primality test, valid for n < psi_13 ~ 3.3 * 10^24.
+
+    n is tested with the first k prime witnesses, k the least with n < psi_k
+    (Jaeschke 1993, Sorenson-Webster 2017): five witnesses near 10^12, at
+    most twelve below 2^64.
+    """
     if n >= _MR_BOUND:
         raise ValueError(f"primality test is proven only below {_MR_BOUND}, got {n}")
     if n < 2:
@@ -97,12 +118,15 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    for psi, k in _MR_PSI:
+        if n < psi:
+            break
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -135,11 +159,13 @@ def _prime_mask(limit: int) -> bytearray:
 
 
 # The odd primes <= sqrt(IMPH_SIEVE_BOUND), which every walk of the factor
-# sieve reads, and the primes below _TRIAL_LIMIT, which factorize divides by.
+# sieve reads, and the primes below _TRIAL_LIMIT, which factorize divides by,
+# with their product, whose gcd with n names the ones that divide n.
 # Both are read off one mask at import, without numpy and without reading the
 # budget, so a malformed CLEANTRI_SIEVE_MEMORY fails only the sieves.
 _SIEVE_PRIMES = tuple(compress(count(), _prime_mask(math.isqrt(IMPH_SIEVE_BOUND))))[1:]
 _TRIAL_PRIMES = (2, *(p for p in _SIEVE_PRIMES if p < _TRIAL_LIMIT))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def _prime_count_bound(limit: int) -> int:
@@ -206,7 +232,13 @@ def _brent_rho(n: int) -> int:
 
 @dataclass(frozen=True)
 class Factorization:
-    """n together with its prime factorization as ordered (prime, exponent) pairs."""
+    """n together with its prime factorization as ordered (prime, exponent) pairs.
+
+    The public constructor validates everything: n >= 1, strictly increasing
+    primes, each proven by ``is_prime``, positive exponents and the product.
+    ``factorize`` has proven each prime once already, so it builds its result
+    through ``_proven``, which checks the product alone.
+    """
 
     n: int
     factors: tuple[tuple[int, int], ...]
@@ -228,6 +260,18 @@ class Factorization:
         if prod != self.n:
             raise ValueError(f"factors multiply to {prod}, not {self.n}")
 
+    @classmethod
+    def _proven(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        """The factorization of n by ``factorize``, whose primes are proven
+        and sorted; skips ``__post_init__`` but raises ``InvariantViolation``
+        when the factors do not multiply to n."""
+        if (prod := math.prod(p**e for p, e in factors)) != n:
+            raise InvariantViolation(f"factors multiply to {prod}, not {n}", n, ("factorize",))
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "factors", factors)
+        return f
+
     @property
     def omega(self) -> int:
         """Number of distinct prime divisors."""
@@ -243,19 +287,32 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n deterministically; valid for 1 <= n < 2^63, ValueError beyond."""
+    """Factor n deterministically; valid for 1 <= n < 2^63, ValueError beyond.
+
+    The primes below 1000 that divide g = gcd(n, their product) are divided
+    out, stopping once g is 1 or p^2 exceeds the cofactor; the cofactor is
+    split by Brent's rho until ``is_prime`` proves every piece, with the
+    witnesses that Jaeschke (1993) and Sorenson-Webster (2017) prove below
+    it.  Each prime is proven once; a rho result that is no proper divisor,
+    or factors that do not multiply to n, raise ``InvariantViolation``.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     if n >= FACTORIZE_BOUND:
         raise ValueError(f"factorize is capped below 2^63, got {n}")
     factors: dict[int, int] = {}
     m = n
+    g = math.gcd(m, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        if p * p > m:
+        if g == 1 or p * p > m:
             break
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
+        if g % p == 0:
+            g //= p
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors[p] = e
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
@@ -263,9 +320,12 @@ def factorize(n: int) -> Factorization:
             factors[m] = factors.get(m, 0) + 1
         else:
             d = _brent_rho(m)
+            if not 1 < d < m or m % d:
+                msg = f"rho gave {d}, no proper divisor of {m}"
+                raise InvariantViolation(msg, n, ("factorize",))
             stack.append(d)
             stack.append(m // d)
-    return Factorization(n, tuple(sorted(factors.items())))
+    return Factorization._proven(n, tuple(sorted(factors.items())))
 
 
 # --------------------------------------------------------------------------

@@ -156,6 +156,133 @@ class TestIsPrime:
             is_prime(psi_13)
 
 
+# Each psi_k of is_prime's witness table with factors that show it composite.
+PSI_FACTORS = {
+    2047: (23, 89),
+    1_373_653: (829, 1657),
+    25_326_001: (2251, 11251),
+    3_215_031_751: (151, 751, 28351),
+    2_152_302_898_747: (6763, 10627, 29947),
+    3_474_749_660_383: (1303, 16927, 157543),
+    341_550_071_728_321: (10670053, 32010157),
+    3_825_123_056_546_413_051: (149491, 747451, 34233211),
+    318_665_857_834_031_151_167_461: (399165290221, 798330580441),
+    3_317_044_064_679_887_385_961_981: (1287836182261, 2575672364521),
+}
+PSI = {k: psi for psi, k in arith._MR_PSI}
+
+
+def _primes_upto_trial(limit):
+    """The primes p <= limit, by the trial-division oracle."""
+    return [n for n in range(2, limit + 1) if _trial_division(n) == ((n, 1),)]
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > 2 passes one Miller-Rabin round to base a, by pow alone."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestWitnessTable:
+    @pytest.mark.parametrize("psi,k", arith._MR_PSI)
+    def test_psi_is_a_composite_strong_pseudoprime(self, psi, k):
+        factors = PSI_FACTORS[psi]
+        assert math.prod(factors) == psi and all(1 < q < psi for q in factors)
+        assert all(_strong_probable_prime(psi, a) for a in arith._MR_WITNESSES[:k])
+        if psi < arith._MR_BOUND:
+            assert not is_prime(psi)
+
+    def test_table_is_increasing_and_ends_at_the_bound(self):
+        # the witnesses are the first 13 primes, by the trial-division oracle
+        assert arith._MR_WITNESSES == tuple(_primes_upto_trial(41))
+        assert [k for _, k in arith._MR_PSI] == [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
+        psis = [psi for psi, _ in arith._MR_PSI]
+        assert psis == sorted(set(psis)) and psis[-1] == arith._MR_BOUND == PSI[13]
+
+    def test_matches_prime_mask_below_10_6(self):
+        mask = arith._prime_mask(10**6)
+        assert all(is_prime(n) == bool(mask[n]) for n in range(10**6 + 1))
+
+
+class TestProvenOnce:
+    N = 1009 * 1013 * 10007
+
+    def test_factorize_skips_post_init(self, monkeypatch):
+        calls = []
+        post_init = Factorization.__post_init__
+        monkeypatch.setattr(
+            Factorization, "__post_init__", lambda f: calls.append(f.n) or post_init(f)
+        )
+        for n in (1, 12, 9999, self.N, 2**61 - 1, 10**12 + 39, 2**63 - 1):
+            assert factorize(n).n == n
+        assert calls == []
+        Factorization(12, ((2, 2), (3, 1)))
+        assert calls == [12]
+
+    def test_bad_rho_split_raises(self, monkeypatch):
+        monkeypatch.setattr(arith, "_brent_rho", lambda m: 1009)
+        with pytest.raises(arith.InvariantViolation) as info:
+            factorize(self.N)
+        assert info.value.n == self.N and info.value.routes == ("factorize",)
+
+    def test_product_check(self):
+        assert Factorization._proven(12, ((2, 2), (3, 1))) == factorize(12)
+        with pytest.raises(arith.InvariantViolation, match="multiply to 20, not 12") as info:
+            Factorization._proven(12, ((2, 2), (5, 1)))
+        assert info.value.n == 12 and info.value.routes == ("factorize",)
+
+
+# factorize near 10^12, the range of the benchmark's point queries, against
+# trial division by every prime up to the square root of the largest input
+QUERY_LO, QUERY_HI = 10**12, 10**12 + 10**9
+NEAR_PSI = [PSI[k] + s for k in (4, 5, 6, 7) for s in (-2, 2)]
+ORACLE_LIMIT = math.isqrt(max(QUERY_HI, *NEAR_PSI))
+
+
+@cache
+def _oracle_primes():
+    return arith._primes_upto(ORACLE_LIMIT)
+
+
+def _factor_by_sieved_primes(n):
+    """Independent oracle: divide n by every sieved prime up to its square
+    root; no Miller-Rabin, no rho."""
+    assert math.isqrt(n) <= ORACLE_LIMIT
+    primes = _oracle_primes()
+    factors, m = [], n
+    for p in map(int, primes[n % primes == 0]):
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        factors.append((p, e))
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(QUERY_LO + 1, QUERY_HI - 1))
+@example(NEAR_PSI[0])
+@example(NEAR_PSI[1])
+@example(NEAR_PSI[2])
+@example(NEAR_PSI[3])
+@example(NEAR_PSI[4])
+@example(NEAR_PSI[5])
+@example(NEAR_PSI[6])
+@example(NEAR_PSI[7])
+def test_factorize_matches_sieved_trial_division(n):
+    assert factorize(n).factors == _factor_by_sieved_primes(n)
+
+
 class TestExtendedGcd:
     def test_spec_values(self):
         assert extended_gcd(3, 5) == (1, 2, -1)

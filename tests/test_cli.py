@@ -750,6 +750,8 @@ class TestInvariantViolationExit:
              None, ["euler-product", "moebius-sum"]),
             (lattice, "apply_map", None, ["reduce", "0", "0", "-3", "-3", "2", "4"],
              6, ["reduction", "witness"]),
+            (arith, "_brent_rho", lambda fn: lambda m: 1009, ["imph", "10228324819"],
+             1009 * 1013 * 10007, ["factorize"]),
         ],
     )
     def test_exit_3_with_one_json_line(self, monkeypatch, capsys, module, name, fault, argv,
