@@ -513,8 +513,11 @@ _WALK_OBJECT_BYTES = 6 * 1024
 # whole-range block 0.41 s; 2^18 peaks at 4 MB, 2^20 at 16 MB.
 _SIEVE_BLOCK = 1 << 18
 
-# The walk spot-checks each block at its first and last entries and at two
-# fixed by this multiple of the block's start (Knuth's golden-ratio hash).
+# The walk spot-checks each block at its first and last multiples of this,
+# which the slices of 3 and 5 both touch (at its first and last entries if it
+# holds none), and at two fixed by a multiple of the block's start (Knuth's
+# golden-ratio hash).
+_SPOT_MODULUS = 15
 _SPOT_HASH = 0x9E3779B97F4A7C15
 
 
@@ -602,9 +605,15 @@ def _walk_bytes(lo: int, hi: int) -> int:
 
 def _spot_indices(a: int, length: int) -> tuple[int, int, int, int]:
     """The entries of a block of ``length`` odd n = a + 2i that the walk
-    spot-checks: its first and last, and two fixed by a hash of a."""
+    spot-checks: its first and last n divisible by ``_SPOT_MODULUS`` (its
+    first and last entries if it holds none), and two fixed by a hash of a."""
     h = a * _SPOT_HASH
-    return (0, length - 1, h % length, (h >> 32) % length)
+    first = _odd_offset(a, _SPOT_MODULUS)
+    if first < length:
+        last = first + (length - 1 - first) // _SPOT_MODULUS * _SPOT_MODULUS
+    else:
+        first, last = 0, length - 1
+    return (first, last, h % length, (h >> 32) % length)
 
 
 def _spot_check(a: int, f: _FactorData) -> None:

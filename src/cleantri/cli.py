@@ -170,20 +170,22 @@ def cmd_tcount(args, parser) -> int:
     A closed range within the sieve cap is read from ``arith._factor_blocks``
     by ``meanvalue._t_closed_block``; the rest calls the point routes n by n.
     Refused before any work (even n are always 0):
-    - for every method but ``closed``, a range holding an odd n past
-      ``counting.BRUTEFORCE_N_BOUND``, the one cap of the Burnside and
-      geometric routes, or whose odd n sum past ``arith.IMPH_BRUTEFORCE_BOUND``,
-      as each costs about imph(n);
+    - a range holding an odd n past its route's cap: for ``burnside``,
+      ``arith.IMPH_BRUTEFORCE_BOUND``; for ``geometric`` and ``all``,
+      ``counting.GEOMETRIC_N_BOUND``;
+    - for every method but ``closed``, a range whose odd n sum past
+      ``arith.IMPH_BRUTEFORCE_BOUND``, as each costs about imph(n);
     - a range holding an odd n from ``arith.FACTORIZE_BOUND`` on;
     - a closed range past the sieve cap, which factorizes n by n, holding
       more than ``_POINT_RANGE_ODD_BOUND`` odd n.
     """
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
-    first_capped = max(lo, counting.BRUTEFORCE_N_BOUND + 1) | 1  # least odd n past the cap
-    if method != "closed" and first_capped <= hi:
-        route = "geometric" if method == "geometric" else "Burnside"
-        raise ValueError(f"{route} route capped at n = {counting.BRUTEFORCE_N_BOUND}")
+    if method != "closed":
+        route, cap = (("Burnside", arith.IMPH_BRUTEFORCE_BOUND) if method == "burnside"
+                      else ("geometric", counting.GEOMETRIC_N_BOUND))
+        if (max(lo, cap + 1) | 1) <= hi:  # the least odd n past the cap
+            raise ValueError(f"{route} route capped at n = {cap}")
     # the odd n up to y are the first (y + 1) // 2 odd numbers, which sum to its square
     if method != "closed" and ((hi + 1) // 2) ** 2 - (lo // 2) ** 2 > arith.IMPH_BRUTEFORCE_BOUND:
         raise ValueError(

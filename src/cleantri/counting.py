@@ -2,14 +2,15 @@
 
 The six residue maps come from relabeling the vertices of the base-form
 triangle (0,0), (1,0), (m,n); they form a group of order 6 acting on IP(n).
-Everything here is built on their one kernel, ``arith.six_maps`` and
-``arith.six_map_table``.  T(n), the number of equivalence classes of clean
-triangles of twice-area n, is computed three ways that share no formula: a
-closed form from the prime factorization, the Burnside average of the
-fixed-point counts read off the kernel's table, and the distinct class keys
-of the base-form clean triangles, ``lattice.clean_keys``, which reduces all
-of them at once on arrays by extended Euclid.  The two oracle routes serve
-odd n up to 10^5.
+``map_g`` and the orbits are built on their one kernel, ``arith.six_maps``
+and ``arith.six_map_table``.  T(n), the number of equivalence classes of
+clean triangles of twice-area n, is computed three ways that share no
+formula: a closed form from the prime factorization, the Burnside average of
+the fixed-point counts, each counted as the congruence that defines the
+map's fixed points, and the distinct class keys of the base-form clean
+triangles, ``lattice.clean_keys``, which reduces all of them at once on
+arrays by extended Euclid.  The Burnside route serves odd n up to 10^7,
+the geometric route and the orbits odd n up to 10^5.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import (
+    IMPH_BRUTEFORCE_BOUND,
     InvariantViolation,
     _cached_factorization,
     imph_from_factorization,
@@ -41,8 +43,13 @@ __all__ = [
     "t_report",
 ]
 
-BRUTEFORCE_N_BOUND = 10**5
-GEOMETRIC_N_BOUND = BRUTEFORCE_N_BOUND
+# The cap of the geometric route and the orbit decomposition, which hold an
+# array of every member of IP(n) at once.
+GEOMETRIC_N_BOUND = 10**5
+
+# Residues per step of the Burnside route's gcd pass: a few int64 arrays of
+# this length, under 3 MB in all, are alive at a time, whatever n is.
+_FIX_COUNT_CHUNK = 1 << 16
 
 
 def _check_member(m: int, n: int) -> None:
@@ -59,13 +66,52 @@ def map_g(i: int, m: int, n: int) -> int:
     return six_maps(m, n)[i - 1]
 
 
+def _add_fixed_counts(counts: list[int], members, m, square, double) -> None:
+    """Add to ``counts`` the number of the residues m flagged in ``members``
+    and of those among them with m^2 = 1, 2m = 1, m^2 = m - 1 and m^2 = 2m,
+    given m^2 and 2m reduced mod n as ``square`` and ``double``; m - 1 is
+    reduced too, so each congruence is an equality."""
+    import numpy as np
+
+    for k, fixed in enumerate((True, square == 1, double == 1, square == m - 1, square == double)):
+        counts[k] += int(np.count_nonzero(members & fixed))
+
+
 @lru_cache(maxsize=1 << 15)
 def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
-    """The fixed-point counts of g1..g6 on IP(n): the members each row of
-    the kernel's table leaves in place, counted in numpy; the table itself
-    is built by whole-array arithmetic with no factorization."""
-    members, table = six_map_table(n)
-    return tuple(int(c) for c in (table == members).sum(axis=1))
+    """The fixed-point counts of g1..g6 on IP(n), for n <= 10^7, each counted
+    as the congruence that defines it on the members m: g1 fixes them all,
+    g2 those with m^2 = 1, g3 those with 2m = 1, g4 and g5 those with
+    m^2 - m + 1 = 0, g6 those with (1 - m)^2 = 1, that is m^2 = 2m.
+
+    One gcd pass in chunks of ``_FIX_COUNT_CHUNK`` residues finds the units.
+    For odd n, gcd(x, n) = gcd(n - x, n), so the pass covers only
+    1 <= x <= (n - 1)/2: x is a member when x and x - 1 are units, n - x
+    when x and x + 1 are, and the congruences of n - x are those of x with
+    the signs flipped.  m^2 < 10^14 fits int64.  No factorization, inverse
+    or residue map is used.
+    """
+    import numpy as np
+
+    if n == 1:
+        return (1,) * 6  # IP(1) = {1}, fixed by every map
+    if n % 2 == 0:
+        return (0,) * 6  # x and x - 1 cannot both be odd
+    half = (n - 1) // 2
+    counts = [0] * 5
+    for lo in range(1, half + 1, _FIX_COUNT_CHUNK):
+        xs = np.arange(lo - 1, min(lo + _FIX_COUNT_CHUNK, half + 1) + 1, dtype=np.int64)
+        unit = np.gcd(xs, n) == 1  # of x - 1, x and x + 1 for each x
+        m = xs[1:-1]
+        square = m * m
+        square %= n  # the same for m = x and m = n - x
+        double = 2 * m  # below n
+        _add_fixed_counts(counts, unit[1:-1] & unit[:-2], m, square, double)
+        np.subtract(n, m, out=m)  # now m = n - x, and 2m = n - 2x (mod n)
+        np.subtract(n, double, out=double)
+        _add_fixed_counts(counts, unit[1:-1] & unit[2:], m, square, double)
+    g1, g2, g3, g45, g6 = counts
+    return g1, g2, g3, g45, g45, g6
 
 
 def fix_count_closed(i: int, n: int) -> int:
@@ -86,15 +132,16 @@ def fix_count_closed(i: int, n: int) -> int:
 
 def t_burnside(n: int) -> int:
     """T(n) as the Burnside average of the fixed-point counts that
-    ``_fix_counts_vectorized`` reads off the six-map table of all of IP(n),
-    for odd n up to 10^5; it uses no factorization, so it shares nothing
-    with ``t_closed``."""
+    ``_fix_counts_vectorized`` counts by their congruences in one gcd pass,
+    for odd n up to ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7; it uses no
+    factorization, inverse or residue map, so it shares nothing with
+    ``t_closed``."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n % 2 == 0:
         return 0
-    if n > BRUTEFORCE_N_BOUND:
-        raise ValueError(f"Burnside route capped at n = {BRUTEFORCE_N_BOUND}")
+    if n > IMPH_BRUTEFORCE_BOUND:
+        raise ValueError(f"Burnside route capped at n = {IMPH_BRUTEFORCE_BOUND}")
     total = sum(_fix_counts_vectorized(n))
     if total % 6 != 0:  # pragma: no cover - Burnside guarantees divisibility
         msg = f"fixed-point total {total} not divisible by 6 at n={n}"
@@ -147,8 +194,8 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
 
     if n % 2 == 0 and n > 1:
         return OrbitDecomposition(n, ())
-    if n > BRUTEFORCE_N_BOUND:
-        raise ValueError(f"orbit decomposition capped at n = {BRUTEFORCE_N_BOUND}")
+    if n > GEOMETRIC_N_BOUND:
+        raise ValueError(f"orbit decomposition capped at n = {GEOMETRIC_N_BOUND}")
     members, table = six_map_table(n)
     if not np.isin(table, members).all():  # pragma: no cover - maps are closed on IP(n)
         raise InvariantViolation(f"orbit escaped IP({n})", n, ("six-map",))
@@ -204,10 +251,19 @@ class TCountReport:
 
 def t_report(n: int) -> TCountReport:
     """T(n) by the closed form, the Burnside average and the geometric
-    classes, cross-checked by ``TCountReport``.  ``t_burnside`` checks n, and
-    its cap, which the geometric route shares, first, before any table is
-    built."""
-    burnside = t_burnside(n)
+    classes, cross-checked by ``TCountReport``, and each of the six
+    fixed-point counts against ``fix_count_closed``.  n and the geometric
+    cap, the lower of the routes' caps, are checked first, before any work."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n % 2 == 0:
         return TCountReport(n, 0, 0, 0, (0,) * 6)
-    return TCountReport(n, t_closed(n), burnside, t_geometric(n), _fix_counts_vectorized(n))
+    if n > GEOMETRIC_N_BOUND:
+        raise ValueError(f"geometric route capped at n = {GEOMETRIC_N_BOUND}")
+    fix = _fix_counts_vectorized(n)
+    report = TCountReport(n, t_closed(n), t_burnside(n), t_geometric(n), fix)
+    for i, count in enumerate(fix, 1):
+        if count != (closed := fix_count_closed(i, n)):
+            msg = f"g{i} fixes {count} members of IP({n}), the closed form {closed}"
+            raise InvariantViolation(msg, n, ("burnside", "closed"))
+    return report

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from cleantri import arith, counting, lattice, meanvalue
-from cleantri.arith import imph, imph_bruteforce, imph_sieve, ip_members
+from cleantri.arith import imph, imph_bruteforce, imph_sieve, ip_members, six_map_table
 from cleantri.counting import (
     _fix_counts_vectorized,
     fix_count_closed,
@@ -88,12 +88,20 @@ def test_criterion_3_t_triple_agreement():
 
 
 def test_criterion_4_fixed_point_closed_forms():
+    # three ways: the congruence counts of the Burnside route, the closed
+    # forms, and the members each row of the six-map table leaves in place
     for n in range(1, 2001, 2):
         vec = _fix_counts_vectorized(n)
+        members, table = six_map_table(n)
+        assert vec == tuple(int(c) for c in (table == members).sum(axis=1)), f"n={n}"
         for i in range(1, 7):
             assert vec[i - 1] == fix_count_closed(i, n), f"map g{i}, n={n}"
         assert vec[1] == vec[2] == vec[5] == 1
-    report(4, "fix_count_closed = the kernel's fixed-point table for all six maps, odd n <= 2000")
+    report(
+        4,
+        "congruence counts = fix_count_closed = the six-map table's fixed points "
+        "for all six maps, odd n <= 2000",
+    )
 
 
 def test_criterion_5_group_closure():

@@ -1,4 +1,6 @@
+import inspect
 import math
+import textwrap
 import tracemalloc
 from functools import cache
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cleantri import arith
+from cleantri import arith, meanvalue
 from cleantri.arith import (
     Factorization,
     extended_gcd,
@@ -23,7 +25,7 @@ from cleantri.arith import (
     six_map_table,
     six_maps,
 )
-from cleantri.counting import BRUTEFORCE_N_BOUND
+from cleantri.counting import GEOMETRIC_N_BOUND
 
 
 def _trial_division(n):
@@ -380,7 +382,7 @@ class TestSixMaps:
             assert table.T.tolist() == [list(e) for e in expected]
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, (BRUTEFORCE_N_BOUND - 1) // 2).map(lambda k: 2 * k + 1))
+    @given(st.integers(0, (GEOMETRIC_N_BOUND - 1) // 2).map(lambda k: 2 * k + 1))
     @example(1)
     @example(3)
     @example(9)
@@ -608,6 +610,36 @@ class TestFactorSieveBlocks:
     def test_no_odd_n_no_block(self):
         assert list(arith._factor_blocks(4, 4)) == []
         assert [a for a, _ in arith._factor_blocks(4, 5)] == [5]
+
+    def test_spot_indices(self):
+        # the first and last multiples of 15 of a block (15 and 524265 in the
+        # first, not n = 1 and the prime 2^19 - 1, which no slice touches),
+        # else its edges
+        assert [1 + 2 * i for i in arith._spot_indices(1, BLOCK)[:2]] == [15, SPAN - 23]
+        assert arith._spot_indices(SPAN + 1, BLOCK)[:2] == (3, BLOCK - 1)
+        assert arith._spot_indices(17, 6)[:2] == (0, 5)  # 17..27 holds no multiple of 15
+        assert arith._spot_indices(13, 9)[:2] == (1, 1)
+        for a, length in ((1, BLOCK), (17, 6), (SPAN + 1, 1001)):
+            assert all(0 <= i < length for i in arith._spot_indices(a, length))
+
+    @pytest.mark.parametrize("walk", [
+        lambda: list(arith._factor_blocks(0, SPAN)),
+        lambda: meanvalue.moebius_sum_odd(10**5),
+    ], ids=["factor_blocks", "moebius_sum_odd"])
+    def test_spot_check_catches_a_wrong_bad5_slice(self, monkeypatch, walk):
+        # p = 1 (mod 6) flagged in place of p = 5 (mod 6): no divisibility
+        # check reads the flag here, so the first block's spot check must
+        source = textwrap.dedent(inspect.getsource(arith._sieve_block))
+        assert source.count("if p % 6 == 5:") == 1
+        namespace = dict(vars(arith))
+        code = "from __future__ import annotations\n" + source.replace(
+            "if p % 6 == 5:", "if p % 6 == 1:"
+        )
+        exec(compile(code, arith.__file__, "exec"), namespace)
+        monkeypatch.setattr(arith, "_sieve_block", namespace["_sieve_block"])
+        with pytest.raises(arith.InvariantViolation, match=r"^sieved bad5\(") as info:
+            walk()
+        assert 1 <= info.value.n < SPAN and info.value.routes == ("sieve", "factorize")
 
 
 class TestIpMembers:

@@ -238,18 +238,22 @@ class TestTcountCommand:
 
     @pytest.mark.parametrize("method", ["burnside", "all"])
     def test_burnside_cap_before_any_work(self, monkeypatch, capsys, method):
-        # a range holding an odd n past the cap is refused before its first n;
-        # an even n past it is 0 on every route and still served
+        # a range holding an odd n past its route's cap is refused before its
+        # first n: 10^7 for burnside alone, the geometric route's 10^5 with
+        # all three; an even n past it is 0 on every route and still served
+        route, cap = ("Burnside", 10**7) if method == "burnside" else ("geometric", 10**5)
+
         def forbidden(n):
-            raise RuntimeError(f"t_burnside called at n={n}")
+            raise RuntimeError(f"route called at n={n}")
 
         with monkeypatch.context() as m:
             m.setattr(counting, "t_burnside", forbidden)
-            for spec in ("1..100001", "100001..100003", "99999..100002"):
+            m.setattr(counting, "t_report", forbidden)
+            for spec in (f"1..{cap + 1}", f"{cap + 1}..{cap + 3}", f"{cap - 1}..{cap + 2}"):
                 assert cli.main(["tcount", spec, "--method", method]) == 2
                 out, err = capsys.readouterr()
-                assert out == "" and err == "error: Burnside route capped at n = 100000\n"
-        assert cli.main(["tcount", "99998..100000", "--method", method]) == 0
+                assert out == "" and err == f"error: {route} route capped at n = {cap}\n"
+        assert cli.main(["tcount", f"{cap - 2}..{cap}", "--method", method]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
         assert cli.main(["tcount", "100002", "--method", "burnside"]) == 0
         assert capsys.readouterr().out == "T(100002): burnside=0\n"
@@ -483,7 +487,7 @@ class TestRangeWriter:
         lo = max(1, edge - data.draw(st.integers(0, width)))
         hi = edge + data.draw(st.integers(0, width))
         if method == "burnside":
-            hi = min(hi, counting.BRUTEFORCE_N_BOUND)
+            hi = min(hi, 10**5)  # at most 76 odd n near 10^5: under the work guard's 10^7
         argv = [command, f"{lo}..{hi}"] + (["--method", method] if command == "tcount" else [])
         with mock.patch.object(arith, "_SIEVE_BLOCK", 64), \
                 mock.patch.object(cli, "_LINES_PER_WRITE", 7):
@@ -533,8 +537,8 @@ class TestRangeWriter:
         (arith._sieve_block, "omega[start::p] += 1", "omega[start::p] += 2", "sieved omega("),
         (arith._sieve_block, "big_omega[start::pk] += 1", "big_omega[start::pk] += 2",
          "sieved big_omega("),
-        (arith._sieve_block, "== 3  # q - 2", "== 1  # q - 2", "sieved bad5("),
-        (arith._sieve_block, "if p % 6 == 5:", "if p % 6 == 1:", "closed-form numerator of T("),
+        (arith._sieve_block, "== 3  # q - 2", "== 1  # q - 2", "closed-form numerator of T("),
+        (arith._sieve_block, "if p % 6 == 5:", "if p % 6 == 1:", "sieved bad5("),
         (meanvalue._t_closed_block, "_odd_offset(a, 3) :: 3", "_odd_offset(a, 3) + 1 :: 3",
          "closed-form numerator of T("),
         (meanvalue._t_closed_block, "_odd_offset(a, 9) :: 9", "_odd_offset(a, 9) + 1 :: 9",
@@ -774,13 +778,28 @@ class TestInvariantViolationExit:
         assert rec["n"] == n and rec["routes"] == routes
 
     def test_burnside_cap_still_exit_2(self, monkeypatch, capsys):
+        # --method all runs the geometric route too, so its cap refuses n
         def no_table(n):
             raise RuntimeError(f"six-map table built for n={n}")
 
         monkeypatch.setattr(counting, "six_map_table", no_table)
+        monkeypatch.setattr(counting, "_fix_counts_vectorized", no_table)
         assert cli.main(["tcount", "100001", "--method", "all"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: Burnside route capped at n = 100000\n"
+        assert out == "" and err == "error: geometric route capped at n = 100000\n"
+
+    def test_fixed_point_mismatch_exits_3(self, monkeypatch, capsys):
+        # g3 one too many and g6 one too few keep the Burnside sum, so only
+        # the per-map check against the closed forms sees it
+        counts = counting._fix_counts_vectorized
+        monkeypatch.setattr(counting, "_fix_counts_vectorized",
+                            lambda n: tuple(map(sum, zip(counts(n), (0, 0, 1, 0, 0, -1)))))
+        assert cli.main(["tcount", "7", "--method", "all"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "invariant" and record["message"].startswith("g3 fixes 2 ")
+        assert record["n"] == 7 and record["routes"] == ["burnside", "closed"]
 
 
 def test_point_queries_load_no_numpy():

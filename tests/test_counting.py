@@ -1,9 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleantri import arith, counting, lattice
-from cleantri.arith import InvariantViolation, ip_members
+from cleantri.arith import InvariantViolation, ip_members, six_map_table
 from cleantri.counting import (
     OrbitDecomposition,
     TCountReport,
@@ -64,11 +67,40 @@ class TestMapG:
                     assert comp in tables
 
 
+def _table_counts(n):
+    """The fixed-point counts read off the six-map table: the members each
+    of its rows leaves in place."""
+    members, table = six_map_table(n)
+    return tuple(int(c) for c in (table == members).sum(axis=1))
+
+
+def _uncached_fix_counts(n):
+    return counting._fix_counts_vectorized.__wrapped__(n)
+
+
 class TestFixCounts:
     def test_spot_bruteforce(self):
-        # the kernel's table counts: IP(7) = {2..6}, IP(9) = {2, 5, 8}
+        # IP(7) = {2..6}, IP(9) = {2, 5, 8}, IP(1) = {1}, IP(even n > 1) = {}
         assert _fix_counts_vectorized(7) == (5, 1, 1, 2, 2, 1)
         assert _fix_counts_vectorized(9) == (3, 1, 1, 0, 0, 1)
+        for n in (1, 2, 10):
+            assert _uncached_fix_counts(n) == _table_counts(n)
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1001])
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2499).map(lambda k: 2 * k + 1))
+    def test_any_chunk_gives_the_table_counts(self, chunk, n):
+        with mock.patch.object(counting, "_FIX_COUNT_CHUNK", chunk):
+            assert _uncached_fix_counts(n) == _table_counts(n)
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1001])
+    def test_halves_ending_on_a_chunk_seam(self, chunk):
+        # the pass covers x = 1..(n - 1)/2 in chunks from x = 1: halves that
+        # fill their last chunk, leave it one x, or fall one x short of it
+        halves = [k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        with mock.patch.object(counting, "_FIX_COUNT_CHUNK", chunk):
+            for n in (2 * h + 1 for h in halves if 2 * h + 1 <= 5000):
+                assert _uncached_fix_counts(n) == _table_counts(n), n
 
     def test_spot_closed(self):
         assert fix_count_closed(2, 105) == 1
@@ -133,16 +165,45 @@ class TestTCounts:
             assert info.value.n == 7 and info.value.routes == routes
 
     def test_report_checks_burnside_cap_before_tables(self, monkeypatch):
-        def no_table(n):
-            raise RuntimeError(f"six-map table built for n={n}")
+        # the geometric cap, the lowest of the three routes', comes first
+        def no_work(n):
+            raise RuntimeError(f"route run for n={n}")
 
-        monkeypatch.setattr(counting, "six_map_table", no_table)
-        with pytest.raises(ValueError, match="Burnside route capped"):
+        for name in ("six_map_table", "_fix_counts_vectorized", "t_closed", "t_burnside",
+                     "t_geometric"):
+            monkeypatch.setattr(counting, name, no_work)
+        with pytest.raises(ValueError, match="geometric route capped at n = 100000"):
             t_report(100001)
-        with pytest.raises(ValueError, match="Burnside route capped"):
+        with pytest.raises(ValueError, match="geometric route capped at n = 100000"):
             t_report(999999)
         with pytest.raises(ValueError, match="positive"):
             t_report(0)
+
+    def test_burnside_cap(self, monkeypatch):
+        # odd n past 10^7 are refused before any count; even n are 0 past it
+        def no_count(n):
+            raise RuntimeError(f"fixed points counted for n={n}")
+
+        monkeypatch.setattr(counting, "_fix_counts_vectorized", no_count)
+        assert t_burnside(2 * arith.IMPH_BRUTEFORCE_BOUND) == 0
+        with pytest.raises(ValueError, match="Burnside route capped at n = 10000000"):
+            t_burnside(arith.IMPH_BRUTEFORCE_BOUND + 1)
+
+    @pytest.mark.parametrize("n", [99991, 100001, 999999, 1000003, 9999991])
+    def test_burnside_past_the_geometric_cap(self, n):
+        assert t_burnside(n) == t_closed(n)
+
+    def test_burnside_memory_is_bounded(self):
+        # one chunk of the gcd pass is alive at a time, whatever n is
+        counting._fix_counts_vectorized.cache_clear()
+        tracemalloc.start()
+        try:
+            value = t_burnside(9999991)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == t_closed(9999991)
+        assert peak < 4 * 10**6, peak
 
 
 class TestOrbits:
@@ -249,7 +310,7 @@ class TestIndependence:
         for n, value in expected.items():
             assert t_geometric(n) == value
         with pytest.raises(AssertionError, match="residue maps used"):
-            t_burnside(7)
+            orbit_decomposition(7)
         with pytest.raises(AssertionError, match="residue maps used"):
             lattice.equivalent_clean(
                 lattice.LatticeTriangle.from_coords(0, 0, 1, 0, 2, 7),
@@ -262,11 +323,22 @@ class TestIndependence:
         def broken(*args):
             raise AssertionError("factorization used")
 
+        def no_map(*args):
+            raise AssertionError("residue maps used")
+
         monkeypatch.setattr(arith, "factorize", broken)
         monkeypatch.setattr(counting, "_cached_factorization", broken)
         monkeypatch.setattr(counting, "quad_root_count", broken)
+        # nor the kernel's table and maps, the modular inverse or the formula
+        for module in (arith, counting):
+            monkeypatch.setattr(module, "six_map_table", no_map)
+            monkeypatch.setattr(module, "six_maps", no_map)
+        monkeypatch.setattr(arith, "mod_inverse", no_map)
+        monkeypatch.setattr(arith, "_six_images", no_map)
         counting._fix_counts_vectorized.cache_clear()
         for n, value in expected.items():
             assert t_burnside(n) == value
         with pytest.raises(AssertionError, match="factorization used"):
             t_closed(7)
+        with pytest.raises(AssertionError, match="residue maps used"):
+            orbit_decomposition(7)
