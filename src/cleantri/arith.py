@@ -490,31 +490,40 @@ class _FactorData(NamedTuple):
 
 # Bytes per entry of a block that the factor sieve walk holds at its peak:
 # the four fields (8 + 1 + 1 + 1) and, while the block is sieved, the int32
-# cofactor (4) and one bool mask (1).  Between blocks the walk holds the
-# fields alone, so a caller's own work on a block may take five bytes per
-# entry besides what it charges.
-_FACTOR_SIEVE_BYTES_PER_N = 16
+# smooth part (4) and the uint16 counter (2); the counter is unpacked and
+# freed before the int32 cofactor (4) is made beside the smooth part.
+# Between blocks the walk holds the fields alone, so a caller's own work on
+# a block may take eight bytes per entry besides what it charges.
+_FACTOR_SIEVE_BYTES_PER_N = 19
 
-# numpy casts the int32 cofactor to int64 through a buffer of 8192 entries
-# (np.getbufsize()) when the kernel multiplies it into imph, after the mask
-# is freed; a block of fewer entries holds the difference besides its 16 B.
+# numpy casts the int32 cofactor to int64 through a buffer of up to 8192
+# entries (np.getbufsize()) when the kernel multiplies it into imph, after
+# the smooth part is freed; a block of fewer than 16,384 entries holds at
+# most the buffer's excess over those 4 bytes an entry besides its 19.
 _CAST_BUFFER_BYTES = 8 * 8192
 
-# Bytes a walk holds besides its block, whatever its range: the headers of the
-# block's arrays and views, the generator's frame and the spot checks' ints;
-# 2.4 to 4.2 KB in the traced peaks of the sums and tables at x <= 2^21.
-_WALK_OBJECT_BYTES = 6 * 1024
+# Bytes a walk holds besides its block: the headers of the block's arrays
+# and views, the kernel's closure, the generator's frame and the spot
+# checks' ints and tuples; 3.8 to 7.2 KB in the traced peaks of the sums and
+# tables at x <= 2^21.
+_WALK_OBJECT_BYTES = 8 * 1024
 
 # Entries (odd n) per block of the factor sieve walk, so a block covers twice
 # as many numbers.  Smaller blocks pay more per-slice call overhead; larger
 # ones hold more, in every walk (a --json range holds up to nine).  Walking
-# 0..10^7 on a 2-core Xeon VM (median of 5): blocks of 2^16, 2^17, 2^18,
-# 2^19 and 2^20 entries took 0.48, 0.35, 0.29, 0.26 and 0.23 s, and one
-# whole-range block 0.41 s; 2^18 peaks at 4 MB, 2^20 at 16 MB.
+# 0..10^7 on a 2-core Xeon VM (median of 9, sizes interleaved): blocks of
+# 2^16, 2^17, 2^18, 2^19 and 2^20 entries took 0.33, 0.23, 0.18, 0.16 and
+# 0.16 s.  2^18 peaks at 5 MB; 2^19 would save 7 % of a walk for 5 MB more
+# per walk, and 2^20 no more for 15 MB more.
 _SIEVE_BLOCK = 1 << 18
 
+# The wheel of the kernel: 3^2 * 5 * 7 entries, over which n runs through
+# 630 = 2 * 315 numbers, so the entries i and i + 315 of a block hold n and
+# n + 630, which 3, 9, 5 and 7 divide alike.
+_WHEEL = 315
+
 # The walk spot-checks each block at its first and last multiples of this,
-# which the slices of 3 and 5 both touch (at its first and last entries if it
+# which the wheel's 3 and 5 both strike (at its first and last entries if it
 # holds none), and at two fixed by a multiple of the block's start (Knuth's
 # golden-ratio hash).
 _SPOT_MODULUS = 15
@@ -527,53 +536,113 @@ def _odd_offset(a: int, m: int) -> int:
     return (-a) % m * ((m + 1) // 2) % m
 
 
+def _repeat_head(head: int, *arrays: np.ndarray) -> None:
+    """Copy the first ``head`` entries of each array over the rest of it by
+    doubling slices, so that entry i + head gets the value of entry i."""
+    for arr in arrays:
+        done = head
+        while done < len(arr):
+            ahead = arr[done : 2 * done]
+            ahead[:] = arr[: len(ahead)]
+            done *= 2
+
+
 def _sieve_block(a: int, primes: tuple[int, ...], f: _FactorData) -> None:
     """Fill the views in ``f`` with the factor data of the odd n = a + 2i,
     0 <= i < len, for odd a; ``primes`` holds, ascending, at least the odd
     primes <= sqrt(a + 2 len - 2), and not 2.
 
-    Each such prime p is sliced once per power p^k in range, with stride p^k
-    from the first odd multiple of p^k at or after a (``_odd_offset``),
-    dividing the cofactor cof[i] = a + 2i by p alongside the multiplicative
-    data.  Afterwards cof[i] is 1 or a single prime q > sqrt(a + 2i), which
-    is folded in with a few whole-block steps that reuse the cofactor in
-    place; besides it they need one bool mask of the block's length.  Both
-    are freed on return.
+    Each prime power p^k in range strikes three arrays with stride p^k from
+    the first odd multiple of p^k at or after a (``_odd_offset``), unless
+    that multiple lies past the block: imph (times p - 2 for k = 1, times p
+    above), the int32 smooth part (times p) and a uint16 counter (plus 0x101
+    for k = 1, 0x111 if also p = 5 (mod 6), and 0x100 above).  The powers
+    that divide ``_WHEEL``, 3, 9, 5 and 7, strike only the block's first
+    ``_WHEEL`` entries, which ``_repeat_head`` then copies over the rest of
+    the block; the other powers strike all of it.
+
+    The counter packs omega into bits 0-3, the count of primes p = 5 (mod 6)
+    into bits 4-7 and Omega into bits 8-15; whole-block steps unpack it into
+    omega, Omega and the p = 5 (mod 6) flag.  For odd n <= IMPH_SIEVE_BOUND
+    = 10^8, omega <= 7 (3 * 5 * ... * 23 > 10^8), at most 6 primes are
+    5 (mod 6) (5 * 11 * 17 * 23 * 29 * 41 * 47 > 10^8) and Omega <= 16
+    (3^17 > 10^8), so no field reaches the next; a walk past the cap must
+    check these bounds again.
+
+    The cofactor n // (smooth part) is taken once, and cofactor * smooth
+    part = n is checked on every entry: the first n that fails raises
+    ``InvariantViolation``.  The cofactor is then 1 or a single prime
+    q > sqrt(a + 2i), which is folded in by a few whole-block steps.  The
+    smooth part, the counter and the cofactor are freed on return.
     """
     import numpy as np
 
     imph, omega, big_omega, bad5 = f
-    imph.fill(1)
-    omega.fill(0)
-    big_omega.fill(0)
-    bad5.fill(False)
-    cof = np.full(len(imph), 2, dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
-    cof[0] = a
-    np.cumsum(cof, out=cof, dtype=np.int32)  # a, a + 2, ...: no second array, no cast buffer
-    end = a + 2 * len(cof) - 2
+    length = len(imph)
+    end = a + 2 * length - 2
+    sm = np.empty(length, dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
+    count = np.empty(length, dtype=np.uint16)
+
+    def strike(p: int, pk: int, stop: int) -> None:
+        start = _odd_offset(a, pk)
+        if start >= stop:
+            return
+        if pk == p:
+            imph[start:stop:pk] *= p - 2
+            step = 0x101  # omega and Omega
+            if p % 6 == 5:
+                step += 0x10
+            count[start:stop:pk] += step
+        else:
+            imph[start:stop:pk] *= p
+            count[start:stop:pk] += 0x100  # Omega
+        sm[start:stop:pk] *= p
+
+    head = min(length, _WHEEL)
+    imph[:head] = 1
+    sm[:head] = 1
+    count[:head] = 0
+    for p, pk in ((3, 3), (3, 9), (5, 5), (7, 7)):
+        strike(p, pk, head)
+    _repeat_head(head, imph, sm, count)
     for p in primes:
         if p * p > end:
             break
-        start = _odd_offset(a, p)
-        imph[start::p] *= p - 2
-        omega[start::p] += 1
-        if p % 6 == 5:
-            bad5[start::p] = True
         pk = p
         while pk <= end:
-            if pk > p:
-                start = _odd_offset(a, pk)
-                imph[start::pk] *= p
-            cof[start::pk] //= p
-            big_omega[start::pk] += 1
+            if _WHEEL % pk:  # 3, 9, 5 and 7 came with the wheel
+                strike(p, pk, length)
             pk *= p
+
+    np.copyto(omega, count, casting="unsafe")  # the low byte: omega and the p = 5 (mod 6) count
+    count >>= 8
+    np.copyto(big_omega, count, casting="unsafe")
+    del count
+    np.greater(omega, 0xF, out=bad5)  # a prime p = 5 (mod 6) was counted
+    omega &= 0xF
+
+    cof = np.arange(a, end + 1, 2, dtype=np.int32)
+    with np.errstate(divide="ignore"):  # a zero smooth part fails the check below
+        np.divmod(cof, sm, out=(cof, sm))  # n // sm and n % sm, in place
+    # cofactor * smooth part = n exactly where the remainder is 0 and the
+    # cofactor is not (numpy divides by a zero smooth part into 0 rem 0)
+    if np.count_nonzero(sm) or np.count_nonzero(cof) < length:
+        i = int(np.flatnonzero((sm != 0) | (cof == 0))[0])
+        n = a + 2 * i
+        msg = f"sieved cofactor({n}) = {cof[i]} times smooth part is not {n}"
+        raise InvariantViolation(msg, n, ("sieve", "cofactor"))
+    del sm
     big = (cof > 1).view(np.int8)  # 0 or 1, added below with no casting buffer
     omega += big
     big_omega += big
     del big
     cof -= 2
     imph *= np.abs(cof, out=cof)  # q - 2 for a prime cofactor, 1 for cofactor 1
-    bad5 |= np.remainder(cof, 6, out=cof) == 3  # q - 2 = 3 (mod 6) iff q = 5 (mod 6)
+    rem = cof // 6  # |q - 2| mod 6 by a floor division, far cheaper than np.remainder
+    rem *= -6
+    rem += cof
+    del cof
+    bad5 |= rem == 3  # q - 2 = 3 (mod 6) iff q = 5 (mod 6)
 
 
 def _empty_factor_data(length: int) -> _FactorData:
@@ -599,7 +668,7 @@ def _walk_bytes(lo: int, hi: int) -> int:
     if hi > IMPH_SIEVE_BOUND:
         raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
     length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
-    block = _FACTOR_SIEVE_BYTES_PER_N * length + max(0, _CAST_BUFFER_BYTES - length)
+    block = _FACTOR_SIEVE_BYTES_PER_N * length + max(0, _CAST_BUFFER_BYTES - 4 * length)
     return block + _WALK_OBJECT_BYTES
 
 

@@ -88,24 +88,31 @@ def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
     sieve.  By the rule of ``arith.quad_root_count``, 2 rho(n) is 0 when
     9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when 3 | n otherwise,
     and 2^(omega(n) + 1) in the remaining case.  f.imph is overwritten; the
-    int16 root-count array keeps the peak within the walk's own figure.  At
-    the walk's ``_spot_indices`` the result is compared with the closed form
-    of one ``factorize(n)``.
+    int16 root-count array and the uint8 arrays of the divisibility check
+    keep the peak within the walk's own figure.  A numerator that 6 does not
+    divide raises ``InvariantViolation`` at its n; at the walk's
+    ``_spot_indices`` the result is compared with the closed form of one
+    ``factorize(n)``.
     """
     import numpy as np
 
     roots = np.left_shift(2, f.omega, dtype=np.int16)  # 2^(omega + 1)
     roots[_odd_offset(a, 3) :: 3] >>= 1
     roots[_odd_offset(a, 9) :: 9] = 0
-    roots[f.bad5] = 0
+    roots *= ~f.bad5
     table = f.imph
     table += roots
     table += 3
-    if np.remainder(table, 6, out=roots, casting="unsafe").any():
-        n = a + 2 * int(roots.nonzero()[0][0])
-        raise InvariantViolation(f"closed-form numerator of T({n}) not divisible by 6", n, ("closed",))
     del roots
+    # numerator - 6 * (numerator // 6) is 0..5, so it is 0 exactly when the
+    # two agree mod 256: the multiply-back compares their low bytes alone
+    low = table.astype(np.uint8)
     table //= 6
+    low -= np.multiply(table, 6, out=np.empty_like(low), casting="unsafe")
+    if np.count_nonzero(low):
+        n = a + 2 * int(np.flatnonzero(low)[0])
+        raise InvariantViolation(f"closed-form numerator of T({n}) not divisible by 6", n, ("closed",))
+    del low
     for i in _spot_indices(a, len(table)):
         n = a + 2 * i
         fac = factorize(n)
@@ -223,7 +230,7 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
         out = terms[(a - 3) // 2 :][: len(f.omega)]
         np.ldexp(1.0, f.omega, out=out)  # 2^omega, then the sign (-1)^omega
         np.negative(out, out=out, where=(f.omega & 1).view(bool))
-        out[f.omega != f.big_omega] = 0.0
+        out *= f.omega == f.big_omega  # 0 at the d that are not squarefree
         d = f.imph  # d = a, a + 2, ... in the block's own int64 array
         d.fill(2)
         d[0] = a

@@ -3,6 +3,7 @@ import math
 import textwrap
 import tracemalloc
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -543,8 +544,11 @@ class TestFactorSieve:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=400))
     @example(3)
+    @example(48)
     def test_every_entry_small_bounds(self, x):
-        # small x leave cofactors like 3 and 5 unsieved, since no odd prime is <= sqrt(x)
+        # below 49, 7 exceeds sqrt(x) (below 25, 5 too), yet the kernel's
+        # wheel strikes it; the other primes above sqrt(x) are folded in as
+        # cofactors
         data = _walk_table(x)
         for n in range(1, x + 1, 2):
             _assert_factor_data(data, n)
@@ -640,6 +644,45 @@ class TestFactorSieveBlocks:
         with pytest.raises(arith.InvariantViolation, match=r"^sieved bad5\(") as info:
             walk()
         assert 1 <= info.value.n < SPAN and info.value.routes == ("sieve", "factorize")
+
+
+def _assert_walk_matches_factorize(lo, hi):
+    """Every odd n of the walk over lo..hi against one factorize(n)."""
+    for a, block in arith._factor_blocks(lo, hi):
+        for i in range(len(block.imph)):
+            f = factorize(a + 2 * i)
+            bad5 = any(p % 6 == 5 for p in f.primes())
+            want = (imph_from_factorization(f), f.omega, f.big_omega, bad5)
+            assert tuple(arr[i] for arr in block) == want, a + 2 * i
+
+
+class TestSieveKernel:
+    """The kernel's wheel of 3, 9, 5 and 7, copied forward from each block's
+    first 315 entries, against factorize: blocks starting at each odd residue
+    mod 630, block lengths on both sides of the wheel's period, and near the
+    sieve cap (``TestFactorSieve`` covers the bounds x <= 400)."""
+
+    @settings(max_examples=2, deadline=None)
+    @given(st.integers(0, (arith.IMPH_SIEVE_BOUND - 2 * 10**5) // 630))
+    def test_every_wheel_residue(self, k):
+        # blocks of 316 entries cover 632 numbers, so the 315 blocks of this
+        # walk start at every odd residue mod 630 once
+        a = 630 * k + 1
+        with mock.patch.object(arith, "_SIEVE_BLOCK", 316):
+            _assert_walk_matches_factorize(a, a + 2 * 316 * 315 - 2)
+
+    @pytest.mark.parametrize("length", [1, 2, 314, 316, 1001])
+    @settings(max_examples=8, deadline=None)
+    @given(lo=st.integers(0, 10**6), count=st.integers(0, 1500))
+    def test_block_lengths(self, length, lo, count):
+        with mock.patch.object(arith, "_SIEVE_BLOCK", length):
+            _assert_walk_matches_factorize(lo, lo + count)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(arith.IMPH_SIEVE_BOUND - 10**5, arith.IMPH_SIEVE_BOUND))
+    @example(arith.IMPH_SIEVE_BOUND)
+    def test_window_below_the_cap(self, hi):
+        _assert_walk_matches_factorize(hi - 3000, hi)
 
 
 class TestIpMembers:

@@ -337,14 +337,26 @@ class TestTcountCommand:
             assert out == "" and err == "error: geometric route capped at n = 100000\n"
 
 
+def _mutate(monkeypatch, fn, old, new):
+    """Replace ``fn`` in its module, for the test, by its source with the one
+    occurrence of ``old`` changed to ``new``."""
+    module = sys.modules[fn.__module__]
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    code = "from __future__ import annotations\n" + source.replace(old, new)
+    exec(compile(code, module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, fn.__name__, namespace[fn.__name__])
+
+
 def _walk_need(runs):
     """Bytes the factor sieve walks over ``runs`` hold together: a block of
-    odd n (16 B each, and the cast buffer's excess over a short block's
-    mask) and the fixed per-walk objects, for each."""
+    odd n (19 B each, and the cast buffer's excess over a short block's
+    smooth part, 4 B an entry) and the fixed per-walk objects, for each."""
     blocks = [min((b + 1) // 2 - a // 2, arith._SIEVE_BLOCK) for a, b in runs]
     return sum(
         arith._FACTOR_SIEVE_BYTES_PER_N * n
-        + max(0, arith._CAST_BUFFER_BYTES - n)
+        + max(0, arith._CAST_BUFFER_BYTES - 4 * n)
         + arith._WALK_OBJECT_BYTES
         for n in blocks
     )
@@ -518,8 +530,11 @@ class TestRangeWriter:
     ])
     def test_spot_check_catches_a_wrong_slice_start(self, monkeypatch, capsys, argv):
         # the slice start of every n, not of the odd n, corrupts every block;
-        # the walk's spot check stops the first before any line is written
+        # with the kernel's cofactor check taken out, the walk's spot check
+        # stops the first before any line is written
         monkeypatch.setattr(arith, "_odd_offset", lambda a, m: (-a) % m)
+        _mutate(monkeypatch, arith._sieve_block,
+                "if np.count_nonzero(sm) or np.count_nonzero(cof) < length:", "if False:")
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
@@ -530,15 +545,41 @@ class TestRangeWriter:
         assert f"factorize gives {arith.imph(n)}" in record["message"]
 
     @pytest.mark.parametrize("argv", [
+        ["imph", "1..1000000", "--bfile"],
+        ["meanvalue", "--x", "1000000", "--primes", "1000"],
+    ])
+    def test_cofactor_check_catches_a_wrong_slice_start(self, monkeypatch, capsys, argv):
+        # a smooth part struck at n that its prime does not divide leaves a
+        # remainder: the kernel's check of cofactor * smooth part = n names
+        # the first such n before any line is written; in the block of a = 1
+        # the slice of 3 starts at entry 2, n = 5
+        monkeypatch.setattr(arith, "_odd_offset", lambda a, m: (-a) % m)
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "invariant" and record["routes"] == ["sieve", "cofactor"]
+        assert record["n"] == 5 and record["message"].startswith("sieved cofactor(5)")
+
+    @pytest.mark.parametrize("argv", [
         ["tcount", "1..1000000", "--bfile"],
         ["meanvalue", "--x", "1000000"],
     ])
     @pytest.mark.parametrize("fn,old,new,caught", [
-        (arith._sieve_block, "omega[start::p] += 1", "omega[start::p] += 2", "sieved omega("),
-        (arith._sieve_block, "big_omega[start::pk] += 1", "big_omega[start::pk] += 2",
-         "sieved big_omega("),
+        pytest.param(arith._sieve_block, "step = 0x101", "step = 0x102", "sieved omega(",
+                     id="_sieve_block-omega step"),
+        pytest.param(arith._sieve_block, "step = 0x101", "step = 0x201", "sieved big_omega(",
+                     id="_sieve_block-Omega step"),
         (arith._sieve_block, "== 3  # q - 2", "== 1  # q - 2", "closed-form numerator of T("),
         (arith._sieve_block, "if p % 6 == 5:", "if p % 6 == 1:", "sieved bad5("),
+        pytest.param(arith._sieve_block, "(3, 9)", "(3, 27)", "closed-form numerator of T(",
+                     id="_sieve_block-wheel without 9"),
+        pytest.param(arith._sieve_block, "np.arange(a, end + 1", "np.arange(a + 2, end + 3",
+                     "sieved cofactor(", id="_sieve_block-cofactor of the next n"),
+        pytest.param(arith._repeat_head, "arr[: len(ahead)]", "arr[1 : len(ahead) + 1]",
+                     "sieved cofactor(", id="_repeat_head-wheel copied one entry off"),
+        pytest.param(arith._sieve_block, "sm[:head] = 1", "sm[:head] = 0", "sieved cofactor(",
+                     id="_sieve_block-zero smooth part"),
         (meanvalue._t_closed_block, "_odd_offset(a, 3) :: 3", "_odd_offset(a, 3) + 1 :: 3",
          "closed-form numerator of T("),
         (meanvalue._t_closed_block, "_odd_offset(a, 9) :: 9", "_odd_offset(a, 9) + 1 :: 9",
@@ -546,15 +587,10 @@ class TestRangeWriter:
         (meanvalue._t_closed_block, "table += 3", "table += 9", "sieved T("),
     ])
     def test_factor_row_mutation_exits_3(self, monkeypatch, capsys, argv, fn, old, new, caught):
-        # a wrong update of one field of the factor row, or of the closed
-        # form built from it, stops the first block before any line is written
-        module = sys.modules[fn.__module__]
-        source = textwrap.dedent(inspect.getsource(fn))
-        assert source.count(old) == 1
-        namespace = dict(vars(module))
-        code = "from __future__ import annotations\n" + source.replace(old, new)
-        exec(compile(code, module.__file__, "exec"), namespace)
-        monkeypatch.setattr(module, fn.__name__, namespace[fn.__name__])
+        # a wrong update of one field of the factor row, of the wheel the
+        # kernel copies forward, of the cofactor, or of the closed form built
+        # from the row, stops the first block before any line is written
+        _mutate(monkeypatch, fn, old, new)
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
@@ -562,8 +598,10 @@ class TestRangeWriter:
         n = record["n"]
         assert record["message"].startswith(caught + f"{n})")
         assert n % 2 == 1 and 1 <= n < 2 * arith._SIEVE_BLOCK
-        routes = ["closed"] if caught.startswith("closed") else ["sieve", "factorize"]
-        assert record["error"] == "invariant" and record["routes"] == routes
+        routes = {"closed-form numerator of T(": ["closed"],
+                  "sieved cofactor(": ["sieve", "cofactor"]}
+        assert record["error"] == "invariant"
+        assert record["routes"] == routes.get(caught, ["sieve", "factorize"])
 
     def test_far_closed_range(self, capsys):
         # past the sieve cap, a closed range is served by the point route

@@ -258,11 +258,11 @@ def _charged_need(name, x):
     """The bytes the walk of a sieve user is checked against the budget for:
     what the caller holds, one block and the fixed per-walk objects."""
     _, lo, holding = SIEVE_USERS[name]
-    block = min((x + 1) // 2 - lo // 2, arith._SIEVE_BLOCK)  # 16 B for each odd n
+    block = min((x + 1) // 2 - lo // 2, arith._SIEVE_BLOCK)  # 19 B for each odd n
     return (
         holding(x)
         + arith._FACTOR_SIEVE_BYTES_PER_N * block
-        + max(0, arith._CAST_BUFFER_BYTES - block)
+        + max(0, arith._CAST_BUFFER_BYTES - 4 * block)
         + arith._WALK_OBJECT_BYTES
     )
 
