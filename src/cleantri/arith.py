@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
@@ -230,8 +230,44 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Factorization:
+_set = object.__setattr__  # sets a field of a record past its refusing __setattr__
+
+
+class _Record:
+    """Base of the package's frozen records, whose fields are their
+    ``__slots__`` in order.  A record equals, and hashes as, the tuple of its
+    fields, but only against a record of its own class; its repr reads
+    ``Name(field=value, ...)``; its fields cannot be assigned or deleted.  A
+    subclass's ``__init__`` sets each field with ``_set``, then checks them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(attrgetter(*cls.__slots__))  # every record has two fields or more
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class Factorization(_Record):
     """n together with its prime factorization as ordered (prime, exponent) pairs.
 
     The public constructor validates everything: n >= 1, strictly increasing
@@ -240,15 +276,16 @@ class Factorization:
     through ``_proven``, which checks the product alone.
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "factors", factors)
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
         prod = 1
         prev = 0
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
@@ -257,19 +294,19 @@ class Factorization:
                 raise ValueError(f"{p} is not prime")
             prev = p
             prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factors multiply to {prod}, not {self.n}")
+        if prod != n:
+            raise ValueError(f"factors multiply to {prod}, not {n}")
 
     @classmethod
     def _proven(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
         """The factorization of n by ``factorize``, whose primes are proven
-        and sorted; skips ``__post_init__`` but raises ``InvariantViolation``
+        and sorted; skips ``__init__`` but raises ``InvariantViolation``
         when the factors do not multiply to n."""
         if (prod := math.prod(p**e for p, e in factors)) != n:
             raise InvariantViolation(f"factors multiply to {prod}, not {n}", n, ("factorize",))
-        f = object.__new__(cls)
-        object.__setattr__(f, "n", n)
-        object.__setattr__(f, "factors", factors)
+        f = cls.__new__(cls)
+        _set(f, "n", n)
+        _set(f, "factors", factors)
         return f
 
     @property

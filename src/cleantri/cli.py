@@ -15,8 +15,6 @@ line on stderr, after any lines a streamed range wrote) or a Scott violation
 from __future__ import annotations
 
 import argparse
-import heapq
-import json
 import os
 import sys
 from itertools import chain, islice
@@ -34,7 +32,7 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal
 _LINES_PER_WRITE = 1 << 15
 
 # A closed tcount range past the sieve cap factorizes each odd n, about
-# 175 us near 10^12, so this many odd n take about 18 s.
+# 88 us near 10^12 (2-core VM), so this many odd n take about 7 s.
 _POINT_RANGE_ODD_BOUND = 10**5
 
 
@@ -53,9 +51,16 @@ def _parse_range(spec: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
     return lo, hi
 
 
+def _dumps(record) -> str:
+    """The record as JSON with sorted keys; json loads on the paths that write it."""
+    import json
+
+    return json.dumps(record, sort_keys=True)
+
+
 def _emit(record: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(record, sort_keys=True))
+        print(_dumps(record))
     else:
         for line in lines:
             print(line)
@@ -71,15 +76,17 @@ def _write_range(head: dict | None, lo: int, hi: int, source, value, fmt) -> Non
     ``source(value, runs)`` makes every check, then gives one walk per run a..b
     of (start, values) in order; ``fmt(n, v)`` gives a line or a ``'"n": v'`` entry.
 
-    ``json.dumps(sort_keys=True)`` orders the results as strings, so they
+    ``_dumps`` (sorted keys) orders the results as strings, so they
     are merged from one run per digit count, each in that order already as
     '"' sorts below every digit.  Every walk's first chunk precedes any write.
     """
     runs, start, sep, end = [(lo, hi)], "", "", ""
     if head is not None:
+        import heapq  # only these runs, one per digit count, are ever more than one
+
         digits = range(len(str(lo)), len(str(hi)) + 1)
         runs = [(max(lo, 10 ** (d - 1)), min(hi, 10**d - 1)) for d in digits]
-        start, sep, end = json.dumps(head, sort_keys=True)[:-1] + ', "results": {', ", ", "}}\n"
+        start, sep, end = _dumps(head)[:-1] + ', "results": {', ", ", "}}\n"
     walks = source(value, runs)
     streams = [chain.from_iterable(map(fmt, range(s, s + len(v)), v) for s, v in w) for w in walks]
     items = heapq.merge(*streams) if len(streams) > 1 else streams[0]
@@ -205,7 +212,7 @@ def cmd_tcount(args, parser) -> int:
     mode = "json" if args.json else "bfile" if args.bfile else "text"
     if method == "all":
         fmt = {
-            "json": lambda n, e: f'"{n}": {json.dumps(e, sort_keys=True)}',
+            "json": lambda n, e: f'"{n}": {_dumps(e)}',
             "bfile": lambda n, e: f"{n} {e['closed']}\n",
             "text": lambda n, e: f"T({n}): " + " ".join(f"{k}={v}" for k, v in e.items()) + "\n",
         }
@@ -459,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
     except arith.InvariantViolation as exc:
         record = {"error": "invariant", "message": str(exc), "n": exc.n, "routes": exc.routes}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        print(_dumps(record), file=sys.stderr)
         return EXIT_VIOLATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

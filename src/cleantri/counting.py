@@ -16,13 +16,14 @@ the geometric route and the orbits odd n up to 10^5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import (
     IMPH_BRUTEFORCE_BOUND,
     InvariantViolation,
     _cached_factorization,
+    _Record,
+    _set,
     imph_from_factorization,
     quad_root_count,
     six_map_table,
@@ -169,16 +170,16 @@ def t_closed(n: int) -> int:
     return numerator // 6
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    n: int
-    orbits: tuple[tuple[int, ...], ...]
+class OrbitDecomposition(_Record):
+    __slots__ = ("n", "orbits")
 
-    def __post_init__(self) -> None:
-        flat = sorted(x for orbit in self.orbits for x in orbit)
+    def __init__(self, n: int, orbits: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "orbits", orbits)
+        flat = sorted(x for orbit in orbits for x in orbit)
         if flat != sorted(set(flat)):
             raise ValueError("orbits overlap")
-        for orbit in self.orbits:
+        for orbit in orbits:
             if 6 % len(orbit) != 0:
                 raise ValueError(f"orbit size {len(orbit)} does not divide 6")
 
@@ -230,23 +231,24 @@ def t_geometric(n: int) -> int:
     return int(np.count_nonzero(np.bincount(clean_keys(n))))
 
 
-@dataclass(frozen=True)
-class TCountReport:
-    n: int
-    t_closed: int
-    t_burnside: int
-    t_geometric: int
-    fix_counts: tuple[int, int, int, int, int, int]
+class TCountReport(_Record):
+    __slots__ = ("n", "t_closed", "t_burnside", "t_geometric", "fix_counts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, t_closed: int, t_burnside: int, t_geometric: int,
+                 fix_counts: tuple[int, int, int, int, int, int]) -> None:
+        _set(self, "n", n)
+        _set(self, "t_closed", t_closed)
+        _set(self, "t_burnside", t_burnside)
+        _set(self, "t_geometric", t_geometric)
+        _set(self, "fix_counts", fix_counts)
         for agree, routes in (
-            (self.t_closed == self.t_burnside, ("closed", "burnside")),
-            (self.t_closed == self.t_geometric, ("closed", "geometric")),
-            (6 * self.t_burnside == sum(self.fix_counts), ("burnside", "fix-counts")),
+            (t_closed == t_burnside, ("closed", "burnside")),
+            (t_closed == t_geometric, ("closed", "geometric")),
+            (6 * t_burnside == sum(fix_counts), ("burnside", "fix-counts")),
         ):
             if not agree:
-                msg = f"{routes[0]}/{routes[1]} disagreement at n={self.n}: {self}"
-                raise InvariantViolation(msg, self.n, routes)
+                msg = f"{routes[0]}/{routes[1]} disagreement at n={n}: {self}"
+                raise InvariantViolation(msg, n, routes)
 
 
 def t_report(n: int) -> TCountReport:

@@ -13,11 +13,10 @@ same for every base-form clean triangle of one h at once, on arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import permutations
 
-from .arith import InvariantViolation, extended_gcd, ip_members, six_maps
+from .arith import InvariantViolation, _Record, _set, extended_gcd, ip_members, six_maps
 
 __all__ = [
     "DegenerateTriangleError",
@@ -52,20 +51,30 @@ class DegenerateTriangleError(ValueError):
     """Raised when a triangle's vertices are collinear."""
 
 
-@dataclass(frozen=True, order=True)
-class LatticePoint:
-    x: int
-    y: int
+@total_ordering
+class LatticePoint(_Record):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: int, y: int) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+
+    def __lt__(self, other: "LatticePoint") -> bool:
+        if other.__class__ is self.__class__:
+            return (self.x, self.y) < (other.x, other.y)
+        return NotImplemented
 
     def __sub__(self, other: "LatticePoint") -> "LatticePoint":
         return LatticePoint(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
-class LatticeTriangle:
-    v0: LatticePoint
-    v1: LatticePoint
-    v2: LatticePoint
+class LatticeTriangle(_Record):
+    __slots__ = ("v0", "v1", "v2")
+
+    def __init__(self, v0: LatticePoint, v1: LatticePoint, v2: LatticePoint) -> None:
+        _set(self, "v0", v0)
+        _set(self, "v1", v1)
+        _set(self, "v2", v2)
 
     @classmethod
     def from_coords(cls, x0, y0, x1, y1, x2, y2) -> "LatticeTriangle":
@@ -79,19 +88,19 @@ class LatticeTriangle:
         return frozenset(self.vertices)
 
 
-@dataclass(frozen=True)
-class AffineUnimodularMap:
+class AffineUnimodularMap(_Record):
     """x -> M x + t with M = [[a, b], [c, d]], det M = +-1, integer t."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-    t: LatticePoint = LatticePoint(0, 0)
+    __slots__ = ("a", "b", "c", "d", "t")
 
-    def __post_init__(self) -> None:
-        if self.det not in (1, -1):
-            raise ValueError(f"matrix determinant must be +-1, got {self.det}")
+    def __init__(self, a: int, b: int, c: int, d: int, t: LatticePoint = LatticePoint(0, 0)):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        _set(self, "t", t)
+        if (det := a * d - b * c) not in (1, -1):
+            raise ValueError(f"matrix determinant must be +-1, got {det}")
 
     @property
     def det(self) -> int:
@@ -132,20 +141,20 @@ class AffineUnimodularMap:
         )
 
 
-@dataclass(frozen=True)
-class BaseForm:
+class BaseForm(_Record):
     """Reduced triangle (0,0), (b,0), (m,h) with the base the richest edge."""
 
-    b: int
-    m: int
-    h: int
+    __slots__ = ("b", "m", "h")
 
-    def __post_init__(self) -> None:
-        if self.b <= 0 or self.h <= 0:
+    def __init__(self, b: int, m: int, h: int) -> None:
+        _set(self, "b", b)
+        _set(self, "m", m)
+        _set(self, "h", h)
+        if b <= 0 or h <= 0:
             raise ValueError(f"b and h must be positive: {self}")
-        if not (0 <= self.m < self.h):
+        if not (0 <= m < h):
             raise ValueError(f"m must satisfy 0 <= m < h: {self}")
-        if self.b < math.gcd(self.m, self.h) or self.b < math.gcd(self.m - self.b, self.h):
+        if b < math.gcd(m, h) or b < math.gcd(m - b, h):
             raise ValueError(f"base edge carries fewer lattice points than a leg: {self}")
 
     def triangle(self) -> LatticeTriangle:
@@ -155,14 +164,14 @@ class BaseForm:
         return (self.b, self.m, self.h)
 
 
-@dataclass(frozen=True)
-class PickCounts:
-    interior: int
-    boundary: int
-    twice_area: int
+class PickCounts(_Record):
+    __slots__ = ("interior", "boundary", "twice_area")
 
-    def __post_init__(self) -> None:
-        if self.twice_area != 2 * self.interior + self.boundary - 2:
+    def __init__(self, interior: int, boundary: int, twice_area: int) -> None:
+        _set(self, "interior", interior)
+        _set(self, "boundary", boundary)
+        _set(self, "twice_area", twice_area)
+        if twice_area != 2 * interior + boundary - 2:
             raise ValueError(f"Pick identity violated: {self}")
 
 
@@ -375,22 +384,28 @@ def clean_key(t: LatticeTriangle) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScottResult:
-    applicable: bool
-    holds: bool
-    equality: bool
-    interior: int
-    boundary: int
+class ScottResult(_Record):
+    __slots__ = ("applicable", "holds", "equality", "interior", "boundary")
+
+    def __init__(self, applicable: bool, holds: bool, equality: bool, interior: int, boundary: int):
+        _set(self, "applicable", applicable)
+        _set(self, "holds", holds)
+        _set(self, "equality", equality)
+        _set(self, "interior", interior)
+        _set(self, "boundary", boundary)
 
 
-@dataclass(frozen=True)
-class ScottScanReport:
-    grid_bound: int
-    checked: int
-    violations: tuple[LatticeTriangle, ...]
-    equality_cases: tuple[LatticeTriangle, ...]
-    equality_base_forms: tuple[tuple[int, int, int], ...]
+class ScottScanReport(_Record):
+    __slots__ = ("grid_bound", "checked", "violations", "equality_cases", "equality_base_forms")
+
+    def __init__(self, grid_bound: int, checked: int, violations: tuple[LatticeTriangle, ...],
+                 equality_cases: tuple[LatticeTriangle, ...],
+                 equality_base_forms: tuple[tuple[int, int, int], ...]) -> None:
+        _set(self, "grid_bound", grid_bound)
+        _set(self, "checked", checked)
+        _set(self, "violations", violations)
+        _set(self, "equality_cases", equality_cases)
+        _set(self, "equality_base_forms", equality_base_forms)
 
 
 def scott_check(t: LatticeTriangle) -> ScottResult:

@@ -14,7 +14,6 @@ One walk of the primes gives the odd product, C_FT and the zeta form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .arith import (
     InvariantViolation,
@@ -22,6 +21,8 @@ from .arith import (
     _FactorData,
     _odd_offset,
     _primes_upto,
+    _Record,
+    _set,
     _sieve_table,
     _spot_indices,
     factorize,
@@ -45,16 +46,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
+class ConstantEstimate(_Record):
     """A truncated product/sum value with a rigorous truncation-error bracket."""
 
-    value: float
-    prime_bound: int
-    tail_bound: float
+    __slots__ = ("value", "prime_bound", "tail_bound")
 
-    def __post_init__(self) -> None:
-        if self.tail_bound < 0:
+    def __init__(self, value: float, prime_bound: int, tail_bound: float) -> None:
+        _set(self, "value", value)
+        _set(self, "prime_bound", prime_bound)
+        _set(self, "tail_bound", tail_bound)
+        if tail_bound < 0:
             raise ValueError("tail bound must be nonnegative")
 
     def agrees_with(self, other: "ConstantEstimate") -> bool:
@@ -245,23 +246,31 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeanValueReport:
+class MeanValueReport(_Record):
     """Sums up to x against their limits, with the three constants of one
     prime walk."""
 
-    x: int
-    sum_imph: int
-    sum_t: int
-    ratio_imph: float
-    ratio_t: float
-    limit_imph: float
-    limit_t: float
-    deviation_imph: float
-    deviation_t: float
-    product: ConstantEstimate
-    feller_tornier: ConstantEstimate
-    feller_tornier_zeta: ConstantEstimate
+    __slots__ = (
+        "x", "sum_imph", "sum_t", "ratio_imph", "ratio_t", "limit_imph", "limit_t",
+        "deviation_imph", "deviation_t", "product", "feller_tornier", "feller_tornier_zeta",
+    )
+
+    def __init__(self, x: int, sum_imph: int, sum_t: int, ratio_imph: float, ratio_t: float,
+                 limit_imph: float, limit_t: float, deviation_imph: float, deviation_t: float,
+                 product: ConstantEstimate, feller_tornier: ConstantEstimate,
+                 feller_tornier_zeta: ConstantEstimate) -> None:
+        _set(self, "x", x)
+        _set(self, "sum_imph", sum_imph)
+        _set(self, "sum_t", sum_t)
+        _set(self, "ratio_imph", ratio_imph)
+        _set(self, "ratio_t", ratio_t)
+        _set(self, "limit_imph", limit_imph)
+        _set(self, "limit_t", limit_t)
+        _set(self, "deviation_imph", deviation_imph)
+        _set(self, "deviation_t", deviation_t)
+        _set(self, "product", product)
+        _set(self, "feller_tornier", feller_tornier)
+        _set(self, "feller_tornier_zeta", feller_tornier_zeta)
 
 
 def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
@@ -302,11 +311,13 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
     )
 
 
-@dataclass(frozen=True)
-class GrosswaldReport:
-    x: int
-    total: int
-    ratio_to_xlog2x: float
+class GrosswaldReport(_Record):
+    __slots__ = ("x", "total", "ratio_to_xlog2x")
+
+    def __init__(self, x: int, total: int, ratio_to_xlog2x: float) -> None:
+        _set(self, "x", x)
+        _set(self, "total", total)
+        _set(self, "ratio_to_xlog2x", ratio_to_xlog2x)
 
 
 def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:

@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import inspect
 import io
 import json
@@ -770,7 +769,9 @@ def _shifted(fn, by):
     """fn with its result moved by ``by``, on ints and on ConstantEstimate."""
     def broken(*args):
         out = fn(*args)
-        return out + by if isinstance(out, int) else dataclasses.replace(out, value=out.value + by)
+        if isinstance(out, int):
+            return out + by
+        return meanvalue.ConstantEstimate(out.value + by, out.prime_bound, out.tail_bound)
 
     return broken
 
@@ -874,6 +875,26 @@ def test_point_queries_load_no_numpy():
         "bfile": [0, True],
     }
     assert bfile.splitlines() == ["1 1", "2 0", "3 1", "4 0", "5 3", "6 0", "7 5", "8 0", "9 3", "10 0"]
+
+
+def test_import_loads_no_heavy_modules():
+    """In a fresh interpreter, ``import cleantri`` and ``from cleantri import
+    cli`` load none of the modules that would dominate a point query's start:
+    dataclasses (which brings inspect), heapq and json (loaded by the paths
+    that use them) and numpy.  Modules the interpreter loaded before are not
+    counted."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cleantri\n"
+        "from cleantri import cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    added = set(ast.literal_eval(r.stdout))
+    assert "cleantri.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "heapq", "json", "numpy"})
 
 
 def test_no_assert_in_package():
