@@ -542,7 +542,8 @@ _CAST_BUFFER_BYTES = 8 * 8192
 # Bytes a walk holds besides its block: the headers of the block's arrays
 # and views, the kernel's closure, the generator's frame and the spot
 # checks' ints and tuples; 3.8 to 7.2 KB in the traced peaks of the sums and
-# tables at x <= 2^21.
+# tables at x <= 2^21, and no more after 1,000 blocks than after 100 (see
+# ``_spot_check``).
 _WALK_OBJECT_BYTES = 8 * 1024
 
 # Entries (odd n) per block of the factor sieve walk, so a block covers twice
@@ -709,6 +710,16 @@ def _walk_bytes(lo: int, hi: int) -> int:
     return block + _WALK_OBJECT_BYTES
 
 
+def _walk_idle_bytes(lo: int, hi: int) -> int:
+    """Bytes of ``_walk_bytes(lo, hi)`` that the walk leaves free between
+    blocks, when it holds the four fields alone (11 bytes an entry): the
+    smooth part, counter and cofactor of the kernel and the room of its cast
+    buffer.  A caller's work on a block, done before it asks for the next,
+    may take them."""
+    length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
+    return _walk_bytes(lo, hi) - _WALK_OBJECT_BYTES - 11 * length
+
+
 def _spot_indices(a: int, length: int) -> tuple[int, int, int, int]:
     """The entries of a block of ``length`` odd n = a + 2i that the walk
     spot-checks: its first and last n divisible by ``_SPOT_MODULUS`` (its
@@ -725,17 +736,30 @@ def _spot_indices(a: int, length: int) -> tuple[int, int, int, int]:
 def _spot_check(a: int, f: _FactorData) -> None:
     """Compare a block's sieved factor row of the odd n = a + 2i with one
     ``factorize(n)`` at each of its ``_spot_indices``: imph, omega, Omega and
-    the p = 5 (mod 6) flag; raise ``InvariantViolation`` at the first field
-    that differs."""
+    the p = 5 (mod 6) flag, field by field; raise ``InvariantViolation`` at
+    the first field that differs.
+
+    It builds no tuple from a generator, nor does the walk: CPython sizes
+    such a tuple by a guess and shrinks it, so it is freed into the free list
+    of a smaller size than it came from.  Those lists keep up to 2000 tuples
+    a size, and with such tuples the walk's traced bytes grew by 100 to 260
+    bytes a block over its first few thousand blocks.
+    """
     for i in _spot_indices(a, len(f.imph)):
         n = a + 2 * i
         fac = factorize(n)
-        bad5 = any(p % 6 == 5 for p in fac.primes())
-        want = (imph_from_factorization(fac), fac.omega, fac.big_omega, bad5)
-        for name, row, value in zip(_FactorData._fields, f, want):
-            if row[i] != value:
-                msg = f"sieved {name}({n}) = {row[i]}, factorize gives {value}"
-                raise InvariantViolation(msg, n, ("sieve", "factorize"))
+        _spot_field("imph", f.imph[i], imph_from_factorization(fac), n)
+        _spot_field("omega", f.omega[i], fac.omega, n)
+        _spot_field("big_omega", f.big_omega[i], fac.big_omega, n)
+        _spot_field("bad5", f.bad5[i], any(p % 6 == 5 for p, _ in fac.factors), n)
+
+
+def _spot_field(name: str, sieved, value, n: int) -> None:
+    """Raise ``InvariantViolation`` when the sieved field ``name`` of n is
+    not the value from ``factorize(n)``."""
+    if sieved != value:
+        msg = f"sieved {name}({n}) = {sieved}, factorize gives {value}"
+        raise InvariantViolation(msg, n, ("sieve", "factorize"))
 
 
 def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _FactorData]]:
@@ -768,7 +792,7 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
             return
         block = _empty_factor_data(length)
         for a in range(lo | 1, hi + 1, 2 * length):
-            view = _FactorData(*(arr[: (hi - a) // 2 + 1] for arr in block))
+            view = _FactorData(*[arr[: (hi - a) // 2 + 1] for arr in block])  # see _spot_check
             _sieve_block(a, _SIEVE_PRIMES, view)
             _spot_check(a, view)
             yield a, view

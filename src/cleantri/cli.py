@@ -4,7 +4,11 @@ Subcommands: imph, tcount, reduce, equiv, scott, orbits, meanvalue.
 Output is human-readable by default; ``--json`` emits one structured record
 per invocation and ``--bfile`` (sequence commands) emits OEIS b-file lines
 "n a(n)".  ``imph`` and ``tcount`` stream every range, ``--json`` too, through
-one writer, ``_write_range``, so their memory does not grow with the range;
+one writer, ``_write_range``, so their memory does not grow with the range:
+it takes the lines in chunks from ``_merged``, which puts a ``--json``
+record's digit-count runs in the order of its string keys, and formats each
+chunk at once, the factor sieve's values on arrays (``_format_lines``) and
+the point routes' value by value (``_format_points``).
 ``meanvalue`` adds up both of its sums as the factor sieve's blocks pass.
 Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
 cross-check (``arith.InvariantViolation``, reported by ``main`` alone as one JSON
@@ -17,7 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, islice
+from functools import partial
+from operator import itemgetter
 
 from . import arith, counting, lattice, meanvalue
 
@@ -26,10 +31,16 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-# Range output is written in joined chunks of this many lines (or --json
-# entries): one write call per chunk even when stdout is unbuffered, and a
-# few MB of strings alive at a time.
-_LINES_PER_WRITE = 1 << 15
+# Range output is formatted and written in chunks of at most this many lines
+# (or --json entries): one write call per chunk even when stdout is
+# unbuffered.  A chunk of the sieve's values holds at most 1.4 MB for the
+# b-file lines of a range to 10^7 (``_chunk_bytes``); a point route holds
+# this many values.  On a 2-core VM (median of 5), imph 1..10^7 --bfile took
+# 1.1 s in chunks of 2^14 lines and 1.5 s in chunks of 2^15: the C allocator
+# hands back a free heap top of more than twice the largest block it has
+# mapped, here the walk's 1 MB smooth part, so the larger chunks fault their
+# pages in again each time.
+_LINES_PER_WRITE = 1 << 14
 
 # A closed tcount range past the sieve cap factorizes each odd n, about
 # 88 us near 10^12 (2-core VM), so this many odd n take about 7 s.
@@ -70,59 +81,194 @@ def _triangle(coords: list[int]) -> lattice.LatticeTriangle:
     return lattice.LatticeTriangle.from_coords(*coords)
 
 
-def _write_range(head: dict | None, lo: int, hi: int, source, value, fmt) -> None:
+def _write_range(head: dict | None, lo: int, hi: int, source, value, fmt, template) -> None:
     """Write the lines of lo <= n <= hi, or with a ``head`` (the record but its
-    results, whose key sorts last) the ``--json`` record, as values are computed.
-    ``source(value, runs)`` makes every check, then gives one walk per run a..b
-    of (start, values) in order; ``fmt(n, v)`` gives a line or a ``'"n": v'`` entry.
+    results, whose key sorts last) the ``--json`` record, a chunk at a time as
+    values are computed.  ``source(value, runs, width)`` makes every check,
+    then gives one walk of pieces (see ``_merged``) per run a..b;
+    ``fmt(prefix, ns, middle, vs, suffix)`` writes each n and value by the
+    ``template`` (prefix, middle, suffix) as a line or a '"n": v' entry.
 
-    ``_dumps`` (sorted keys) orders the results as strings, so they
-    are merged from one run per digit count, each in that order already as
-    '"' sorts below every digit.  Every walk's first chunk precedes any write.
+    ``_dumps`` (sorted keys) orders the results as strings, so they are
+    merged from one run per digit count, each in that order already: for n
+    of d digits, D the most, it is the order of n * 10^(D - d), then of d.
+    Every walk's first piece precedes any write.
     """
-    runs, start, sep, end = [(lo, hi)], "", "", ""
+    runs, scales, start, sep, end = [(lo, hi)], [1], "", "", ""
+    prefix, middle, suffix = template
     if head is not None:
-        import heapq  # only these runs, one per digit count, are ever more than one
-
         digits = range(len(str(lo)), len(str(hi)) + 1)
         runs = [(max(lo, 10 ** (d - 1)), min(hi, 10**d - 1)) for d in digits]
+        scales = [10 ** (digits[-1] - d) for d in digits]
         start, sep, end = _dumps(head)[:-1] + ', "results": {', ", ", "}}\n"
-    walks = source(value, runs)
-    streams = [chain.from_iterable(map(fmt, range(s, s + len(v)), v) for s, v in w) for w in walks]
-    items = heapq.merge(*streams) if len(streams) > 1 else streams[0]
-    sys.stdout.write(start + sep.join(islice(items, _LINES_PER_WRITE)))
-    while chunk := sep.join(islice(items, _LINES_PER_WRITE)):
-        sys.stdout.write(sep + chunk)
+    prefix = sep + prefix  # cut from the first entry
+    width = len(prefix + middle + suffix) + 2 * len(str(hi))  # n and v <= hi
+    lead, cut = start, len(sep)
+    for ns, vs in _merged(source(value, runs, width), scales):
+        text = fmt(prefix, ns, middle, vs, suffix)
+        del ns, vs  # no chunk is alive while a walk sieves (see _chunk_bytes)
+        sys.stdout.write(lead + text[cut:])
+        lead, cut, text = "", 0, None
     sys.stdout.write(end)
 
 
-def _sieve_blocks(values, runs):
-    """A block source for ``_write_range``: values(a, data) at the odd n of the
-    walk's blocks, spread with 0 at the even n by ``arith._spread_odd``, in
-    lists of about _LINES_PER_WRITE ints; one walk per run charged the others'."""
+def _merged(walks, scales):
+    """The lines of the walks in order, in chunks (ns, vs) of at most
+    ``_LINES_PER_WRITE``.  Walk w gives pieces (s, e, fetch), ascending, of
+    its lines s <= n <= e; fetch(i, j) gives the n and the values of
+    i <= n < j.  A piece is spent before the walk is asked for the next, as
+    the walk may then reuse its arrays, and no chunk is alive then.
+
+    The lines are ordered by the key n * scales[w] * W + w of walk w, W
+    walks.  Each chunk takes from every walk the lines whose keys are at
+    most the largest bound that keeps the chunk within ``_LINES_PER_WRITE``
+    lines and within each walk's piece; the lines of several walks are
+    sorted by key on arrays.
+    """
+    W = len(walks)
+    heads = {w: list(piece) for w, walk in enumerate(walks) if (piece := next(walk, None))}
+
+    def taken(bound: int) -> dict[int, int]:
+        """The count of lines of each walk's piece with keys <= bound."""
+        return {w: max(0, min(e, (bound - w) // W // scales[w]) - p + 1)
+                for w, (p, e, _) in heads.items()}
+
+    while heads:
+        low = min(p * scales[w] * W + w for w, (p, _, _) in heads.items())
+        high = min(e * scales[w] * W + w for w, (_, e, _) in heads.items())
+        while low < high:
+            mid = (low + high + 1) // 2
+            if sum(taken(mid).values()) <= _LINES_PER_WRITE:
+                low = mid
+            else:
+                high = mid - 1
+        counts = {w: c for w, c in taken(low).items() if c}
+        parts = [heads[w][2](heads[w][0], heads[w][0] + c) for w, c in counts.items()]
+        if len(parts) == 1:
+            yield parts.pop()
+        else:
+            import numpy as np
+
+            ns, vs = (np.concatenate(column) for column in zip(*parts))
+            parts = None
+            key = ns * np.repeat([scales[w] * W for w in counts], list(counts.values()))
+            key += np.repeat(list(counts), list(counts.values()))
+            order = key.argsort(kind="stable")
+            key = None
+            ns, vs = ns[order], vs[order]
+            order = None
+            yield ns, vs
+            ns = vs = None
+        for w, c in counts.items():
+            heads[w][0] += c
+            if heads[w][0] > heads[w][1]:
+                if piece := next(walks[w], None):
+                    heads[w] = list(piece)
+                else:
+                    del heads[w]
+
+
+def _chunk_bytes(lines: int, width: int) -> int:
+    """Bytes that a chunk of ``lines`` lines of the sieve's values, of at most
+    ``width`` bytes each, holds at its peak.
+
+    Its int64 n and values take 16 bytes a line.  ``_format_lines`` holds
+    its uint32 digit buffers (12 a line) beside the uint8 matrix and its
+    mask, then the matrix, the mask and the kept bytes (3 width a line), and
+    the write holds the text, its first copy and the encoded bytes.  Before
+    that, merging several walks holds at most 48 bytes a line: the n and
+    values fetched, their concatenation and their sorted copies.
+    """
+    return lines * max(3 * width + 28, 48)
+
+
+def _format_lines(prefix: str, ns, middle: str, vs, suffix: str) -> str:
+    """The lines prefix + n + middle + v + suffix for the n and the v >= 0 of
+    two int64 arrays, as one str: the package's one array formatter.
+
+    Each line is a row of a (lines, width) uint8 matrix tiled from the
+    constant bytes.  The digits of n and of v fill their fields, each as wide
+    as its largest value, right to left by repeated division by 10, and a
+    boolean mask of the same shape drops the leading zeros: a digit is kept
+    when the quotient left of it is not 0.  The kept bytes, row by row, are
+    the text, decoded once.
+    """
+    import numpy as np
+
+    tops = [int(x.max()) for x in (ns, vs)]
+    widths = [len(str(top)) for top in tops]
+    row = f"{prefix}{'0' * widths[0]}{middle}{'0' * widths[1]}{suffix}".encode()
+    mat = np.tile(np.frombuffer(row, dtype=np.uint8), (len(ns), 1))
+    keep = np.ones(mat.shape, dtype=bool)
+    col = len(prefix)
+    for x, top, width, gap in zip((ns, vs), tops, widths, (len(middle), len(suffix))):
+        q = x.astype(np.uint32 if top >> 32 == 0 else np.uint64)
+        h, t = np.empty_like(q), np.empty_like(q)
+        for j in range(col + width - 1, col - 1, -1):
+            np.floor_divide(q, 10, out=h)
+            np.multiply(h, 10, out=t)
+            np.subtract(q, t, out=t)
+            np.add(t, 48, out=mat[:, j], casting="unsafe")  # the digit's ASCII code
+            if j > col:
+                np.not_equal(h, 0, out=keep[:, j - 1])
+            q, h = h, q
+        col += width + gap
+    del q, h, t
+    text = mat[keep]
+    del mat, keep
+    return str(text, "ascii")
+
+
+def _format_points(prefix: str, ns, middle: str, vs, suffix: str, show=str) -> str:
+    """The lines prefix + n + middle + show(v) + suffix of a point route's
+    values, one by one, as one str."""
+    return "".join(f"{prefix}{n}{middle}{show(v)}{suffix}" for n, v in zip(ns, vs))
+
+
+def _sieve_blocks(values, runs, width):
+    """A block source for ``_write_range``: each run's lines in pieces, one a
+    block of its factor sieve walk, with values(a, data) at the odd n = a + 2i
+    of the block and 0 at the even n, where imph and T vanish.
+
+    One walk per run is charged the others' bytes, and what a chunk of lines
+    of ``width`` bytes holds beyond the bytes that the walks leave free
+    between blocks: a chunk is made and dropped between blocks."""
     import numpy as np
 
     held = [arith._walk_bytes(a, b) for a, b in runs]
-    step = _LINES_PER_WRITE // 2 + 1  # odd n per list
+    lines = min(_LINES_PER_WRITE, runs[-1][1] - runs[0][0] + 1)
+    idle = sum(arith._walk_idle_bytes(a, b) for a, b in runs)
+    chunk = max(0, _chunk_bytes(lines, width) - idle)
 
-    def lists(lo, hi, blocks):
-        line = np.empty(2 * step, dtype=np.int64)
-        if lo % 2 == 0:
-            yield lo, [0]  # the walk starts at the first odd n
+    def spread(a, odd, i, j):
+        """The n and the values of i <= n < j, with odd[k] at n = a + 2k."""
+        vs = np.zeros(j - i, dtype=np.int64)
+        vs[(a - i) % 2 :: 2] = odd[(i - a + 1) // 2 : (j - a + 1) // 2]
+        return np.arange(i, j), vs
+
+    def pieces(lo, hi, blocks):
+        s = lo
         for a, f in blocks:
-            odd = values(a, f)
-            for i in range(0, len(odd), step):
-                s, part = a + 2 * i, odd[i : i + step]
-                out = line[: min(2 * len(part), hi + 1 - s)]
-                yield s, arith._spread_odd(part, out).tolist()
+            e = min(hi, a + 2 * len(f.imph) - 1)
+            yield s, e, partial(spread, a, values(a, f))
+            s = e + 1
+        if s <= hi:  # a run of one even n, which has no block
+            yield s, hi, partial(spread, hi + 1, np.zeros(0, dtype=np.int64))
 
-    return [lists(lo, hi, arith._factor_blocks(lo, hi, sum(held) - own))
+    return [pieces(lo, hi, arith._factor_blocks(lo, hi, sum(held) - own + chunk))
             for (lo, hi), own in zip(runs, held)]
 
 
-def _point_blocks(value, runs):
-    """A block source for ``_write_range``: value(n) n by n; holds nothing."""
-    return [((n, [value(n)]) for n in range(a, b + 1)) for a, b in runs]
+def _point_blocks(value, runs, width):
+    """A block source for ``_write_range``: value(n) n by n, in pieces of up
+    to ``_LINES_PER_WRITE`` lines; reads no budget."""
+
+    def pieces(lo, hi):
+        for s in range(lo, hi + 1, _LINES_PER_WRITE):
+            vs = [value(n) for n in range(s, min(hi + 1, s + _LINES_PER_WRITE))]
+            yield s, s + len(vs) - 1, lambda i, j, s=s, vs=vs: (range(i, j), vs[i - s : j - s])
+
+    return [pieces(a, b) for a, b in runs]
 
 
 # --------------------------------------------------------------------------
@@ -144,12 +290,12 @@ def cmd_imph(args, parser) -> int:
             f"--bruteforce on {lo}..{hi} scans more than "
             f"{arith.IMPH_BRUTEFORCE_BOUND} residues in all"
         )
-    source, value = _point_blocks, arith.imph
+    source, value, fmt = _point_blocks, arith.imph, _format_points
     if lo < hi:
-        source, value = _sieve_blocks, lambda a, f: f.imph
+        source, value, fmt = _sieve_blocks, lambda a, f: f.imph, _format_lines
     if args.bruteforce:
-        for a, values in source(value, [(lo, hi)])[0]:
-            for n, v in enumerate(values, a):
+        for ns, vs in _merged(source(value, [(lo, hi)], 0), [1]):
+            for n, v in zip(map(int, ns), vs):
                 if (bf := arith.imph_bruteforce(n)) != v:
                     msg = f"imph mismatch at n={n}: closed={v} bruteforce={bf}"
                     raise arith.InvariantViolation(msg, n, ("closed-form", "bruteforce"))
@@ -159,8 +305,9 @@ def cmd_imph(args, parser) -> int:
         "provenance": "closed-form+oracle" if args.bruteforce else "closed-form",
     } if args.json else None
     extra = " (matches brute force)" if args.bruteforce and lo == hi else ""
-    fmt = '"{}": {}' if args.json else "{} {}\n" if args.bfile else f"imph({{}}) = {{}}{extra}\n"
-    _write_range(head, lo, hi, source, value, fmt.format)
+    template = (('"', '": ', "") if args.json else ("", " ", "\n") if args.bfile
+                else ("imph(", ") = ", f"{extra}\n"))
+    _write_range(head, lo, hi, source, value, fmt, template)
     return EXIT_OK
 
 
@@ -206,25 +353,24 @@ def cmd_tcount(args, parser) -> int:
             f"a range past the sieve cap ({arith.IMPH_SIEVE_BOUND}) is served n by n, "
             f"so capped at {_POINT_RANGE_ODD_BOUND} odd n; {lo}..{hi} holds {odd}"
         )
-    source, value = _point_blocks, _t_all if method == "all" else getattr(counting, f"t_{method}")
+    value = _t_all if method == "all" else getattr(counting, f"t_{method}")
+    source, fmt = _point_blocks, _format_points
     if method == "closed" and lo < hi <= arith.IMPH_SIEVE_BOUND:
-        source, value = _sieve_blocks, meanvalue._t_closed_block
+        source, value, fmt = _sieve_blocks, meanvalue._t_closed_block, _format_lines
     mode = "json" if args.json else "bfile" if args.bfile else "text"
     if method == "all":
-        fmt = {
-            "json": lambda n, e: f'"{n}": {_dumps(e)}',
-            "bfile": lambda n, e: f"{n} {e['closed']}\n",
-            "text": lambda n, e: f"T({n}): " + " ".join(f"{k}={v}" for k, v in e.items()) + "\n",
-        }
+        template = {"json": ('"', '": ', ""), "bfile": ("", " ", "\n"), "text": ("T(", "): ", "\n")}
+        fmt = partial(_format_points, show={
+            "json": _dumps,
+            "bfile": itemgetter("closed"),
+            "text": lambda e: " ".join(f"{k}={v}" for k, v in e.items()),
+        }[mode])
     else:
-        fmt = {
-            "json": ('"{}": {{"%s": {}}}' % method).format,
-            "bfile": "{} {}\n".format,
-            "text": ("T({}): %s={}\n" % method).format,
-        }
+        template = {"json": ('"', f'": {{"{method}": ', "}"), "bfile": ("", " ", "\n"),
+                    "text": ("T(", f"): {method}=", "\n")}
     head = {"command": "tcount", "inputs": {"range": [lo, hi], "method": method},
             "provenance": method} if args.json else None
-    _write_range(head, lo, hi, source, value, fmt[mode])
+    _write_range(head, lo, hi, source, value, fmt, template[mode])
     return EXIT_OK
 
 

@@ -611,6 +611,28 @@ class TestFactorSieveBlocks:
             n += 2 * len(block.imph)
         assert n in (hi + 1, hi + 2)
 
+    def test_walk_bytes_flat_in_block_count(self, monkeypatch):
+        # 1,000 blocks of 64 odd n: the traced peak after the first 100
+        # blocks is the peak of the whole walk, within its charge; tuples
+        # built from generators once fed CPython's free lists about 260 B
+        # a block here, past the charge after a few hundred blocks
+        length, blocks = 1 << 6, 1000
+        monkeypatch.setattr(arith, "_SIEVE_BLOCK", length)
+        hi = 2 * length * blocks - 1
+        walk = arith._factor_blocks(0, hi)
+        tracemalloc.start()
+        try:
+            for count, _ in enumerate(walk, 1):
+                if count == 100:
+                    early = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.reset_peak()
+            late = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == blocks
+        assert late <= early + 256
+        assert early <= arith._walk_bytes(0, hi)
+
     def test_no_odd_n_no_block(self):
         assert list(arith._factor_blocks(4, 4)) == []
         assert [a for a, _ in arith._factor_blocks(4, 5)] == [5]

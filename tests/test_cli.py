@@ -374,6 +374,19 @@ class _Sink:
         pass
 
 
+class _NullRaw(io.RawIOBase):
+    """A binary stream that keeps the count of bytes written and nothing else."""
+
+    size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.size += len(data)
+        return len(data)
+
+
 def _tcount_entry(method, n):
     if method != "all":
         return {method: getattr(counting, f"t_{method}")(n)}
@@ -479,6 +492,60 @@ class TestRangeWriter:
             tracemalloc.stop()
         assert sink.size > 10 * hi
         assert peak <= _walk_need(runs) + 256 * 1024
+
+    @pytest.mark.parametrize("command", ["imph", "tcount"])
+    @pytest.mark.parametrize("fmt", ["--bfile", "--json"])
+    @pytest.mark.parametrize("hi", [40_000, 1_200_000])
+    def test_chunks_within_charge(self, monkeypatch, capsys, command, fmt, hi):
+        # default blocks and chunks: the need the walks report holds their
+        # blocks and what a chunk takes beyond the bytes they leave free
+        # between blocks, which for 1..40000 (one block of 20,000 odd n) are
+        # fewer than a chunk takes; one byte short of it exits 2 before any
+        # block is sieved, and it bounds the traced peak, through a text
+        # stream that encodes as stdout does, of 1..40000 and of 1..1200000,
+        # three blocks, with no chunk alive while a block is sieved.  96 KiB
+        # are objects no budget charges: the parser, about 46 KB, and the
+        # stream's buffer
+        import numpy  # noqa: F401  (loaded before tracing, as by any earlier array command)
+
+        argv, runs = [command, f"1..{hi}", fmt], [(1, hi)]
+        if fmt == "--json":
+            runs = [(10 ** (d - 1), min(hi, 10**d - 1)) for d in range(1, len(str(hi)) + 1)]
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, "1")
+        assert cli.main(argv) == 2
+        need = int(re.search(r"needs (\d+) bytes", capsys.readouterr().err)[1])
+        assert need > _walk_need(runs) if hi == 40_000 else need >= _walk_need(runs)
+        sieved = []
+        with monkeypatch.context() as m:
+            m.setattr(arith, "_sieve_block", lambda a, *args: sieved.append(a))
+            m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().out == "" and sieved == []
+        monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
+        raw = _NullRaw()
+        stdout = io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(stdout):
+                assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.size > 5 * hi
+        assert peak <= need + 96 * 1024
+
+    def test_json_order(self, capsys):
+        # --json results sort as strings: the digit-count runs interleave
+        assert cli.main(["imph", "8..12", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"command": "imph", "inputs": {"bruteforce": false, "range": [8, 12]}, '
+            '"provenance": "closed-form", "results": {"10": 0, "11": 9, "12": 0, "8": 0, "9": 3}}\n'
+        )
+        for command, lo, hi in (("imph", 1, 1000), ("tcount", 95, 1005)):
+            assert cli.main([command, f"{lo}..{hi}", "--json"]) == 0
+            out = capsys.readouterr().out
+            assert out == _expected(command, "closed", lo, hi, "json")
+            assert list(json.loads(out)["results"]) == sorted(map(str, range(lo, hi + 1)))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -613,6 +680,35 @@ class TestRangeWriter:
         rec = json.loads(capsys.readouterr().out)
         assert rec["results"] == {str(n): {"closed": counting.t_closed(n)} for n in range(lo, hi + 1)}
         assert list(rec["results"]) == sorted(map(str, range(lo, hi + 1)))
+
+
+# 0, 1, 9, 10 and 10^k - 1, 10^k, 10^k + 1 up to 10^8, 2^31 - 1, and past
+# uint32, where the formatter's digits are uint64
+_DIGIT_EDGES = sorted({0, 1, 9, 10, 2**31 - 1, 2**32 - 1, 2**32, 10**12 + 39, 2**63 - 1,
+                       *(10**k + d for k in range(2, 9) for d in (-1, 0, 1))})
+
+
+class TestFormatLines:
+    """The array formatter against ``str`` on each n and value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(*[st.one_of(st.sampled_from(_DIGIT_EDGES), st.integers(0, 2**31 - 1))] * 2),
+            min_size=1, max_size=40,
+        ),
+        template=st.sampled_from([
+            ("", " ", "\n"), ("imph(", ") = ", "\n"), ("T(", "): closed=", "\n"),
+            (', "', '": ', ""), (', "', '": {"closed": ', "}"),
+        ]),
+    )
+    def test_matches_str(self, pairs, template):
+        import numpy as np
+
+        ns, vs = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        prefix, middle, suffix = template
+        want = "".join(f"{prefix}{n}{middle}{v}{suffix}" for n, v in pairs)
+        assert cli._format_lines(prefix, ns, middle, vs, suffix) == want
 
 
 class TestReduceCommand:
@@ -974,19 +1070,30 @@ def test_json_range_sieves_no_primes(monkeypatch, capsys):
 
 
 def test_one_range_writer():
-    """``cli.py`` writes to ``sys.stdout`` only in its range writer, and
-    defines no bytes-per-n charge: a second range path would need both."""
+    """``cli.py`` writes to ``sys.stdout`` only in its range writer, defines
+    no bytes-per-n charge, and formats arrays in one function, which alone
+    names a uint8 matrix: a second range path would need one of these.  Nor
+    does it name ``heapq`` or call ``.tolist()``, the per-line path that
+    the array formatter replaced."""
     path = pathlib.Path(cli.__file__)
-    writes, charges = [], []
-    for top in ast.parse(path.read_text(), str(path)).body:
+    text = path.read_text()
+    writes, charges, formatters, lists = [], [], set(), []
+    for top in ast.parse(text, str(path)).body:
         for node in ast.walk(top):
             func = getattr(node, "func", None)
             if isinstance(node, ast.Call) and ast.unparse(func) == "sys.stdout.write":
                 writes.append(getattr(top, "name", None))
+            if isinstance(node, ast.Call) and getattr(func, "attr", None) == "tolist":
+                lists.append(getattr(top, "name", None))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 charges += [node.id] * node.id.endswith("_BYTES_PER_N")
+            if isinstance(node, ast.Attribute) and node.attr == "uint8":
+                formatters.add(getattr(top, "name", None))
     assert writes and set(writes) == {"_write_range"}
     assert charges == []
+    assert formatters == {"_format_lines"}
+    assert lists == []
+    assert re.findall(r"\bheapq\b", text) == []
 
 
 def test_exports_resolve():
