@@ -10,6 +10,8 @@ record's digit-count runs in the order of its string keys, and formats each
 chunk at once, the factor sieve's values on arrays (``_format_lines``) and
 the point routes' value by value (``_format_points``).
 ``meanvalue`` adds up both of its sums as the factor sieve's blocks pass.
+Only ``arith`` is imported here; each command imports the other modules it
+runs in its own body, so that a process compiles no module it does not use.
 Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
 cross-check (``arith.InvariantViolation``, reported by ``main`` alone as one JSON
 line on stderr, after any lines a streamed range wrote) or a Scott violation
@@ -24,7 +26,7 @@ import sys
 from functools import partial
 from operator import itemgetter
 
-from . import arith, counting, lattice, meanvalue
+from . import arith
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,7 +79,9 @@ def _emit(record: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _triangle(coords: list[int]) -> lattice.LatticeTriangle:
+def _triangle(coords: list[int]):
+    from . import lattice
+
     return lattice.LatticeTriangle.from_coords(*coords)
 
 
@@ -313,6 +317,8 @@ def cmd_imph(args, parser) -> int:
 
 def _t_all(n: int) -> dict[str, int]:
     """T(n) by all three routes, cross-checked by ``counting.t_report``."""
+    from . import counting
+
     r = counting.t_report(n)
     return {"closed": r.t_closed, "burnside": r.t_burnside, "geometric": r.t_geometric}
 
@@ -333,6 +339,8 @@ def cmd_tcount(args, parser) -> int:
     - a closed range past the sieve cap, which factorizes n by n, holding
       more than ``_POINT_RANGE_ODD_BOUND`` odd n.
     """
+    from . import counting
+
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
     if method != "closed":
@@ -356,6 +364,8 @@ def cmd_tcount(args, parser) -> int:
     value = _t_all if method == "all" else getattr(counting, f"t_{method}")
     source, fmt = _point_blocks, _format_points
     if method == "closed" and lo < hi <= arith.IMPH_SIEVE_BOUND:
+        from . import meanvalue
+
         source, value, fmt = _sieve_blocks, meanvalue._t_closed_block, _format_lines
     mode = "json" if args.json else "bfile" if args.bfile else "text"
     if method == "all":
@@ -375,6 +385,8 @@ def cmd_tcount(args, parser) -> int:
 
 
 def cmd_reduce(args, parser) -> int:
+    from . import lattice
+
     bf, L = lattice.reduce_to_base_form(_triangle(args.coords))
     pc = lattice.pick_counts(bf.triangle())
     record = {
@@ -404,6 +416,8 @@ def cmd_reduce(args, parser) -> int:
 
 
 def cmd_equiv(args, parser) -> int:
+    from . import lattice
+
     t1 = _triangle(args.coords[:6])
     t2 = _triangle(args.coords[6:])
     eq, witness = lattice.equivalent_clean(t1, t2, with_witness=True)
@@ -429,6 +443,8 @@ def cmd_equiv(args, parser) -> int:
 
 
 def cmd_scott(args, parser) -> int:
+    from . import lattice
+
     if args.scan is not None and args.coords:
         parser.error("scott takes six vertex coordinates or --scan BOUND, not both")
     if args.scan is not None:
@@ -484,6 +500,8 @@ def cmd_scott(args, parser) -> int:
 def cmd_orbits(args, parser) -> int:
     if args.n < 1:
         parser.error("n must be positive")
+    from . import counting
+
     dec = counting.orbit_decomposition(args.n)
     record = {
         "command": "orbits",
@@ -500,6 +518,8 @@ def cmd_orbits(args, parser) -> int:
 def cmd_meanvalue(args, parser) -> int:
     if args.x < 1:
         parser.error("--x must be positive")
+    from . import meanvalue
+
     report = meanvalue.mean_value_report(args.x, args.primes)
     mo = meanvalue.moebius_sum_odd(min(args.primes, 10**6))
     prod, ft, ft_zeta = report.product, report.feller_tornier, report.feller_tornier_zeta

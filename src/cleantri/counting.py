@@ -29,7 +29,6 @@ from .arith import (
     six_map_table,
     six_maps,
 )
-from .lattice import _orbit_min, clean_keys
 
 __all__ = [
     "OrbitDecomposition",
@@ -211,6 +210,8 @@ def canonical_m(m: int, n: int) -> int:
     """Orbit representative: the least of g1(m)..g6(m), by ``lattice._orbit_min``
     and its cache; for n >= 3 it is the m of ``lattice.clean_key`` of (0,0),
     (1,0), (m,n)."""
+    from .lattice import _orbit_min
+
     _check_member(m, n)
     return _orbit_min(m, n)
 
@@ -221,6 +222,8 @@ def t_geometric(n: int) -> int:
     triangle, for odd n up to 10^5.  The keys come from extended Euclid on
     the triangles' edges alone, so no residue map or modular inverse is used."""
     import numpy as np
+
+    from .lattice import clean_keys
 
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

@@ -993,6 +993,85 @@ def test_import_loads_no_heavy_modules():
     assert added.isdisjoint({"dataclasses", "inspect", "heapq", "json", "numpy"})
 
 
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        pytest.param(["imph", "1000000000039"], ["arith"], id="imph N"),
+        pytest.param(["tcount", "1000000000039"], ["arith", "counting"], id="tcount N"),
+        pytest.param(["reduce", "0", "0", "-3", "-3", "2", "4"], ["arith", "lattice"], id="reduce"),
+        pytest.param(["equiv", "0", "0", "1", "0", "2", "7", "0", "0", "1", "0", "4", "7"],
+                     ["arith", "lattice"], id="equiv"),
+        pytest.param(["scott", "1", "1", "1", "4", "4", "1"], ["arith", "lattice"], id="scott"),
+        pytest.param(["tcount", "1..100"], ["arith", "counting", "meanvalue"], id="tcount A..B"),
+        pytest.param(["tcount", "7", "--method", "geometric"], ["arith", "counting", "lattice"],
+                     id="tcount geometric"),
+        pytest.param(["orbits", "15"], ["arith", "counting"], id="orbits"),
+        pytest.param(["meanvalue", "--x", "1000"], ["arith", "meanvalue"], id="meanvalue"),
+    ],
+)
+def test_commands_load_only_their_modules(argv, modules):
+    """In a fresh interpreter, ``import cleantri`` loads no submodule, and each
+    command loads ``cli`` and the submodules it runs, no others."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import cleantri\n"
+        "on_import = sorted(m for m in sys.modules if m.startswith('cleantri'))\n"
+        "from cleantri import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print((code, on_import, sorted(m for m in sys.modules if m.startswith('cleantri.'))))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 0, r.stderr
+    code, on_import, loaded = ast.literal_eval(r.stdout)
+    assert code == 0
+    assert on_import == ["cleantri"]
+    assert loaded == sorted(["cleantri.cli", *(f"cleantri.{m}" for m in modules)])
+
+
+def test_run_as_main_warns_nothing():
+    """``python -m cleantri.cli`` runs ``cli`` once, as ``__main__``: were it
+    imported first (say by the package), runpy would warn, and -W error fail."""
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "cleantri.cli", "imph", "7"],
+                       capture_output=True, text=True, timeout=60)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "imph(7) = 5\n", "")
+
+
+# The package's public names when it imported every submodule eagerly: the
+# four submodules and each name it re-exports from them.
+PACKAGE_NAMES = {
+    "arith", "counting", "lattice", "meanvalue",
+    "Factorization", "InvariantViolation", "extended_gcd", "factorize", "imph",
+    "imph_bruteforce", "imph_sieve", "mod_inverse",
+    "canonical_m", "fix_count_closed", "map_g", "orbit_decomposition", "t_burnside",
+    "t_closed", "t_geometric",
+    "AffineUnimodularMap", "BaseForm", "LatticePoint", "LatticeTriangle", "apply_map",
+    "boundary_count", "enumerate_clean", "equivalent_clean", "interior_count_enum", "is_clean",
+    "pick_counts", "reduce_to_base_form", "scott_check", "scott_exhaustive", "twice_area",
+    "euler_product_odd", "feller_tornier", "mean_value_report", "moebius_sum_odd",
+    "partial_sum_T", "partial_sum_imph",
+}
+
+
+def test_package_names_pinned():
+    """In a fresh interpreter, ``dir(cleantri)`` lists the same public names
+    as when every submodule loaded on import, and ``__version__``; a star
+    import binds exactly those."""
+    code = (
+        "import cleantri\n"
+        "listed, star = dir(cleantri), {}\n"
+        "exec('from cleantri import *', star)\n"
+        "print((listed, sorted(set(star) - {'__builtins__'})))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    listed, star = ast.literal_eval(r.stdout)
+    assert {name for name in listed if not name.startswith("_")} == PACKAGE_NAMES
+    assert "__version__" in listed
+    assert set(star) == PACKAGE_NAMES | {"__version__"}
+
+
 def test_no_assert_in_package():
     """Cross-checks raise InvariantViolation: ``python -O`` strips ``assert``,
     and a bare AssertionError would escape main as a traceback."""
@@ -1098,8 +1177,9 @@ def test_one_range_writer():
 
 def test_exports_resolve():
     """Each library module's ``__all__`` names exist and list every public
-    function and class it defines, and every name the package imports from a
-    module is in that module's ``__all__``: a deletion leaves no dangling export."""
+    function and class it defines, and every name in the package's table of
+    lazy exports resolves to the very object its submodule defines and lists
+    in its ``__all__``: a deletion leaves no dangling export."""
     import cleantri
 
     for mod in (arith, counting, lattice, meanvalue):
@@ -1112,13 +1192,16 @@ def test_exports_resolve():
             and getattr(obj, "__module__", None) == mod.__name__
         ]
         assert [name for name in defined if name not in mod.__all__] == [], mod.__name__
-    init = pathlib.Path(cleantri.__file__)
-    for node in ast.walk(ast.parse(init.read_text(), str(init))):
-        if isinstance(node, ast.ImportFrom):
-            # "from . import arith" names submodules, "from .arith import x" exports
-            listed = getattr(cleantri, node.module).__all__ if node.module else vars(cleantri)
-            for alias in node.names:
-                assert alias.name in listed, f"{node.module}.{alias.name}"
+    assert cleantri.__all__ == [*cleantri._SUBMODULES, *cleantri._EXPORTS, "__version__"]
+    for name in cleantri._SUBMODULES:
+        assert getattr(cleantri, name) is sys.modules[f"cleantri.{name}"]
+    for name, module in cleantri._EXPORTS.items():
+        mod = sys.modules[f"cleantri.{module}"]
+        assert getattr(cleantri, name) is getattr(mod, name), name
+        assert getattr(mod, name).__module__ == mod.__name__, name
+        assert name in mod.__all__, f"{module}.{name}"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cleantri.no_such_name
 
 
 class TestDeterminism:
