@@ -52,11 +52,20 @@ _DEFAULT_SIEVE_MEMORY = 1 << 30  # 1 GiB
 
 class InvariantViolation(AssertionError):
     """An internal cross-check failed: two routes disagree, or a result breaks
-    an identity.  ``n`` and ``routes`` say where, when known; the CLI exits 3."""
+    an identity.  ``n`` and ``routes`` say where, when known; the CLI exits 3.
+    Raised by ``_expect`` alone, the one path of every cross-check."""
 
     def __init__(self, message: str, n: int | None = None, routes: tuple[str, ...] = ()):
         super().__init__(message)
         self.n, self.routes = n, routes
+
+
+def _expect(ok, n: int | None, routes: tuple[str, ...], message: str, *args) -> None:
+    """The package's one cross-check path: unless ``ok``, raise
+    ``InvariantViolation(message.format(*args), n, routes)``.  The message is
+    formatted only then, as ``factorize`` and the reductions check every call."""
+    if not ok:
+        raise InvariantViolation(message.format(*args), n, routes)
 
 
 def sieve_memory_budget() -> int:
@@ -302,8 +311,8 @@ class Factorization(_Record):
         """The factorization of n by ``factorize``, whose primes are proven
         and sorted; skips ``__init__`` but raises ``InvariantViolation``
         when the factors do not multiply to n."""
-        if (prod := math.prod(p**e for p, e in factors)) != n:
-            raise InvariantViolation(f"factors multiply to {prod}, not {n}", n, ("factorize",))
+        prod = math.prod(p**e for p, e in factors)
+        _expect(prod == n, n, ("factorize",), "factors multiply to {}, not {}", prod, n)
         f = cls.__new__(cls)
         _set(f, "n", n)
         _set(f, "factors", factors)
@@ -357,9 +366,8 @@ def factorize(n: int) -> Factorization:
             factors[m] = factors.get(m, 0) + 1
         else:
             d = _brent_rho(m)
-            if not 1 < d < m or m % d:
-                msg = f"rho gave {d}, no proper divisor of {m}"
-                raise InvariantViolation(msg, n, ("factorize",))
+            ok = 1 < d < m and m % d == 0
+            _expect(ok, n, ("factorize",), "rho gave {}, no proper divisor of {}", d, m)
             stack.append(d)
             stack.append(m // d)
     return Factorization._proven(n, tuple(sorted(factors.items())))
@@ -510,8 +518,8 @@ def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
             base %= n
     wrong = members * inv % n != 1
     if n > 1 and wrong.any():
-        msg = f"{members[wrong][0]} times its computed inverse is not 1 mod {n}"
-        raise InvariantViolation(msg, n, ("six-map",))
+        msg = "{} times its computed inverse is not 1 mod {}"
+        _expect(False, n, ("six-map",), msg, members[wrong][0], n)
     return members, np.stack(_six_images(members, inv, inv[::-1], n))
 
 
@@ -540,9 +548,10 @@ _FACTOR_SIEVE_BYTES_PER_N = 19
 _CAST_BUFFER_BYTES = 8 * 8192
 
 # Bytes a walk holds besides its block: the headers of the block's arrays
-# and views, the kernel's closure, the generator's frame and the spot
-# checks' ints and tuples; 3.8 to 7.2 KB in the traced peaks of the sums and
-# tables at x <= 2^21, and no more after 1,000 blocks than after 100 (see
+# and views, the kernel's closure, the generator's frame, and the spot
+# checks' ints and tuples, with the four rows ``_spot_row`` keeps; 3.8 to
+# 7.2 KB in the traced peaks of the sums and tables at x <= 2^21 (the rows
+# add under 1 KB), and no more after 1,000 blocks than after 100 (see
 # ``_spot_check``).
 _WALK_OBJECT_BYTES = 8 * 1024
 
@@ -667,8 +676,8 @@ def _sieve_block(a: int, primes: tuple[int, ...], f: _FactorData) -> None:
     if np.count_nonzero(sm) or np.count_nonzero(cof) < length:
         i = int(np.flatnonzero((sm != 0) | (cof == 0))[0])
         n = a + 2 * i
-        msg = f"sieved cofactor({n}) = {cof[i]} times smooth part is not {n}"
-        raise InvariantViolation(msg, n, ("sieve", "cofactor"))
+        msg = "sieved cofactor({0}) = {1} times smooth part is not {0}"
+        _expect(False, n, ("sieve", "cofactor"), msg, n, cof[i])
     del sm
     big = (cof > 1).view(np.int8)  # 0 or 1, added below with no casting buffer
     omega += big
@@ -734,10 +743,10 @@ def _spot_indices(a: int, length: int) -> tuple[int, int, int, int]:
 
 
 def _spot_check(a: int, f: _FactorData) -> None:
-    """Compare a block's sieved factor row of the odd n = a + 2i with one
-    ``factorize(n)`` at each of its ``_spot_indices``: imph, omega, Omega and
-    the p = 5 (mod 6) flag, field by field; raise ``InvariantViolation`` at
-    the first field that differs.
+    """Compare a block's sieved factor row of the odd n = a + 2i with the row
+    of one ``factorize(n)`` (``_spot_row``) at each of its ``_spot_indices``:
+    imph, omega, Omega and the p = 5 (mod 6) flag, field by field; raise
+    ``InvariantViolation`` at the first field that differs.
 
     It builds no tuple from a generator, nor does the walk: CPython sizes
     such a tuple by a guess and shrinks it, so it is freed into the free list
@@ -745,21 +754,24 @@ def _spot_check(a: int, f: _FactorData) -> None:
     a size, and with such tuples the walk's traced bytes grew by 100 to 260
     bytes a block over its first few thousand blocks.
     """
+    msg = "sieved {}({}) = {}, factorize gives {}"
     for i in _spot_indices(a, len(f.imph)):
         n = a + 2 * i
-        fac = factorize(n)
-        _spot_field("imph", f.imph[i], imph_from_factorization(fac), n)
-        _spot_field("omega", f.omega[i], fac.omega, n)
-        _spot_field("big_omega", f.big_omega[i], fac.big_omega, n)
-        _spot_field("bad5", f.bad5[i], any(p % 6 == 5 for p, _ in fac.factors), n)
+        for name, sieved, value in zip(_FactorData._fields, f, _spot_row(n)):
+            _expect(sieved[i] == value, n, ("sieve", "factorize"), msg, name, n, sieved[i], value)
 
 
-def _spot_field(name: str, sieved, value, n: int) -> None:
-    """Raise ``InvariantViolation`` when the sieved field ``name`` of n is
-    not the value from ``factorize(n)``."""
-    if sieved != value:
-        msg = f"sieved {name}({n}) = {sieved}, factorize gives {value}"
-        raise InvariantViolation(msg, n, ("sieve", "factorize"))
+@lru_cache(maxsize=4)
+def _spot_row(n: int) -> tuple[int, int, int, bool, int]:
+    """The factor row of odd n (imph, omega, Omega and the p = 5 (mod 6) flag,
+    in ``_FactorData``'s order) and rho(n), from one ``factorize(n)``; kept
+    for the four ``_spot_indices`` of the block the walk checked last, so the
+    T check of that block factorizes nothing again.  Five ints whatever n's
+    factors: four kept factorizations grow with omega(n), and so did a walk's
+    traced bytes from block to block."""
+    fac = factorize(n)
+    bad5 = any(p % 6 == 5 for p, _ in fac.factors)
+    return imph_from_factorization(fac), fac.omega, fac.big_omega, bad5, quad_root_count(fac)
 
 
 def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _FactorData]]:

@@ -13,9 +13,10 @@ the point routes' value by value (``_format_points``).
 Only ``arith`` is imported here; each command imports the other modules it
 runs in its own body, so that a process compiles no module it does not use.
 Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
-cross-check (``arith.InvariantViolation``, reported by ``main`` alone as one JSON
-line on stderr, after any lines a streamed range wrote) or a Scott violation
-(after the report), 141 when the reader closed stdout early (nothing on stderr).
+cross-check (``arith.InvariantViolation``, raised by ``arith._expect`` and
+reported by ``main`` alone as one JSON line on stderr, after any lines a
+streamed range wrote) or a Scott violation (after the report), 141 when
+the reader closed stdout early (nothing on stderr).
 """
 
 from __future__ import annotations
@@ -300,9 +301,9 @@ def cmd_imph(args, parser) -> int:
     if args.bruteforce:
         for ns, vs in _merged(source(value, [(lo, hi)], 0), [1]):
             for n, v in zip(map(int, ns), vs):
-                if (bf := arith.imph_bruteforce(n)) != v:
-                    msg = f"imph mismatch at n={n}: closed={v} bruteforce={bf}"
-                    raise arith.InvariantViolation(msg, n, ("closed-form", "bruteforce"))
+                bf = arith.imph_bruteforce(n)
+                msg = "imph mismatch at n={}: closed={} bruteforce={}"
+                arith._expect(bf == v, n, ("closed-form", "bruteforce"), msg, n, v, bf)
     head = {
         "command": "imph",
         "inputs": {"range": [lo, hi], "bruteforce": bool(args.bruteforce)},
@@ -523,7 +524,8 @@ def cmd_meanvalue(args, parser) -> int:
     report = meanvalue.mean_value_report(args.x, args.primes)
     mo = meanvalue.moebius_sum_odd(min(args.primes, 10**6))
     prod, ft, ft_zeta = report.product, report.feller_tornier, report.feller_tornier_zeta
-    prod.check_agrees(mo, ("euler-product", "moebius-sum"))
+    arith._expect(prod.agrees_with(mo), None, ("euler-product", "moebius-sum"),
+                  "euler-product/moebius-sum disagree: {} vs {}", prod.value, mo.value)
     record = {
         "command": "meanvalue",
         "inputs": {"x": args.x, "primes": args.primes},

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 from .arith import (
     IMPH_BRUTEFORCE_BOUND,
-    InvariantViolation,
     _cached_factorization,
+    _expect,
     _Record,
     _set,
     imph_from_factorization,
@@ -143,9 +143,8 @@ def t_burnside(n: int) -> int:
     if n > IMPH_BRUTEFORCE_BOUND:
         raise ValueError(f"Burnside route capped at n = {IMPH_BRUTEFORCE_BOUND}")
     total = sum(_fix_counts_vectorized(n))
-    if total % 6 != 0:  # pragma: no cover - Burnside guarantees divisibility
-        msg = f"fixed-point total {total} not divisible by 6 at n={n}"
-        raise InvariantViolation(msg, n, ("burnside",))
+    msg = "fixed-point total {} not divisible by 6 at n={}"  # Burnside guarantees it
+    _expect(total % 6 == 0, n, ("burnside",), msg, total, n)
     return total // 6
 
 
@@ -163,9 +162,8 @@ def t_closed(n: int) -> int:
         return 0
     f = _cached_factorization(n)
     numerator = imph_from_factorization(f) + 2 * quad_root_count(f) + 3
-    if numerator % 6 != 0:  # pragma: no cover
-        msg = f"closed-form numerator {numerator} not divisible by 6"
-        raise InvariantViolation(msg, n, ("closed",))
+    msg = "closed-form numerator {} not divisible by 6"
+    _expect(numerator % 6 == 0, n, ("closed",), msg, numerator)
     return numerator // 6
 
 
@@ -197,8 +195,8 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
     if n > GEOMETRIC_N_BOUND:
         raise ValueError(f"orbit decomposition capped at n = {GEOMETRIC_N_BOUND}")
     members, table = six_map_table(n)
-    if not np.isin(table, members).all():  # pragma: no cover - maps are closed on IP(n)
-        raise InvariantViolation(f"orbit escaped IP({n})", n, ("six-map",))
+    closed = np.isin(table, members).all()  # the maps are closed on IP(n)
+    _expect(closed, n, ("six-map",), "orbit escaped IP({})", n)
     keys = table.min(axis=0)
     order = np.argsort(keys, kind="stable")
     cuts = np.flatnonzero(np.diff(keys[order])) + 1
@@ -249,9 +247,7 @@ class TCountReport(_Record):
             (t_closed == t_geometric, ("closed", "geometric")),
             (6 * t_burnside == sum(fix_counts), ("burnside", "fix-counts")),
         ):
-            if not agree:
-                msg = f"{routes[0]}/{routes[1]} disagreement at n={n}: {self}"
-                raise InvariantViolation(msg, n, routes)
+            _expect(agree, n, routes, "{}/{} disagreement at n={}: {}", *routes, n, self)
 
 
 def t_report(n: int) -> TCountReport:
@@ -267,8 +263,8 @@ def t_report(n: int) -> TCountReport:
         raise ValueError(f"geometric route capped at n = {GEOMETRIC_N_BOUND}")
     fix = _fix_counts_vectorized(n)
     report = TCountReport(n, t_closed(n), t_burnside(n), t_geometric(n), fix)
+    msg = "g{} fixes {} members of IP({}), the closed form {}"
     for i, count in enumerate(fix, 1):
-        if count != (closed := fix_count_closed(i, n)):
-            msg = f"g{i} fixes {count} members of IP({n}), the closed form {closed}"
-            raise InvariantViolation(msg, n, ("burnside", "closed"))
+        closed = fix_count_closed(i, n)
+        _expect(count == closed, n, ("burnside", "closed"), msg, i, count, n, closed)
     return report

@@ -16,7 +16,7 @@ import math
 from functools import lru_cache, total_ordering
 from itertools import permutations
 
-from .arith import InvariantViolation, _Record, _set, extended_gcd, ip_members, six_maps
+from .arith import _expect, _Record, _set, extended_gcd, ip_members, six_maps
 
 __all__ = [
     "DegenerateTriangleError",
@@ -201,9 +201,8 @@ def _pick_interior(a2, b):
     and loads no numpy for ints."""
     twice_interior = a2 - b + 2
     odd = twice_interior % 2
-    if odd.any() if hasattr(odd, "any") else odd:  # pragma: no cover
-        msg = f"Pick parity violated: twice area {a2}, boundary {b}"
-        raise InvariantViolation(msg, None, ("pick",))
+    odd = odd.any() if hasattr(odd, "any") else odd
+    _expect(not odd, None, ("pick",), "Pick parity violated: twice area {}, boundary {}", a2, b)
     return twice_interior // 2
 
 
@@ -307,9 +306,8 @@ def reduce_to_base_form(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularM
         (_reduce_oriented(lo, hi, apex), _reduce_oriented(hi, lo, apex)),
         key=lambda pair: pair[0].as_tuple(),
     )
-    if apply_map(L, t).vertex_set() != bf.triangle().vertex_set():  # pragma: no cover
-        msg = f"witness map does not realize the base form for {t}"
-        raise InvariantViolation(msg, bf.b * bf.h, ("reduction", "witness"))
+    _expect(apply_map(L, t).vertex_set() == bf.triangle().vertex_set(), bf.b * bf.h,
+            ("reduction", "witness"), "witness map does not realize the base form for {}", t)
     return bf, L
 
 
@@ -353,13 +351,11 @@ def equivalent_clean(
     if equivalent:
         orders = (_reduce_oriented(*order) for order in permutations(bf2.triangle().vertices))
         bridge = next((L for bf, L in orders if bf == bf1), None)
-        if bridge is None:  # pragma: no cover - orbit test and search must agree
-            msg = "orbit test succeeded but no witness map exists"
-            raise InvariantViolation(msg, bf1.h, ("orbit", "witness"))
+        msg = "orbit test succeeded but no witness map exists"  # the two must agree
+        _expect(bridge is not None, bf1.h, ("orbit", "witness"), msg)
         witness = r2.inverse().compose(bridge.inverse()).compose(r1)
-        if apply_map(witness, t1).vertex_set() != t2.vertex_set():  # pragma: no cover
-            msg = "composed witness map failed verification"
-            raise InvariantViolation(msg, bf1.h, ("orbit", "witness"))
+        ok = apply_map(witness, t1).vertex_set() == t2.vertex_set()
+        _expect(ok, bf1.h, ("orbit", "witness"), "composed witness map failed verification")
     return equivalent, witness
 
 
@@ -533,9 +529,8 @@ def _least_keys(members: np.ndarray, h: int) -> np.ndarray:
             a -= q * b
         r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
     g, done = r0 + r1, r1 == 0
-    if (np.abs(g) != 1).any():  # pragma: no cover - every edge of a clean triangle is primitive
-        msg = f"an edge of a base-form triangle of twice-area {h} is not primitive"
-        raise InvariantViolation(msg, h, ("geometric",))
+    msg = "an edge of a base-form triangle of twice-area {} is not primitive"
+    _expect((np.abs(g) == 1).all(), h, ("geometric",), msg, h)  # clean edges are primitive
     o, e, v = np.array(list(permutations(range(3)))).T
     edge, sign = o + e - 1, np.where(o < e, 1, -1)[:, None]
     s = np.where(done, s0, s1)[edge] * sign

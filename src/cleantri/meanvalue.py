@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .arith import (
-    InvariantViolation,
+    _expect,
     _factor_blocks,
     _FactorData,
     _odd_offset,
@@ -25,9 +25,7 @@ from .arith import (
     _set,
     _sieve_table,
     _spot_indices,
-    factorize,
-    imph_from_factorization,
-    quad_root_count,
+    _spot_row,
 )
 
 __all__ = [
@@ -61,12 +59,6 @@ class ConstantEstimate(_Record):
     def agrees_with(self, other: "ConstantEstimate") -> bool:
         return abs(self.value - other.value) <= self.tail_bound + other.tail_bound
 
-    def check_agrees(self, other: "ConstantEstimate", routes: tuple[str, str]) -> None:
-        """Raise ``InvariantViolation`` unless ``agrees_with(other)``."""
-        if not self.agrees_with(other):
-            msg = f"{routes[0]}/{routes[1]} disagree: {self.value} vs {other.value}"
-            raise InvariantViolation(msg, None, routes)
-
 
 # --------------------------------------------------------------------------
 # summatory functions
@@ -92,8 +84,8 @@ def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
     int16 root-count array and the uint8 arrays of the divisibility check
     keep the peak within the walk's own figure.  A numerator that 6 does not
     divide raises ``InvariantViolation`` at its n; at the walk's
-    ``_spot_indices`` the result is compared with the closed form of one
-    ``factorize(n)``.
+    ``_spot_indices`` the result is compared with the closed form of the
+    walk's own ``factorize(n)``, read from ``arith._spot_row``.
     """
     import numpy as np
 
@@ -112,15 +104,14 @@ def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
     low -= np.multiply(table, 6, out=np.empty_like(low), casting="unsafe")
     if np.count_nonzero(low):
         n = a + 2 * int(np.flatnonzero(low)[0])
-        raise InvariantViolation(f"closed-form numerator of T({n}) not divisible by 6", n, ("closed",))
+        _expect(False, n, ("closed",), "closed-form numerator of T({}) not divisible by 6", n)
     del low
+    msg = "sieved T({}) = {}, factorize gives {}"
     for i in _spot_indices(a, len(table)):
         n = a + 2 * i
-        fac = factorize(n)
-        want = (imph_from_factorization(fac) + 2 * quad_root_count(fac) + 3) // 6
-        if table[i] != want:
-            msg = f"sieved T({n}) = {table[i]}, factorize gives {want}"
-            raise InvariantViolation(msg, n, ("sieve", "factorize"))
+        imph, *_, rho = _spot_row(n)
+        want = (imph + 2 * rho + 3) // 6
+        _expect(table[i] == want, n, ("sieve", "factorize"), msg, n, table[i], want)
     return table
 
 
@@ -184,7 +175,8 @@ def _prime_constants(prime_bound: int, minimum: int = 2) -> tuple[ConstantEstima
     tail = 3.0 / (prime_bound - 1)
     ft = ConstantEstimate(0.5 + 0.25 * odd, prime_bound, tail)
     zeta = ConstantEstimate(0.5 * (1.0 + zeta_prod / (math.pi**2 / 6.0)), prime_bound, tail)
-    ft.check_agrees(zeta, ("feller-tornier", "zeta"))
+    msg = "feller-tornier/zeta disagree: {} vs {}"
+    _expect(ft.agrees_with(zeta), None, ("feller-tornier", "zeta"), msg, ft.value, zeta.value)
     return ConstantEstimate(odd, prime_bound, tail), ft, zeta
 
 

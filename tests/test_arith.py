@@ -244,6 +244,27 @@ class TestProvenOnce:
         assert info.value.n == 12 and info.value.routes == ("factorize",)
 
 
+class _Unformattable:
+    """Fails the test wherever a message is formatted with it."""
+
+    def __format__(self, spec):
+        raise AssertionError("formatted")
+
+    def __str__(self):
+        raise AssertionError("formatted")
+
+    __repr__ = __str__
+
+
+def test_expect_formats_only_on_failure():
+    # a passing check, as every factorize and reduction makes, formats nothing
+    arith._expect(True, 7, ("a", "b"), "{} {!r} {!s}", *[_Unformattable()] * 3)
+    with pytest.raises(arith.InvariantViolation) as info:
+        arith._expect(False, 7, ("a", "b"), "{1}/{0} at n={2}: {3!r}", "x", "y", 7, "z")
+    assert str(info.value) == "y/x at n=7: 'z'"
+    assert (info.value.n, info.value.routes) == (7, ("a", "b"))
+
+
 # factorize near 10^12, the range of the benchmark's point queries, against
 # trial division by every prime up to the square root of the largest input
 QUERY_LO, QUERY_HI = 10**12, 10**12 + 10**9

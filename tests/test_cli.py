@@ -1136,6 +1136,26 @@ def test_one_prime_sieve():
     assert named == []
 
 
+def test_one_cross_check_path():
+    """``InvariantViolation`` is constructed in one function, the cross-check
+    helper ``arith._expect``, and the per-module helpers it replaced are not
+    named."""
+    src = pathlib.Path(cli.__file__).parent
+    calls, named = [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        named += re.findall(r"\b(?:_spot_field|check_agrees)\b", text)
+        for top in ast.parse(text, str(path)).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and "InvariantViolation" in (
+                    getattr(func, "id", None), getattr(func, "attr", None)
+                ):
+                    calls.append(f"{path.name}:{getattr(top, 'name', None)}")
+    assert calls == ["arith.py:_expect"]
+    assert named == []
+
+
 def test_json_range_sieves_no_primes(monkeypatch, capsys):
     """A ``--json`` range of six walks reads the primes built at import and
     calls the prime source ``_primes_upto`` not once."""

@@ -244,6 +244,26 @@ class TestBlockWalk:
             assert blocked == whole
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [partial_sum_T, t_closed_sieve, lambda x: mean_value_report(x, prime_bound=1000)],
+    ids=["partial_sum_T", "t_closed_sieve", "mean_value_report"],
+)
+def test_t_walk_factorizes_each_spot_once(monkeypatch, fn):
+    # the T spot check reads the rows of the walk's own spot check: one
+    # factorize call per spot, four per block, not eight
+    x = 10**6
+    blocks = [(a, len(f.imph)) for a, f in arith._factor_blocks(0, x)]
+    spots = [a + 2 * i for a, length in blocks for i in arith._spot_indices(a, length)]
+    assert len(blocks) == 2 and len(set(spots)) == len(spots) == 8
+    calls = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+    arith._spot_row.cache_clear()
+    fn(x)
+    assert calls == spots
+
+
 # Each sieve user: the function of x, the first n of its walk, and the bytes
 # it holds beside the walk (its table or its odd Moebius terms).
 SIEVE_USERS = {
