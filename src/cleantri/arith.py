@@ -538,7 +538,9 @@ class _FactorData(NamedTuple):
 # smooth part (4) and the uint16 counter (2); the counter is unpacked and
 # freed before the int32 cofactor (4) is made beside the smooth part.
 # Between blocks the walk holds the fields alone, so a caller's own work on
-# a block may take eight bytes per entry besides what it charges.
+# a block may take eight bytes per entry besides what it charges.  While the
+# block is struck it holds 17 bytes an entry, and the kernel's scattered hits
+# take at most the 2 left (see ``_SCATTER_PIECE``).
 _FACTOR_SIEVE_BYTES_PER_N = 19
 
 # numpy casts the int32 cofactor to int64 through a buffer of up to 8192
@@ -559,15 +561,38 @@ _WALK_OBJECT_BYTES = 8 * 1024
 # as many numbers.  Smaller blocks pay more per-slice call overhead; larger
 # ones hold more, in every walk (a --json range holds up to nine).  Walking
 # 0..10^7 on a 2-core Xeon VM (median of 9, sizes interleaved): blocks of
-# 2^16, 2^17, 2^18, 2^19 and 2^20 entries took 0.33, 0.23, 0.18, 0.16 and
-# 0.16 s.  2^18 peaks at 5 MB; 2^19 would save 7 % of a walk for 5 MB more
-# per walk, and 2^20 no more for 15 MB more.
+# 2^16, 2^17, 2^18, 2^19 and 2^20 entries took 0.17, 0.15, 0.16, 0.17 and
+# 0.18 s (0.36, 0.23, 0.19, 0.19 and 0.19 s when every power struck
+# slices): the scatter of the powers of at least a 256th of a block makes
+# the walk's time flat in the block length.  2^18 peaks at 5 MB.
 _SIEVE_BLOCK = 1 << 18
 
 # The wheel of the kernel: 3^2 * 5 * 7 entries, over which n runs through
 # 630 = 2 * 315 numbers, so the entries i and i + 315 of a block hold n and
 # n + 630, which 3, 9, 5 and 7 divide alike.
 _WHEEL = 315
+
+# A prime power that hits a block of length entries at most about
+# length / _SCATTER_HITS times, p^k >= length // _SCATTER_HITS, is struck by
+# the kernel's one scatter per block rather than by three slices of its own
+# (the large-prime buckets of segmented sieves: T. Oliveira e Silva,
+# S. Herzog and S. Pardi, Math. Comp. 83, 2014).
+_SCATTER_HITS = 256
+
+# Hits the kernel scatters at once, beside a block of length entries:
+# max(length // 16, _SCATTER_PIECE).  Their int64 index and, in turn, an
+# int64 temporary and their values take 16 bytes a hit: one byte an entry
+# of the two the strikes leave free, or below 2^14 entries the cast buffer's
+# room (see ``_CAST_BUFFER_BYTES``).  A power p^k >= 11 hits a block at most
+# ceil(length / p^k) times, which fits one such piece.
+_SCATTER_PIECE = 1024
+
+# Bytes a scattered power costs its walk: its row of the table (power and
+# reach 8 + 8, factors 8 + 4 + 2) and the int64 arrays of the rows that the
+# kernel holds at once while it lays out a block's hits (up to five); traced
+# walks near the cap, whose table has 2,603 rows in blocks of 64 entries,
+# take 70 bytes a row.
+_SCATTER_ROW_BYTES = 96
 
 # The walk spot-checks each block at its first and last multiples of this,
 # which the wheel's 3 and 5 both strike (at its first and last entries if it
@@ -594,19 +619,143 @@ def _repeat_head(head: int, *arrays: np.ndarray) -> None:
             done *= 2
 
 
-def _sieve_block(a: int, primes: tuple[int, ...], f: _FactorData) -> None:
-    """Fill the views in ``f`` with the factor data of the odd n = a + 2i,
-    0 <= i < len, for odd a; ``primes`` holds, ascending, at least the odd
-    primes <= sqrt(a + 2 len - 2), and not 2.
+def _power_update(p: int, pk: int) -> tuple[int, int]:
+    """What the power pk of the odd prime p does to the entries it divides:
+    the factor of imph (p - 2 for pk = p, p above) and the step of the
+    kernel's counter (0x101 for pk = p, 0x111 if also p = 5 (mod 6), and
+    0x100 above); the smooth part takes p.  The one definition of both the
+    kernel's slices and its scatter table."""
+    if pk > p:
+        return p, 0x100  # Omega
+    step = 0x101  # omega and Omega
+    if p % 6 == 5:
+        step += 0x10
+    return p - 2, step
 
-    Each prime power p^k in range strikes three arrays with stride p^k from
-    the first odd multiple of p^k at or after a (``_odd_offset``), unless
-    that multiple lies past the block: imph (times p - 2 for k = 1, times p
-    above), the int32 smooth part (times p) and a uint16 counter (plus 0x101
-    for k = 1, 0x111 if also p = 5 (mod 6), and 0x100 above).  The powers
-    that divide ``_WHEEL``, 3, 9, 5 and 7, strike only the block's first
-    ``_WHEEL`` entries, which ``_repeat_head`` then copies over the rest of
-    the block; the other powers strike all of it.
+
+def _scattered_powers(hi: int, split: int) -> Iterator[tuple[int, int]]:
+    """(p, p^k) for the odd primes p <= sqrt(hi) and their powers
+    split <= p^k <= hi, but 3, 9, 5 and 7, which come with the wheel."""
+    for p in _SIEVE_PRIMES:
+        if p * p > hi:
+            return
+        pk = p
+        while pk <= hi:
+            if pk >= split and _WHEEL % pk:
+                yield p, pk
+            pk *= p
+
+
+class _Scatter(NamedTuple):
+    """The prime powers that a walk's kernel strikes in one scatter per
+    block, a row each: those of at least ``split``; the smaller ones strike
+    slices.  Built once per walk by ``_scatter_table``."""
+
+    split: int
+    power: np.ndarray  # int64, p^k
+    reach: np.ndarray  # int64, the least block end it strikes at: max(p^k, p^2)
+    imph: np.ndarray  # int64, the factor of imph
+    smooth: np.ndarray  # int32, p
+    count: np.ndarray  # uint16, the step of the counter
+
+
+def _scatter_bytes(hi: int, length: int) -> int:
+    """Bytes the scatter table of a walk to hi in blocks of ``length`` costs,
+    ``_SCATTER_ROW_BYTES`` a row: it grows with the primes up to sqrt(hi)."""
+    rows = sum(1 for _ in _scattered_powers(hi, length // _SCATTER_HITS))
+    return _SCATTER_ROW_BYTES * rows
+
+
+def _scatter_table(hi: int, length: int) -> _Scatter:
+    """The ``_Scatter`` rows of a walk to hi in blocks of ``length`` entries:
+    the powers p^k >= length // _SCATTER_HITS of ``_scattered_powers(hi)``,
+    with their factors from ``_power_update``."""
+    import numpy as np
+
+    split = length // _SCATTER_HITS
+    rows = sum(1 for _ in _scattered_powers(hi, split))
+    table = _Scatter(
+        split,
+        np.empty(rows, dtype=np.int64),
+        np.empty(rows, dtype=np.int64),
+        np.empty(rows, dtype=np.int64),
+        np.empty(rows, dtype=np.int32),
+        np.empty(rows, dtype=np.uint16),
+    )
+    for i, (p, pk) in enumerate(_scattered_powers(hi, split)):
+        table.power[i] = pk
+        table.reach[i] = max(pk, p * p)
+        table.imph[i], table.count[i] = _power_update(p, pk)
+        table.smooth[i] = p
+    return table
+
+
+def _scatter(a: int, table: _Scatter, imph: np.ndarray, sm: np.ndarray, count: np.ndarray) -> None:
+    """Strike each row of ``table`` whose reach is at most the block's end
+    into the kernel's imph, smooth part and counter of the odd n = a + 2i,
+    0 <= i < len(imph): the entry index of each hit is built on arrays, and
+    ``np.multiply.at`` and ``np.add.at`` apply the rows' factors and steps,
+    in pieces of ``max(len // 16, _SCATTER_PIECE)`` hits.
+    ``ufunc.at`` applies every update where two rows hit one n (p and q, or
+    p^k and p^(k+1)); a plain fancy-index update would keep only one."""
+    import numpy as np
+
+    length = len(imph)
+    # hit t of the block, counted across the rows, that falls in row r is
+    # entry base[r] + p^k t; a row out of reach or whose first multiple lies
+    # past the block has no hits
+    first = _odd_offset(a, table.power)
+    hits = (length - 1 - first) // table.power + 1
+    np.maximum(hits, 0, out=hits)
+    hits *= table.reach <= a + 2 * length - 2
+    # the hits of the rows up to each; np.cumsum would name "accumulate" by a
+    # new string on each call, and CPython's type cache keeps up to 4096 such
+    ends = np.add.accumulate(hits)
+    base = ends - hits
+    base *= table.power
+    np.subtract(first, base, out=base)
+    del first
+    piece = max(length // 16, _SCATTER_PIECE)
+    total = int(ends[-1]) if len(ends) else 0
+    i = done = 0  # the piece's first row and the hits of the rows before it
+    while done < total:
+        j = int(np.searchsorted(ends, done + piece, side="right"))
+        stop = int(ends[j - 1])
+        # the piece's last row runs on past its hits to ``piece`` entries,
+        # so that a block's peak does not move with its count of hits
+        counts = hits[i:j].copy()
+        counts[-1] += done + piece - stop
+        idx = np.repeat(table.power[i:j], counts)
+        idx *= np.arange(done, done + piece)
+        idx += np.repeat(base[i:j], counts)
+        for target, ufunc, column in (
+            (imph, np.multiply, table.imph),
+            (sm, np.multiply, table.smooth),
+            (count, np.add, table.count),
+        ):
+            values = np.repeat(column[i:j], counts)
+            ufunc.at(target, idx[: stop - done], values[: stop - done])
+            del values  # before the next is made
+        del idx
+        i, done = j, stop
+
+
+def _sieve_block(a: int, table: _Scatter, f: _FactorData) -> None:
+    """Fill the views in ``f`` with the factor data of the odd n = a + 2i,
+    0 <= i < len, for odd a; ``table`` is the ``_scatter_table`` of a walk to
+    at least a + 2 len - 2.
+
+    Each prime power p^k with p^2 <= end = a + 2 len - 2 and p^k <= end
+    multiplies imph by p - 2 for k = 1 and by p above, the int32 smooth part
+    by p, and adds to a uint16 counter 0x101 for k = 1, 0x111 if also
+    p = 5 (mod 6), and 0x100 above (``_power_update``), at every entry from
+    the first odd multiple of p^k at or after a (``_odd_offset``) on, p^k
+    apart.  The powers that divide ``_WHEEL``, 3, 9, 5 and 7, strike only
+    the block's first ``_WHEEL`` entries, which ``_repeat_head`` then copies
+    over the rest of the block.  The others below ``table.split`` strike
+    three slices each, and the rows of ``table``, the powers that hit the
+    block at most about ``_SCATTER_HITS`` times, strike all together in one
+    scatter (``_scatter``).
 
     The counter packs omega into bits 0-3, the count of primes p = 5 (mod 6)
     into bits 4-7 and Omega into bits 8-15; whole-block steps unpack it into
@@ -616,17 +765,20 @@ def _sieve_block(a: int, primes: tuple[int, ...], f: _FactorData) -> None:
     (3^17 > 10^8), so no field reaches the next; a walk past the cap must
     check these bounds again.
 
-    The cofactor n // (smooth part) is taken once, and cofactor * smooth
-    part = n is checked on every entry: the first n that fails raises
-    ``InvariantViolation``.  The cofactor is then 1 or a single prime
-    q > sqrt(a + 2i), which is folded in by a few whole-block steps.  The
-    smooth part, the counter and the cofactor are freed on return.
+    The cofactor n // (smooth part) is taken once.  On every entry,
+    cofactor * smooth part = n is checked, and the cofactor must be 1 or
+    exceed isqrt(end), since every prime up to that was struck: the first n
+    that fails raises ``InvariantViolation``.  The cofactor is then 1 or a
+    single prime q > sqrt(end), which is folded in by a few whole-block
+    steps.  The smooth part, the counter and the cofactor are freed on
+    return.
     """
     import numpy as np
 
     imph, omega, big_omega, bad5 = f
     length = len(imph)
     end = a + 2 * length - 2
+    split = table.split
     sm = np.empty(length, dtype=np.int32)  # n <= IMPH_SIEVE_BOUND < 2^31
     count = np.empty(length, dtype=np.uint16)
 
@@ -634,15 +786,9 @@ def _sieve_block(a: int, primes: tuple[int, ...], f: _FactorData) -> None:
         start = _odd_offset(a, pk)
         if start >= stop:
             return
-        if pk == p:
-            imph[start:stop:pk] *= p - 2
-            step = 0x101  # omega and Omega
-            if p % 6 == 5:
-                step += 0x10
-            count[start:stop:pk] += step
-        else:
-            imph[start:stop:pk] *= p
-            count[start:stop:pk] += 0x100  # Omega
+        factor, step = _power_update(p, pk)
+        imph[start:stop:pk] *= factor
+        count[start:stop:pk] += step
         sm[start:stop:pk] *= p
 
     head = min(length, _WHEEL)
@@ -652,14 +798,16 @@ def _sieve_block(a: int, primes: tuple[int, ...], f: _FactorData) -> None:
     for p, pk in ((3, 3), (3, 9), (5, 5), (7, 7)):
         strike(p, pk, head)
     _repeat_head(head, imph, sm, count)
-    for p in primes:
-        if p * p > end:
+    for p in _SIEVE_PRIMES:
+        if p >= split or p * p > end:
             break
         pk = p
-        while pk <= end:
+        while pk < split and pk <= end:
             if _WHEEL % pk:  # 3, 9, 5 and 7 came with the wheel
                 strike(p, pk, length)
             pk *= p
+
+    _scatter(a, table, imph, sm, count)
 
     np.copyto(omega, count, casting="unsafe")  # the low byte: omega and the p = 5 (mod 6) count
     count >>= 8
@@ -669,17 +817,24 @@ def _sieve_block(a: int, primes: tuple[int, ...], f: _FactorData) -> None:
     omega &= 0xF
 
     cof = np.arange(a, end + 1, 2, dtype=np.int32)
-    with np.errstate(divide="ignore"):  # a zero smooth part fails the check below
+    with np.errstate(divide="ignore"):  # a zero smooth part gives cofactor 0, refused below
         np.divmod(cof, sm, out=(cof, sm))  # n // sm and n % sm, in place
-    # cofactor * smooth part = n exactly where the remainder is 0 and the
-    # cofactor is not (numpy divides by a zero smooth part into 0 rem 0)
-    if np.count_nonzero(sm) or np.count_nonzero(cof) < length:
-        i = int(np.flatnonzero((sm != 0) | (cof == 0))[0])
-        n = a + 2 * i
-        msg = "sieved cofactor({0}) = {1} times smooth part is not {0}"
-        _expect(False, n, ("sieve", "cofactor"), msg, n, cof[i])
+    left = np.flatnonzero(sm)  # the n that their smooth part does not divide
     del sm
-    big = (cof > 1).view(np.int8)  # 0 or 1, added below with no casting buffer
+    # every prime up to isqrt(end) was struck, so the cofactor is 1 or above it
+    root = math.isqrt(end)
+    big = np.greater(cof, root)
+    above = np.count_nonzero(big)
+    np.greater(cof, 1, out=big)
+    if len(left) or np.count_nonzero(cof) < length or above < np.count_nonzero(big):
+        msg = "sieved cofactor({0}) = {1} times smooth part is not {0}"
+        if not len(left):
+            msg = "sieved cofactor({0}) = {1} is neither 1 nor above {2}"
+            left = np.flatnonzero((cof <= root) & (cof != 1))
+        i = int(left[0])
+        n = a + 2 * i
+        _expect(False, n, ("sieve", "cofactor"), msg, n, cof[i], root)
+    big = big.view(np.int8)  # 0 or 1, added below with no casting buffer
     omega += big
     big_omega += big
     del big
@@ -710,23 +865,24 @@ def _odd_count(lo: int, hi: int) -> int:
 
 
 def _walk_bytes(lo: int, hi: int) -> int:
-    """Bytes the factor sieve walk over lo..hi holds at its peak: one block
-    and ``_WALK_OBJECT_BYTES``; refused first for hi past the sieve cap."""
+    """Bytes the factor sieve walk over lo..hi holds at its peak: one block,
+    its scatter table (``_scatter_bytes``) and ``_WALK_OBJECT_BYTES``;
+    refused first for hi past the sieve cap."""
     if hi > IMPH_SIEVE_BOUND:
         raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
     length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
     block = _FACTOR_SIEVE_BYTES_PER_N * length + max(0, _CAST_BUFFER_BYTES - 4 * length)
-    return block + _WALK_OBJECT_BYTES
+    return block + _scatter_bytes(hi, length) + _WALK_OBJECT_BYTES
 
 
 def _walk_idle_bytes(lo: int, hi: int) -> int:
     """Bytes of ``_walk_bytes(lo, hi)`` that the walk leaves free between
-    blocks, when it holds the four fields alone (11 bytes an entry): the
-    smooth part, counter and cofactor of the kernel and the room of its cast
-    buffer.  A caller's work on a block, done before it asks for the next,
-    may take them."""
+    blocks, when it holds the four fields (11 bytes an entry) and its scatter
+    table alone: the smooth part, counter and cofactor of the kernel and the
+    room of its cast buffer.  A caller's work on a block, done before it asks
+    for the next, may take them."""
     length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
-    return _walk_bytes(lo, hi) - _WALK_OBJECT_BYTES - 11 * length
+    return (_FACTOR_SIEVE_BYTES_PER_N - 11) * length + max(0, _CAST_BUFFER_BYTES - 4 * length)
 
 
 def _spot_indices(a: int, length: int) -> tuple[int, int, int, int]:
@@ -784,11 +940,12 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
     The package's one factor sieve walk.  One block's arrays are reused for
     the next, so read each block before asking for the next; a caller may
     overwrite them.  The walk holds one block (``_FACTOR_SIEVE_BYTES_PER_N``
-    bytes an entry at its peak) and ``_WALK_OBJECT_BYTES``, whatever the
-    range's length; it reads the primes from ``_SIEVE_PRIMES``, built once
-    at import.  Those bytes and the ``holding`` bytes the caller keeps beside
-    the walk are checked against the cap and the memory budget when this is
-    called, before anything is allocated.
+    bytes an entry at its peak), its scatter table and ``_WALK_OBJECT_BYTES``,
+    whatever the range's length; it reads the primes from ``_SIEVE_PRIMES``,
+    built once at import, and builds the table from them when it starts.
+    Those bytes and the ``holding`` bytes the caller keeps beside the walk are
+    checked against the cap and the memory budget when this is called, before
+    anything is allocated.
     """
     need = holding + _walk_bytes(lo, hi)
     length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
@@ -802,10 +959,11 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
     def walk() -> Iterator[tuple[int, _FactorData]]:
         if not length:
             return
+        table = _scatter_table(hi, length)
         block = _empty_factor_data(length)
         for a in range(lo | 1, hi + 1, 2 * length):
             view = _FactorData(*[arr[: (hi - a) // 2 + 1] for arr in block])  # see _spot_check
-            _sieve_block(a, _SIEVE_PRIMES, view)
+            _sieve_block(a, table, view)
             _spot_check(a, view)
             yield a, view
 

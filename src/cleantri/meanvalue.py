@@ -14,6 +14,7 @@ One walk of the primes gives the odd product, C_FT and the zeta form.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .arith import (
     _expect,
@@ -134,13 +135,15 @@ def partial_sum_T(x: int) -> int:
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
 def _prime_products(prime_bound: int) -> tuple[float, float]:
     """One walk of the primes p <= prime_bound: the product of 1 - 2/p^2 over
     the odd p, and of 1 - 1/(p^2 - 1) over all p.
 
     Each product is taken in ascending prime order on one float64 temporary
     built from the array of p^2 (exact, as p^2 < 2^53), so the peak stays
-    within the prime budget check.
+    within the prime budget check.  The two floats of the last four bounds
+    are kept, never the primes, so the constants at one P walk them once.
     """
     import numpy as np
 
@@ -222,7 +225,11 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
     for a, f in blocks:
         out = terms[(a - 3) // 2 :][: len(f.omega)]
         np.ldexp(1.0, f.omega, out=out)  # 2^omega, then the sign (-1)^omega
-        np.negative(out, out=out, where=(f.omega & 1).view(bool))
+        sign = f.omega & 1  # (-1)^omega = 1 - 2 (omega & 1), in int8
+        sign *= -2
+        sign += 1
+        out *= sign
+        del sign
         out *= f.omega == f.big_omega  # 0 at the d that are not squarefree
         d = f.imph  # d = a, a + 2, ... in the block's own int64 array
         d.fill(2)

@@ -579,6 +579,15 @@ BLOCK = arith._SIEVE_BLOCK
 SPAN = 2 * BLOCK  # the numbers one block of odd n covers
 
 
+def _fill_tuple_free_lists():
+    """Fill CPython's free lists of tuples (up to 2,000 of each size below
+    20) before a trace: the tuples a walk builds then come from them,
+    allocated before tracing, and go back to them when freed, so that the
+    traced peak does not depend on how full the tests run before left them."""
+    kept = [tuple(range(size)) for size in range(1, 21) for _ in range(2000)]
+    del kept
+
+
 @cache
 def _boundary_table(x):
     return _walk_table(x)
@@ -641,6 +650,7 @@ class TestFactorSieveBlocks:
         monkeypatch.setattr(arith, "_SIEVE_BLOCK", length)
         hi = 2 * length * blocks - 1
         walk = arith._factor_blocks(0, hi)
+        _fill_tuple_free_lists()
         tracemalloc.start()
         try:
             for count, _ in enumerate(walk, 1):
@@ -676,23 +686,28 @@ class TestFactorSieveBlocks:
     def test_spot_check_catches_a_wrong_bad5_slice(self, monkeypatch, walk):
         # p = 1 (mod 6) flagged in place of p = 5 (mod 6): no divisibility
         # check reads the flag here, so the first block's spot check must
-        source = textwrap.dedent(inspect.getsource(arith._sieve_block))
+        # in the factor of a power that the kernel's slices and scatter read
+        source = textwrap.dedent(inspect.getsource(arith._power_update))
         assert source.count("if p % 6 == 5:") == 1
         namespace = dict(vars(arith))
         code = "from __future__ import annotations\n" + source.replace(
             "if p % 6 == 5:", "if p % 6 == 1:"
         )
         exec(compile(code, arith.__file__, "exec"), namespace)
-        monkeypatch.setattr(arith, "_sieve_block", namespace["_sieve_block"])
+        monkeypatch.setattr(arith, "_power_update", namespace["_power_update"])
         with pytest.raises(arith.InvariantViolation, match=r"^sieved bad5\(") as info:
             walk()
         assert 1 <= info.value.n < SPAN and info.value.routes == ("sieve", "factorize")
 
 
-def _assert_walk_matches_factorize(lo, hi):
-    """Every odd n of the walk over lo..hi against one factorize(n)."""
+def _assert_walk_matches_factorize(lo, hi, near=None, width=40):
+    """Every odd n of the walk over lo..hi, or those within ``width`` of
+    ``near`` alone, against one factorize(n)."""
     for a, block in arith._factor_blocks(lo, hi):
-        for i in range(len(block.imph)):
+        entries = range(len(block.imph))
+        if near is not None:
+            entries = entries[max(0, (near - width - a) // 2) : (near + width - a) // 2 + 1]
+        for i in entries:
             f = factorize(a + 2 * i)
             bad5 = any(p % 6 == 5 for p in f.primes())
             want = (imph_from_factorization(f), f.omega, f.big_omega, bad5)
@@ -785,3 +800,49 @@ class TestRootsQuad:
             roots = r[(r * r - r + 1) % n == 0]
             assert members[table[3] == members].tolist() == roots.tolist(), n
             assert roots.size == quad_root_count(factorize(n)), n
+
+
+# Prime powers on both sides of the kernel's split in blocks of 2^18 entries,
+# 2^18 // 256 = 1024: slices strike 729 = 3^6, 961 = 31^2 and 1021, the
+# scatter 1031, 1033, 1331 = 11^3, 1369 = 37^2, 2187 = 3^7, 2197 = 13^3,
+# 2401 = 7^4 and 3125 = 5^5; at the multiples of 6561 = 3^8 and of 1031^2 and
+# 1033^2 two scattered powers hit one n.
+SPLIT_POWERS = (729, 961, 1021, 1031, 1033, 1331, 1369, 2187, 2197, 2401, 3125, 6561,
+                1031**2, 1033**2)
+
+# Near the sieve cap, where 9973^2 = 99,460,729 is scattered, two scattered
+# primes hit 9967 * 9973 and 9949 * 9973, and 9973 * 10007 has the cofactor
+# 10007.
+CAP_NUMBERS = (9973**2, 9967 * 9973, 9949 * 9973, 9973 * 10007)
+
+
+class TestScatter:
+    """The powers that the kernel scatters, a block's p^k >= length // 256,
+    against factorize: windows of the walk around their multiples, in blocks
+    of 2^18 entries and of 64 and 1001, in which every power but 3, 9, 5
+    and 7 is scattered."""
+
+    @pytest.mark.parametrize("length", [BLOCK, 64, 1001])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_split_powers(self, length, data):
+        q = data.draw(st.sampled_from(SPLIT_POWERS))
+        n = q * (2 * data.draw(st.integers(0, 10**7 // (2 * q))) + 1)
+        self._check_window(length, n, data)
+
+    @pytest.mark.parametrize("length", [BLOCK, 64, 1001])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_block_near_the_cap(self, length, data):
+        cap = arith.IMPH_SIEVE_BOUND
+        n = data.draw(st.one_of(st.sampled_from(CAP_NUMBERS), st.integers(cap - 10**6, cap - 1)))
+        self._check_window(length, n | 1, data)
+
+    @staticmethod
+    def _check_window(length, n, data):
+        # one block of the walk, placed so that it holds n anywhere
+        lo = max(1, n - 2 * data.draw(st.integers(0, length - 1)))
+        hi = min(lo + 2 * length - 1, arith.IMPH_SIEVE_BOUND)
+        with mock.patch.object(arith, "_SIEVE_BLOCK", length):
+            assert len(list(arith._factor_blocks(lo, hi))) == 1
+            _assert_walk_matches_factorize(lo, hi, near=n)

@@ -351,13 +351,15 @@ def _mutate(monkeypatch, fn, old, new):
 def _walk_need(runs):
     """Bytes the factor sieve walks over ``runs`` hold together: a block of
     odd n (19 B each, and the cast buffer's excess over a short block's
-    smooth part, 4 B an entry) and the fixed per-walk objects, for each."""
-    blocks = [min((b + 1) // 2 - a // 2, arith._SIEVE_BLOCK) for a, b in runs]
+    smooth part, 4 B an entry), the scatter table and the fixed per-walk
+    objects, for each."""
+    blocks = [(min((b + 1) // 2 - a // 2, arith._SIEVE_BLOCK), b) for a, b in runs]
     return sum(
         arith._FACTOR_SIEVE_BYTES_PER_N * n
         + max(0, arith._CAST_BUFFER_BYTES - 4 * n)
+        + arith._scatter_bytes(b, n)
         + arith._WALK_OBJECT_BYTES
-        for n in blocks
+        for n, b in blocks
     )
 
 
@@ -600,7 +602,8 @@ class TestRangeWriter:
         # stops the first before any line is written
         monkeypatch.setattr(arith, "_odd_offset", lambda a, m: (-a) % m)
         _mutate(monkeypatch, arith._sieve_block,
-                "if np.count_nonzero(sm) or np.count_nonzero(cof) < length:", "if False:")
+                "if len(left) or np.count_nonzero(cof) < length or above < np.count_nonzero(big):",
+                "if False:")
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
@@ -632,13 +635,16 @@ class TestRangeWriter:
         ["meanvalue", "--x", "1000000"],
     ])
     @pytest.mark.parametrize("fn,old,new,caught", [
-        pytest.param(arith._sieve_block, "step = 0x101", "step = 0x102", "sieved omega(",
+        # the kernel's slices and its scatter table read the factor and the
+        # step of a power from arith._power_update
+        pytest.param(arith._power_update, "step = 0x101", "step = 0x102", "sieved omega(",
                      id="_sieve_block-omega step"),
-        pytest.param(arith._sieve_block, "step = 0x101", "step = 0x201", "sieved big_omega(",
+        pytest.param(arith._power_update, "step = 0x101", "step = 0x201", "sieved big_omega(",
                      id="_sieve_block-Omega step"),
         (arith._sieve_block, "== 3  # q - 2", "== 1  # q - 2", "closed-form numerator of T("),
-        (arith._sieve_block, "if p % 6 == 5:", "if p % 6 == 1:", "sieved bad5("),
-        pytest.param(arith._sieve_block, "(3, 9)", "(3, 27)", "closed-form numerator of T(",
+        pytest.param(arith._power_update, "if p % 6 == 5:", "if p % 6 == 1:", "sieved bad5(",
+                     id="_sieve_block-if p % 6 == 5:-if p % 6 == 1:-sieved bad5("),
+        pytest.param(arith._sieve_block, "(3, 9)", "(3, 27)", "sieved cofactor(",
                      id="_sieve_block-wheel without 9"),
         pytest.param(arith._sieve_block, "np.arange(a, end + 1", "np.arange(a + 2, end + 3",
                      "sieved cofactor(", id="_sieve_block-cofactor of the next n"),
@@ -646,6 +652,12 @@ class TestRangeWriter:
                      "sieved cofactor(", id="_repeat_head-wheel copied one entry off"),
         pytest.param(arith._sieve_block, "sm[:head] = 1", "sm[:head] = 0", "sieved cofactor(",
                      id="_sieve_block-zero smooth part"),
+        pytest.param(arith._scatter_table, "table.smooth[i] = p", "table.smooth[i] = pk",
+                     "sieved cofactor(", id="_scatter_table-smooth factor p^k at k >= 2"),
+        pytest.param(arith._scatter, "ufunc.at(target, idx[: stop - done], values[: stop - done])",
+                     "target[idx[: stop - done]] = ufunc(target[idx[: stop - done]], "
+                     "values[: stop - done])",
+                     "sieved cofactor(", id="_scatter-fancy index in place of ufunc.at"),
         (meanvalue._t_closed_block, "_odd_offset(a, 3) :: 3", "_odd_offset(a, 3) + 1 :: 3",
          "closed-form numerator of T("),
         (meanvalue._t_closed_block, "_odd_offset(a, 9) :: 9", "_odd_offset(a, 9) + 1 :: 9",
@@ -847,6 +859,7 @@ class TestMeanvalueBounds:
             return arith._primes_upto(limit)
 
         monkeypatch.setattr(meanvalue, "_primes_upto", spy)
+        meanvalue._prime_products.cache_clear()  # an earlier test may have kept P = 1000
         assert cli.main(["meanvalue", "--x", "1000", "--primes", "1000"]) == 0
         assert calls == [1000]
         capsys.readouterr()

@@ -101,6 +101,7 @@ class TestConstantsMemory:
     def test_traced_peak_within_prime_budget_check(self, fn):
         bound = 10**6
         fn(bound)  # warm up outside the trace
+        meanvalue._prime_products.cache_clear()  # walk the primes again, traced
         tracemalloc.start()
         try:
             fn(bound)
@@ -108,6 +109,22 @@ class TestConstantsMemory:
         finally:
             tracemalloc.stop()
         assert peak <= arith._primes_upto_bytes(bound)
+
+
+def test_constants_walk_the_primes_once(monkeypatch):
+    # the four users of the constants at one P share one walk of the primes,
+    # and what is kept of it is two floats
+    calls = []
+    primes_upto = meanvalue._primes_upto
+    monkeypatch.setattr(meanvalue, "_primes_upto", lambda limit: calls.append(limit) or primes_upto(limit))
+    meanvalue._prime_products.cache_clear()
+    bound = 10**4
+    euler_product_odd(bound)
+    feller_tornier(bound)
+    feller_tornier_zeta(bound)
+    mean_value_report(1000, prime_bound=bound)
+    assert calls == [bound]
+    assert [type(v) for v in meanvalue._prime_products(bound)] == [float, float]
 
 
 class TestFellerTornier:
@@ -276,13 +293,15 @@ SIEVE_USERS = {
 
 def _charged_need(name, x):
     """The bytes the walk of a sieve user is checked against the budget for:
-    what the caller holds, one block and the fixed per-walk objects."""
+    what the caller holds, one block, the scatter table and the fixed
+    per-walk objects."""
     _, lo, holding = SIEVE_USERS[name]
     block = min((x + 1) // 2 - lo // 2, arith._SIEVE_BLOCK)  # 19 B for each odd n
     return (
         holding(x)
         + arith._FACTOR_SIEVE_BYTES_PER_N * block
         + max(0, arith._CAST_BUFFER_BYTES - 4 * block)
+        + arith._scatter_bytes(x, block)
         + arith._WALK_OBJECT_BYTES
     )
 
@@ -337,10 +356,11 @@ class TestSieveMemoryBudget:
     )
     def test_sums_hold_one_block(self, fn):
         # four blocks of odd n are added up in the memory of one, plus the
-        # fixed per-walk objects
+        # scatter table and the fixed per-walk objects
         x = 8 * arith._SIEVE_BLOCK
         block = arith._FACTOR_SIEVE_BYTES_PER_N * arith._SIEVE_BLOCK
-        assert _traced_peak(fn, x) <= block + arith._WALK_OBJECT_BYTES + OBJECT_SLACK
+        table = arith._scatter_bytes(x, arith._SIEVE_BLOCK)
+        assert _traced_peak(fn, x) <= block + table + arith._WALK_OBJECT_BYTES + OBJECT_SLACK
 
     @pytest.mark.parametrize("d_bound", [10**8 + 1, 10**12, 10**20])
     def test_moebius_cap_before_terms(self, d_bound):
