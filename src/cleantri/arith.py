@@ -26,6 +26,7 @@ from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
     "InvariantViolation",
+    "Refused",
     "Factorization",
     "factorize",
     "is_prime",
@@ -68,14 +69,27 @@ def _expect(ok, n: int | None, routes: tuple[str, ...], message: str, *args) -> 
         raise InvariantViolation(message.format(*args), n, routes)
 
 
+class Refused(ValueError):
+    """An argument or budget check refused its input; the CLI prints
+    ``error: <message>`` and exits 2.  Raised by ``_require`` alone (and as
+    ``lattice.DegenerateTriangleError``); callers may catch ``ValueError``."""
+
+
+def _require(ok, message: str, *args) -> None:
+    """The package's one refusal path: unless ``ok``, raise
+    ``Refused(message.format(*args))``.  The message is formatted only then,
+    as ``factorize`` and the reductions check every call."""
+    if not ok:
+        raise Refused(message.format(*args))
+
+
 def sieve_memory_budget() -> int:
     """Memory budget in bytes for sieve tables (env override, default 1 GiB)."""
     raw = os.environ.get(SIEVE_MEMORY_ENV)
     if raw is None:
         return _DEFAULT_SIEVE_MEMORY
-    if not raw.strip().isdecimal() or int(raw) <= 0:
-        msg = f"{SIEVE_MEMORY_ENV} must be a positive integer number of bytes, got {raw!r}"
-        raise ValueError(msg)
+    msg = "{} must be a positive integer number of bytes, got {!r}"
+    _require(raw.strip().isdecimal() and int(raw) > 0, msg, SIEVE_MEMORY_ENV, raw)
     return int(raw)
 
 
@@ -120,8 +134,7 @@ def is_prime(n: int) -> bool:
     (Jaeschke 1993, Sorenson-Webster 2017): five witnesses near 10^12, at
     most twelve below 2^64.
     """
-    if n >= _MR_BOUND:
-        raise ValueError(f"primality test is proven only below {_MR_BOUND}, got {n}")
+    _require(n < _MR_BOUND, "primality test is proven only below {}, got {}", _MR_BOUND, n)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -200,8 +213,8 @@ def _primes_upto(limit: int) -> np.ndarray:
 
     if limit >= 2:
         budget = sieve_memory_budget()
-        if limit >= budget or _primes_upto_bytes(limit) > budget:
-            raise ValueError(f"prime sieve to {limit} exceeds the memory budget")
+        ok = limit < budget and _primes_upto_bytes(limit) <= budget
+        _require(ok, "prime sieve to {} exceeds the memory budget", limit)
     return np.flatnonzero(np.frombuffer(_prime_mask(limit), bool))
 
 
@@ -333,7 +346,7 @@ class Factorization(_Record):
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n deterministically; valid for 1 <= n < 2^63, ValueError beyond.
+    """Factor n deterministically; valid for 1 <= n < 2^63, ``Refused`` beyond.
 
     The primes below 1000 that divide g = gcd(n, their product) are divided
     out, stopping once g is 1 or p^2 exceeds the cofactor; the cofactor is
@@ -342,10 +355,8 @@ def factorize(n: int) -> Factorization:
     it.  Each prime is proven once; a rho result that is no proper divisor,
     or factors that do not multiply to n, raise ``InvariantViolation``.
     """
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    if n >= FACTORIZE_BOUND:
-        raise ValueError(f"factorize is capped below 2^63, got {n}")
+    _require(n >= 1, "cannot factor {}", n)
+    _require(n < FACTORIZE_BOUND, "factorize is capped below 2^63, got {}", n)
     factors: dict[int, int] = {}
     m = n
     g = math.gcd(m, _TRIAL_PRODUCT)
@@ -384,8 +395,7 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     Plain iterative extended Euclid; the Bezout pair is the small one the
     algorithm produces, e.g. (3, 5) -> (1, 2, -1) and (0, 7) -> (7, 0, 1).
     """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
+    _require(a or b, "gcd(0, 0) is undefined")
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -401,12 +411,10 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of a modulo n, in [0, n); requires gcd(a, n) = 1."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    try:
-        return pow(a, -1, n)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible mod {n} (gcd = {math.gcd(a, n)})") from None
+    _require(n >= 1, "modulus must be positive, got {}", n)
+    g = math.gcd(a, n)
+    _require(g == 1, "{} is not invertible mod {} (gcd = {})", a, n, g)
+    return pow(a, -1, n)
 
 
 # --------------------------------------------------------------------------
@@ -430,8 +438,7 @@ def quad_root_count(f: Factorization) -> int:
     0 for 3^e with e >= 2, 0 for p = 5 (mod 6) and 2 for p = 1 (mod 6).
     n = 1 gives 1 (the single residue class).
     """
-    if f.n % 2 == 0:
-        raise ValueError(f"n must be odd, got {f.n}")
+    _require(f.n % 2, "n must be odd, got {}", f.n)
     count = 1
     for p, e in f.factors:
         if p % 6 == 5 or (p == 3 and e > 1):
@@ -450,10 +457,9 @@ def imph(n: int) -> int:
 
 def imph_bruteforce(n: int) -> int:
     """Independent oracle for imph: direct double-gcd scan of the residues."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > IMPH_BRUTEFORCE_BOUND:
-        raise ValueError(f"brute-force oracle capped at {IMPH_BRUTEFORCE_BOUND}, got {n}")
+    _require(n >= 1, "n must be positive, got {}", n)
+    _require(n <= IMPH_BRUTEFORCE_BOUND, "brute-force oracle capped at {}, got {}",
+             IMPH_BRUTEFORCE_BOUND, n)
     return sum(
         1 for x in range(1, n + 1) if math.gcd(x, n) == 1 and math.gcd(x - 1, n) == 1
     )
@@ -467,10 +473,9 @@ def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:
     """
     import numpy as np
 
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > IMPH_BRUTEFORCE_BOUND:
-        raise ValueError(f"IP enumeration capped at {IMPH_BRUTEFORCE_BOUND}, got {n}")
+    _require(n >= 1, "n must be positive, got {}", n)
+    _require(n <= IMPH_BRUTEFORCE_BOUND, "IP enumeration capped at {}, got {}",
+             IMPH_BRUTEFORCE_BOUND, n)
     unit = np.gcd(np.arange(1, n + 1, dtype=np.int64), n) == 1
     return np.flatnonzero(unit & np.roll(unit, 1)) + 1, int(unit.sum())
 
@@ -868,8 +873,7 @@ def _walk_bytes(lo: int, hi: int) -> int:
     """Bytes the factor sieve walk over lo..hi holds at its peak: one block,
     its scatter table (``_scatter_bytes``) and ``_WALK_OBJECT_BYTES``;
     refused first for hi past the sieve cap."""
-    if hi > IMPH_SIEVE_BOUND:
-        raise ValueError(f"sieve capped at {IMPH_SIEVE_BOUND}, got {hi}")
+    _require(hi <= IMPH_SIEVE_BOUND, "sieve capped at {}, got {}", IMPH_SIEVE_BOUND, hi)
     length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
     block = _FACTOR_SIEVE_BYTES_PER_N * length + max(0, _CAST_BUFFER_BYTES - 4 * length)
     return block + _scatter_bytes(hi, length) + _WALK_OBJECT_BYTES
@@ -950,11 +954,8 @@ def _factor_blocks(lo: int, hi: int, holding: int = 0) -> Iterator[tuple[int, _F
     need = holding + _walk_bytes(lo, hi)
     length = min(_odd_count(lo, hi), _SIEVE_BLOCK)
     budget = sieve_memory_budget()
-    if need > budget:
-        raise ValueError(
-            f"sieve of {lo}..{hi} needs {need} bytes, budget is {budget}; "
-            f"raise {SIEVE_MEMORY_ENV} to at least {need}"
-        )
+    msg = "sieve of {}..{} needs {} bytes, budget is {}; raise {} to at least {}"
+    _require(need <= budget, msg, lo, hi, need, budget, SIEVE_MEMORY_ENV, need)
 
     def walk() -> Iterator[tuple[int, _FactorData]]:
         if not length:
@@ -985,8 +986,7 @@ def _sieve_table(x: int, values: Callable[[int, _FactorData], np.ndarray]) -> np
     table is charged to the walk."""
     import numpy as np
 
-    if x < 1:
-        raise ValueError(f"bound must be positive, got {x}")
+    _require(x >= 1, "bound must be positive, got {}", x)
     blocks = _factor_blocks(0, x, holding=8 * (x + 1))
     table = np.empty(x + 1, dtype=np.int64)
     table[0] = 0

@@ -12,11 +12,17 @@ the point routes' value by value (``_format_points``).
 ``meanvalue`` adds up both of its sums as the factor sieve's blocks pass.
 Only ``arith`` is imported here; each command imports the other modules it
 runs in its own body, so that a process compiles no module it does not use.
-Exit codes: 0 success or not-applicable, 2 usage error, 3 a failed
-cross-check (``arith.InvariantViolation``, raised by ``arith._expect`` and
-reported by ``main`` alone as one JSON line on stderr, after any lines a
-streamed range wrote) or a Scott violation (after the report), 141 when
-the reader closed stdout early (nothing on stderr).
+Exit codes:
+- 0: success, or a Scott check that does not apply;
+- 2: the input was refused, by argparse or by ``arith._require``, whose
+  ``arith.Refused`` ``main`` prints as the one line ``error: <message>``;
+- 3: a Scott violation (after the report), or a fault that ``main`` reports
+  as one JSON line on stderr, after any lines a streamed range wrote, and
+  never as a traceback: a failed cross-check (``arith.InvariantViolation``,
+  raised by ``arith._expect``) with its message, n and routes, or any other
+  exception as ``{"error": "internal", "message": "<Type>: <text>", "n":
+  null, "routes": ["internal"]}``;
+- 141: the reader closed stdout early (nothing on stderr).
 """
 
 from __future__ import annotations
@@ -290,11 +296,9 @@ def cmd_imph(args, parser) -> int:
     every n it serves is checked before anything is written.
     """
     lo, hi = _parse_range(args.spec, parser)
-    if args.bruteforce and (lo + hi) * (hi - lo + 1) // 2 > arith.IMPH_BRUTEFORCE_BOUND:
-        raise ValueError(
-            f"--bruteforce on {lo}..{hi} scans more than "
-            f"{arith.IMPH_BRUTEFORCE_BOUND} residues in all"
-        )
+    ok = not args.bruteforce or (lo + hi) * (hi - lo + 1) // 2 <= arith.IMPH_BRUTEFORCE_BOUND
+    msg = "--bruteforce on {}..{} scans more than {} residues in all"
+    arith._require(ok, msg, lo, hi, arith.IMPH_BRUTEFORCE_BOUND)
     source, value, fmt = _point_blocks, arith.imph, _format_points
     if lo < hi:
         source, value, fmt = _sieve_blocks, lambda a, f: f.imph, _format_lines
@@ -347,21 +351,19 @@ def cmd_tcount(args, parser) -> int:
     if method != "closed":
         route, cap = (("Burnside", arith.IMPH_BRUTEFORCE_BOUND) if method == "burnside"
                       else ("geometric", counting.GEOMETRIC_N_BOUND))
-        if (max(lo, cap + 1) | 1) <= hi:  # the least odd n past the cap
-            raise ValueError(f"{route} route capped at n = {cap}")
-    # the odd n up to y are the first (y + 1) // 2 odd numbers, which sum to its square
-    if method != "closed" and ((hi + 1) // 2) ** 2 - (lo // 2) ** 2 > arith.IMPH_BRUTEFORCE_BOUND:
-        raise ValueError(
-            f"--method {method} on {lo}..{hi} sums more than "
-            f"{arith.IMPH_BRUTEFORCE_BOUND} over its odd n"
-        )
-    if (first := max(lo, arith.FACTORIZE_BOUND) | 1) <= hi:  # least odd n factorize refuses
-        raise ValueError(f"factorize is capped below 2^63, got {first}")
-    if hi > arith.IMPH_SIEVE_BOUND and (odd := arith._odd_count(lo, hi)) > _POINT_RANGE_ODD_BOUND:
-        raise ValueError(
-            f"a range past the sieve cap ({arith.IMPH_SIEVE_BOUND}) is served n by n, "
-            f"so capped at {_POINT_RANGE_ODD_BOUND} odd n; {lo}..{hi} holds {odd}"
-        )
+        past = max(lo, cap + 1) | 1  # the least odd n past the cap
+        arith._require(past > hi, "{} route capped at n = {}", route, cap)
+        # the odd n up to y are the first (y + 1) // 2 odd numbers, which sum to its square
+        work = ((hi + 1) // 2) ** 2 - (lo // 2) ** 2
+        msg = "--method {} on {}..{} sums more than {} over its odd n"
+        arith._require(work <= arith.IMPH_BRUTEFORCE_BOUND, msg, method, lo, hi,
+                       arith.IMPH_BRUTEFORCE_BOUND)
+    first = max(lo, arith.FACTORIZE_BOUND) | 1  # the least odd n factorize refuses
+    arith._require(first > hi, "factorize is capped below 2^63, got {}", first)
+    odd = arith._odd_count(lo, hi)
+    msg = "a range past the sieve cap ({}) is served n by n, so capped at {} odd n; {}..{} holds {}"
+    arith._require(hi <= arith.IMPH_SIEVE_BOUND or odd <= _POINT_RANGE_ODD_BOUND, msg,
+                   arith.IMPH_SIEVE_BOUND, _POINT_RANGE_ODD_BOUND, lo, hi, odd)
     value = _t_all if method == "all" else getattr(counting, f"t_{method}")
     source, fmt = _point_blocks, _format_points
     if method == "closed" and lo < hi <= arith.IMPH_SIEVE_BOUND:
@@ -632,13 +634,16 @@ def main(argv: list[str] | None = None) -> int:
         # to devnull so that the interpreter's last flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except arith.InvariantViolation as exc:
-        record = {"error": "invariant", "message": str(exc), "n": exc.n, "routes": exc.routes}
-        print(_dumps(record), file=sys.stderr)
-        return EXIT_VIOLATION
-    except ValueError as exc:
+    except arith.Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a failed cross-check, or a fault of the program
+        record = {"error": "internal", "message": f"{type(exc).__name__}: {exc}", "n": None,
+                  "routes": ["internal"]}
+        if isinstance(exc, arith.InvariantViolation):
+            record.update(error="invariant", message=str(exc), n=exc.n, routes=exc.routes)
+        print(_dumps(record), file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

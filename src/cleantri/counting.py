@@ -23,6 +23,7 @@ from .arith import (
     _cached_factorization,
     _expect,
     _Record,
+    _require,
     _set,
     imph_from_factorization,
     quad_root_count,
@@ -53,15 +54,14 @@ _FIX_COUNT_CHUNK = 1 << 16
 
 
 def _check_member(m: int, n: int) -> None:
-    if not (1 <= m <= n) or math.gcd(m, n) != 1 or math.gcd(m - 1, n) != 1:
-        raise ValueError(f"{m} is not in IP({n})")
+    ok = 1 <= m <= n and math.gcd(m, n) == 1 and math.gcd(m - 1, n) == 1
+    _require(ok, "{} is not in IP({})", m, n)
 
 
 def map_g(i: int, m: int, n: int) -> int:
     """The i-th residue map (i = 1..6) of ``arith.six_maps`` applied to m in
     IP(n); result in [1, n]."""
-    if i not in range(1, 7):
-        raise ValueError(f"map index must be 1..6, got {i}")
+    _require(i in range(1, 7), "map index must be 1..6, got {}", i)
     _check_member(m, n)
     return six_maps(m, n)[i - 1]
 
@@ -118,12 +118,9 @@ def fix_count_closed(i: int, n: int) -> int:
     """Closed-form count of the fixed points of g_i on IP(n), for odd n >= 1:
     imph(n) for g1, 1 for g2, g3 and g6, and rho(n) = ``arith.quad_root_count``
     for g4 and g5, whose fixed points are the roots of y^2 - y + 1 mod n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n % 2 == 0:
-        raise ValueError(f"n must be odd, got {n}")
-    if i not in range(1, 7):
-        raise ValueError(f"map index must be 1..6, got {i}")
+    _require(n >= 1, "n must be positive, got {}", n)
+    _require(n % 2, "n must be odd, got {}", n)
+    _require(i in range(1, 7), "map index must be 1..6, got {}", i)
     if i in (2, 3, 6):
         return 1
     f = _cached_factorization(n)
@@ -136,12 +133,10 @@ def t_burnside(n: int) -> int:
     for odd n up to ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7; it uses no
     factorization, inverse or residue map, so it shares nothing with
     ``t_closed``."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return 0
-    if n > IMPH_BRUTEFORCE_BOUND:
-        raise ValueError(f"Burnside route capped at n = {IMPH_BRUTEFORCE_BOUND}")
+    _require(n <= IMPH_BRUTEFORCE_BOUND, "Burnside route capped at n = {}", IMPH_BRUTEFORCE_BOUND)
     total = sum(_fix_counts_vectorized(n))
     msg = "fixed-point total {} not divisible by 6 at n={}"  # Burnside guarantees it
     _expect(total % 6 == 0, n, ("burnside",), msg, total, n)
@@ -156,8 +151,7 @@ def t_closed(n: int) -> int:
     ``fix_count_closed``: g1 fixes imph(n) members, g2, g3 and g6 one each,
     g4 and g5 rho(n) each.  Zero for even n.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return 0
     f = _cached_factorization(n)
@@ -192,8 +186,7 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
 
     if n % 2 == 0 and n > 1:
         return OrbitDecomposition(n, ())
-    if n > GEOMETRIC_N_BOUND:
-        raise ValueError(f"orbit decomposition capped at n = {GEOMETRIC_N_BOUND}")
+    _require(n <= GEOMETRIC_N_BOUND, "orbit decomposition capped at n = {}", GEOMETRIC_N_BOUND)
     members, table = six_map_table(n)
     closed = np.isin(table, members).all()  # the maps are closed on IP(n)
     _expect(closed, n, ("six-map",), "orbit escaped IP({})", n)
@@ -223,12 +216,10 @@ def t_geometric(n: int) -> int:
 
     from .lattice import clean_keys
 
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return 0
-    if n > GEOMETRIC_N_BOUND:
-        raise ValueError(f"geometric route capped at n = {GEOMETRIC_N_BOUND}")
+    _require(n <= GEOMETRIC_N_BOUND, "geometric route capped at n = {}", GEOMETRIC_N_BOUND)
     return int(np.count_nonzero(np.bincount(clean_keys(n))))
 
 
@@ -255,12 +246,10 @@ def t_report(n: int) -> TCountReport:
     classes, cross-checked by ``TCountReport``, and each of the six
     fixed-point counts against ``fix_count_closed``.  n and the geometric
     cap, the lower of the routes' caps, are checked first, before any work."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return TCountReport(n, 0, 0, 0, (0,) * 6)
-    if n > GEOMETRIC_N_BOUND:
-        raise ValueError(f"geometric route capped at n = {GEOMETRIC_N_BOUND}")
+    _require(n <= GEOMETRIC_N_BOUND, "geometric route capped at n = {}", GEOMETRIC_N_BOUND)
     fix = _fix_counts_vectorized(n)
     report = TCountReport(n, t_closed(n), t_burnside(n), t_geometric(n), fix)
     msg = "g{} fixes {} members of IP({}), the closed form {}"

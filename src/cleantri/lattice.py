@@ -16,7 +16,7 @@ import math
 from functools import lru_cache, total_ordering
 from itertools import permutations
 
-from .arith import _expect, _Record, _set, extended_gcd, ip_members, six_maps
+from .arith import Refused, _expect, _Record, _require, _set, extended_gcd, ip_members, six_maps
 
 __all__ = [
     "DegenerateTriangleError",
@@ -47,8 +47,9 @@ SCOTT_SCAN_BOUND = 8
 ENUMERATE_CLEAN_BOUND = 10**5
 
 
-class DegenerateTriangleError(ValueError):
-    """Raised when a triangle's vertices are collinear."""
+class DegenerateTriangleError(Refused):
+    """Raised when a triangle's vertices are collinear; a refusal, so the CLI
+    exits 2."""
 
 
 @total_ordering
@@ -222,8 +223,8 @@ def interior_count_enum(t: LatticeTriangle) -> int:
     ys = [v.y for v in t.vertices]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    if (x1 - x0 + 1) * (y1 - y0 + 1) > ENUM_BOX_BOUND:
-        raise ValueError("bounding box too large for enumeration")
+    box = (x1 - x0 + 1) * (y1 - y0 + 1)
+    _require(box <= ENUM_BOX_BOUND, "bounding box too large for enumeration")
     gx, gy = np.meshgrid(
         np.arange(x0, x1 + 1, dtype=np.int64),
         np.arange(y0, y1 + 1, dtype=np.int64),
@@ -335,8 +336,7 @@ def equivalent_clean(
     and its inverse bridges the two reductions.
     """
     for t in (t1, t2):
-        if not is_clean(t):
-            raise ValueError(f"equivalence test requires clean triangles: {t.vertices}")
+        _require(is_clean(t), "equivalence test requires clean triangles: {}", t.vertices)
     bf1, r1 = _reduce_cached(t1)
     bf2, r2 = _reduce_cached(t2)
     equivalent = False
@@ -366,8 +366,7 @@ def clean_key(t: LatticeTriangle) -> tuple[int, int]:
     (m,h) with 0 <= m < h that takes o, e, v there in order; the key is the
     least of the six, so keys are equal exactly for equivalent triangles.
     """
-    if not is_clean(t):
-        raise ValueError(f"clean_key requires a clean triangle: {t.vertices}")
+    _require(is_clean(t), "clean_key requires a clean triangle: {}", t.vertices)
     bf = min(
         (_reduce_oriented(o, e, v)[0] for o, e, v in permutations(t.vertices)),
         key=BaseForm.as_tuple,
@@ -426,10 +425,8 @@ def scott_exhaustive(grid_bound: int) -> ScottScanReport:
     """
     import numpy as np
 
-    if grid_bound < 0:
-        raise ValueError("grid bound must be nonnegative")
-    if grid_bound > SCOTT_SCAN_BOUND:
-        raise ValueError(f"scan capped at grid bound {SCOTT_SCAN_BOUND}")
+    _require(grid_bound >= 0, "grid bound must be nonnegative")
+    _require(grid_bound <= SCOTT_SCAN_BOUND, "scan capped at grid bound {}", SCOTT_SCAN_BOUND)
     points = [
         LatticePoint(x, y)
         for x in range(grid_bound + 1)
@@ -479,10 +476,8 @@ def enumerate_clean(h: int) -> list[LatticeTriangle]:
 def _clean_members(h: int) -> np.ndarray:
     """The m of the base-form clean triangles (0,0), (1,0), (m,h): IP(h), as an
     increasing int64 array, empty for even h > 1."""
-    if h < 1:
-        raise ValueError(f"h must be positive, got {h}")
-    if h > ENUMERATE_CLEAN_BOUND:
-        raise ValueError(f"enumeration capped at {ENUMERATE_CLEAN_BOUND}")
+    _require(h >= 1, "h must be positive, got {}", h)
+    _require(h <= ENUMERATE_CLEAN_BOUND, "enumeration capped at {}", ENUMERATE_CLEAN_BOUND)
     return ip_members(h)
 
 

@@ -23,6 +23,7 @@ from .arith import (
     _odd_offset,
     _primes_upto,
     _Record,
+    _require,
     _set,
     _sieve_table,
     _spot_indices,
@@ -68,8 +69,7 @@ class ConstantEstimate(_Record):
 
 def partial_sum_imph(x: int) -> int:
     """Exact sum of imph(n) for n <= x, added up block by block."""
-    if x < 1:
-        raise ValueError(f"bound must be positive, got {x}")
+    _require(x >= 1, "bound must be positive, got {}", x)
     return sum(int(f.imph.sum()) for _, f in _factor_blocks(0, x))
 
 
@@ -172,8 +172,7 @@ def _prime_constants(prime_bound: int, minimum: int = 2) -> tuple[ConstantEstima
     the value by at most value * sum_{p > P} 2.5/p^2 < 3/(P - 1).
     P below ``minimum`` is rejected before any work.
     """
-    if prime_bound < minimum:
-        raise ValueError(f"prime bound must be at least {minimum}")
+    _require(prime_bound >= minimum, "prime bound must be at least {}", minimum)
     odd, zeta_prod = _prime_products(prime_bound)
     tail = 3.0 / (prime_bound - 1)
     ft = ConstantEstimate(0.5 + 0.25 * odd, prime_bound, tail)
@@ -214,8 +213,7 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
     """
     import numpy as np
 
-    if d_bound < 1:
-        raise ValueError("bound must be positive")
+    _require(d_bound >= 1, "bound must be positive")
     tail = (math.log(d_bound) + 1.0 + math.pi**2 / 6.0) / d_bound
     if d_bound < 3:
         return ConstantEstimate(1.0, d_bound, tail)
@@ -234,7 +232,7 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
         d = f.imph  # d = a, a + 2, ... in the block's own int64 array
         d.fill(2)
         d[0] = a
-        np.cumsum(d, out=d)
+        np.add.accumulate(d, out=d)
         d *= d  # exact in int64 (d <= 10^8); the division rounds it to float64 once
         out /= d
     return ConstantEstimate(1.0 + float(np.add.reduce(terms)), d_bound, tail)
@@ -282,8 +280,7 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
     cap and memory budget before any work starts, and both sums come from one
     walk of the factor sieve over 0..x, block by block.
     """
-    if x < 1:
-        raise ValueError(f"bound must be positive, got {x}")
+    _require(x >= 1, "bound must be positive, got {}", x)
     blocks = _factor_blocks(0, x)
     prod, ft, ft_zeta = _prime_constants(prime_bound, 3)
     s_imph = s_t = 0
@@ -335,15 +332,14 @@ def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:
     if not bounds:
         return []
     for x in bounds:
-        if x < 1:
-            raise ValueError(f"bound must be positive, got {x}")
+        _require(x >= 1, "bound must be positive, got {}", x)
     xs = sorted(bounds)
     cuts = np.unique([x >> k for x in xs for k in range(x.bit_length())])
     odd_sums = np.empty_like(cuts)  # O at each cut
     done = 0  # the sum over the odd m below the block's start
     for a, f in _factor_blocks(1, xs[-1]):
         cumulative = np.left_shift(1, f.big_omega, out=f.imph, dtype=np.int64)
-        np.cumsum(cumulative, out=cumulative)
+        np.add.accumulate(cumulative, out=cumulative)
         i, j = np.searchsorted(cuts, [a, a + 2 * len(cumulative)])
         odd_sums[i:j] = cumulative[(cuts[i:j] - a) // 2] + done
         done += int(cumulative[-1])

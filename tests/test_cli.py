@@ -950,6 +950,125 @@ class TestInvariantViolationExit:
         assert record["n"] == 7 and record["routes"] == ["burnside", "closed"]
 
 
+# Every refusal the command line can reach, with the environment it runs in
+# and its one stderr line: each exits 2 and writes nothing to stdout.
+REFUSALS = [
+    pytest.param({}, ["imph", "1..100000001", "--bfile"],
+                 "sieve capped at 100000000, got 100000001", id="sieve cap"),
+    pytest.param({}, ["meanvalue", "--x", "100000001"],
+                 "sieve capped at 100000000, got 100000001", id="meanvalue sieve cap"),
+    pytest.param({}, ["imph", "9223372036854775809"],
+                 "factorize is capped below 2^63, got 9223372036854775809", id="factorize cap"),
+    pytest.param({}, ["tcount", "9223372036854775807..9223372036854775809"],
+                 "factorize is capped below 2^63, got 9223372036854775809",
+                 id="tcount factorize cap"),
+    pytest.param({}, ["tcount", "10000001", "--method", "burnside"],
+                 "Burnside route capped at n = 10000000", id="burnside cap"),
+    pytest.param({}, ["tcount", "100001", "--method", "geometric"],
+                 "geometric route capped at n = 100000", id="geometric cap"),
+    pytest.param({}, ["tcount", "100001", "--method", "all"],
+                 "geometric route capped at n = 100000", id="all cap"),
+    pytest.param({}, ["tcount", "1..10000", "--method", "burnside"],
+                 "--method burnside on 1..10000 sums more than 10000000 over its odd n",
+                 id="tcount work guard"),
+    pytest.param({}, ["tcount", "100000000..100200002"],
+                 "a range past the sieve cap (100000000) is served n by n, so capped at 100000 "
+                 "odd n; 100000000..100200002 holds 100001", id="far range cap"),
+    pytest.param({}, ["imph", "1..5000", "--bruteforce"],
+                 "--bruteforce on 1..5000 scans more than 10000000 residues in all",
+                 id="bruteforce total"),
+    pytest.param({"CLEANTRI_SIEVE_MEMORY": "1000"}, ["imph", "1..1000", "--bfile"],
+                 "sieve of 1..1000 needs 83436 bytes, budget is 1000; raise "
+                 "CLEANTRI_SIEVE_MEMORY to at least 83436", id="budget below a walk"),
+    pytest.param({"CLEANTRI_SIEVE_MEMORY": "lots"}, ["imph", "1..10"],
+                 "CLEANTRI_SIEVE_MEMORY must be a positive integer number of bytes, got 'lots'",
+                 id="malformed budget"),
+    pytest.param({}, ["meanvalue", "--x", "1000", "--primes", "1"],
+                 "prime bound must be at least 3", id="primes 1"),
+    pytest.param({}, ["meanvalue", "--x", "1000", "--primes", str(10**400)],
+                 f"prime sieve to {10**400} exceeds the memory budget", id="primes 10^400"),
+    pytest.param({}, ["scott", "--scan", "-1"], "grid bound must be nonnegative", id="scan -1"),
+    pytest.param({}, ["scott", "--scan", "9"], "scan capped at grid bound 8", id="scan 9"),
+    pytest.param({}, ["orbits", "100001"], "orbit decomposition capped at n = 100000",
+                 id="orbits cap"),
+    pytest.param({}, ["reduce", "0", "0", "1", "1", "2", "2"],
+                 "collinear vertices: (LatticePoint(x=0, y=0), LatticePoint(x=1, y=1), "
+                 "LatticePoint(x=2, y=2))", id="collinear"),
+    pytest.param({}, ["equiv", *"0 0 2 0 0 2 0 0 1 0 0 1".split()],
+                 "equivalence test requires clean triangles: (LatticePoint(x=0, y=0), "
+                 "LatticePoint(x=2, y=0), LatticePoint(x=0, y=2))", id="equiv not clean"),
+]
+
+
+@pytest.mark.parametrize("env,argv,message", REFUSALS)
+def test_every_refusal_exits_2(monkeypatch, capsys, env, argv, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _internal_fault(capsys, argv):
+    """The one JSON record of a run of ``argv`` that exits 3 with nothing on
+    stdout and no traceback."""
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and err.count("\n") == 1
+    return json.loads(err)
+
+
+class TestInternalFaultExit:
+    """A fault that is no refusal and no failed cross-check, here injected,
+    exits 3 with one JSON record on stderr, whatever its type: a ValueError
+    of numpy or of a record's constructor is not the user's input refused."""
+
+    def test_kernel_shape_fault(self, monkeypatch, capsys):
+        # a block end one length too far makes the cofactor longer than the
+        # smooth part, and numpy refuses to broadcast them
+        _mutate(monkeypatch, arith._sieve_block, "end = a + 2 * length - 2",
+                "end = a + 3 * length - 2")
+        record = _internal_fault(capsys, ["imph", "1..1000", "--bfile"])
+        assert record.pop("message").startswith("ValueError: operands could not be broadcast")
+        assert record == {"error": "internal", "n": None, "routes": ["internal"]}
+
+    @pytest.mark.parametrize("argv", [
+        ["imph", "1..1000", "--bfile"],
+        ["tcount", "1..1000", "--bfile"],
+        ["meanvalue", "--x", "1000", "--primes", "1000"],
+    ])
+    @pytest.mark.parametrize("error", [ValueError, IndexError, ZeroDivisionError])
+    def test_kernel_raises(self, monkeypatch, capsys, argv, error):
+        def broken(*args):
+            raise error("injected")
+
+        monkeypatch.setattr(arith, "_scatter", broken)
+        assert _internal_fault(capsys, argv) == {
+            "error": "internal", "message": f"{error.__name__}: injected", "n": None,
+            "routes": ["internal"],
+        }
+
+    def test_point_route_raises(self, monkeypatch, capsys):
+        def broken(n):
+            raise KeyError(n)
+
+        monkeypatch.setattr(counting, "t_closed", broken)
+        assert _internal_fault(capsys, ["tcount", "7"]) == {
+            "error": "internal", "message": "KeyError: 7", "n": None, "routes": ["internal"],
+        }
+
+    def test_record_constructor_fault(self, monkeypatch, capsys):
+        # PickCounts refuses an interior count that breaks Pick's identity;
+        # the library built it, so its ValueError is a fault
+        pick = lattice._pick_interior
+        monkeypatch.setattr(lattice, "_pick_interior", lambda a2, b: pick(a2, b) + 1)
+        assert _internal_fault(capsys, ["reduce", "0", "0", "1", "0", "0", "1"]) == {
+            "error": "internal",
+            "message": "ValueError: Pick identity violated: "
+                       "PickCounts(interior=1, boundary=3, twice_area=1)",
+            "n": None, "routes": ["internal"],
+        }
+
+
 def test_point_queries_load_no_numpy():
     """``import cleantri`` and the scalar commands leave numpy unloaded, in
     one fresh interpreter; the first array command loads it."""
@@ -1100,6 +1219,66 @@ def test_no_assert_in_package():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _located(path):
+    """Each node of the module at ``path``, with the dotted name of the
+    classes and functions around it (None at module level)."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            yield child, inner
+            yield from visit(child, inner)
+
+    return visit(ast.parse(path.read_text(), str(path)), None)
+
+
+def test_one_refusal_path():
+    """A refused input raises ``arith.Refused``, built in one function, the
+    refusal helper ``arith._require``, and ``main`` exits 2 on it alone: a
+    plain ``ValueError`` is raised only by the records' checks of their own
+    fields, which the library fills, the collinear refusal only in
+    ``lattice.twice_area``, and only ``cli.main`` catches every exception."""
+    src = pathlib.Path(cli.__file__).parent
+    built, plain, degenerate, broad = [], set(), [], []
+    for path in sorted(src.glob("*.py")):
+        for node, where in _located(path):
+            at = f"{path.stem}.{where}"
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Refused"):
+                built.append(at)
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = ast.unparse(getattr(node.exc, "func", node.exc))
+                plain.update([at] * (exc == "ValueError"))
+                degenerate += [at] * (exc == "DegenerateTriangleError")
+            if isinstance(node, ast.ExceptHandler) and (
+                node.type is None or ast.unparse(node.type) in ("Exception", "BaseException")
+            ):
+                broad.append(at)
+    assert built == ["arith._require"]
+    assert plain == {
+        "arith.Factorization.__init__",
+        "counting.OrbitDecomposition.__init__",
+        "lattice.AffineUnimodularMap.__init__",
+        "lattice.BaseForm.__init__",
+        "lattice.PickCounts.__init__",
+        "meanvalue.ConstantEstimate.__init__",
+    }
+    assert degenerate == ["lattice.twice_area"]
+    assert broad == ["cli.main"]
+
+
+def test_no_cumsum_in_package():
+    """No module calls ``cumsum``: each ``np.cumsum`` call names "accumulate"
+    by a new string, which CPython's type cache may keep, so traced bytes
+    grow with the calls; ``np.add.accumulate`` gives the same sums and keeps
+    none."""
+    src = pathlib.Path(cli.__file__).parent
+    calls = [f"{path.stem}.{where}" for path in sorted(src.glob("*.py"))
+             for node, where in _located(path)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("cumsum")]
+    assert calls == []
 
 
 def test_one_sieve_walk():

@@ -156,6 +156,10 @@ class TestMoebiusSum:
         eu = euler_product_odd(10**6)
         assert abs(mo.value - eu.value) <= mo.tail_bound + eu.tail_bound
 
+    def test_pinned_bits(self):
+        # the float sum, bit for bit, whatever routine adds up the odd d
+        assert moebius_sum_odd(10**5).value.hex() == "0x1.4a6098bac4db8p-1"
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             ConstantEstimate(1.0, 10, -0.1)
@@ -179,6 +183,10 @@ class TestGrosswald:
     def test_spot(self):
         assert grosswald_ratios([10])[0].total == 33
         assert grosswald_ratios([1])[0].total == 1
+
+    def test_pinned_total(self):
+        # the running sums of each block, whatever routine adds them up
+        assert grosswald_ratios([10**5])[0].total == 3942969
 
     def test_total_past_omega_seven(self):
         # 2^Omega(n) reaches 128 at n = 128 and 256 at n = 256
