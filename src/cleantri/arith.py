@@ -465,24 +465,48 @@ def imph_bruteforce(n: int) -> int:
     )
 
 
-def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:
-    """The members of IP(n), increasing, and phi(n), from one gcd pass.
+_UNIT_CHUNK = 1 << 16  # x per step of ``_half_units``: under 3 MB alive, whatever n is
+IP_BOUND = 10**5  # the cap of every array over IP(n): its members, the six-map table
 
-    x is a member when x and x - 1 are both units; x - 1 is the previous
-    entry of the unit mask, and for x = 1 it is 0 = n, the last entry.
-    """
+
+def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The package's one gcd pass over the residues of odd n >= 3.  As
+    gcd(x, n) = gcd(n - x, n), it covers 1 <= x <= (n - 1)/2 alone, in steps
+    of ``_UNIT_CHUNK`` x, each yielded as an int64 array (the caller's) with
+    the unit flags of x - 1, x and x + 1, two entries longer."""
+    import numpy as np
+
+    half = (n - 1) // 2
+    for lo in range(1, half + 1, _UNIT_CHUNK):
+        xs = np.arange(lo - 1, min(lo + _UNIT_CHUNK, half + 1) + 1, dtype=np.int64)
+        yield xs[1:-1], np.gcd(xs, n) == 1
+
+
+def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:
+    """The members of IP(n), increasing, and phi(n), for n <= ``IP_BOUND``.
+    Of the x of ``_half_units``, x is a member when x - 1 and x are units,
+    n - x when x and x + 1 are, and phi(n) is twice the units.  Even n have
+    no member, and phi = 1 stands in as the inverses' exponent."""
     import numpy as np
 
     _require(n >= 1, "n must be positive, got {}", n)
-    _require(n <= IMPH_BRUTEFORCE_BOUND, "IP enumeration capped at {}, got {}",
-             IMPH_BRUTEFORCE_BOUND, n)
-    unit = np.gcd(np.arange(1, n + 1, dtype=np.int64), n) == 1
-    return np.flatnonzero(unit & np.roll(unit, 1)) + 1, int(unit.sum())
+    _require(n <= IP_BOUND, "IP enumeration capped at {}, got {}", IP_BOUND, n)
+    if n % 2 == 0 or n == 1:
+        return np.ones(int(n == 1), dtype=np.int64), 1  # IP(1) = {1}, IP(even n) = {}
+    low, high, units = [], [], 0
+    for x, unit in _half_units(n):
+        low.append(x[unit[1:-1] & unit[:-2]])
+        high.append(x[unit[1:-1] & unit[2:]])
+        units += int(np.count_nonzero(unit[1:-1]))
+    del x, unit  # the last chunk, before the members are joined
+    high = np.concatenate(high)
+    np.subtract(n, high, out=high)
+    return np.concatenate((*low, high[::-1])), 2 * units
 
 
 def ip_members(n: int) -> np.ndarray:
     """Members of IP(n) as an increasing int64 array (empty for even n > 1),
-    read off one gcd pass over the residues."""
+    read off the half pass, for n <= ``IP_BOUND``."""
     return _ip_members_and_phi(n)[0]
 
 
@@ -502,7 +526,7 @@ def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The members of IP(n) and the (6, imph(n)) table of their images g1..g6.
 
     The inverses are m^(phi(n) - 1) mod n by square-and-multiply over the
-    whole member array, with phi(n) counted off the unit mask, so no
+    whole member array, with phi(n) counted by the same pass, so no
     factorization is used; products stay below n^2 <= 10^14.  Every inverse
     is checked before the table is built.  m -> n + 1 - m reverses the sorted
     members, so (1 - m)^-1 is m^-1 reversed.

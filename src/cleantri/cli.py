@@ -387,20 +387,24 @@ def cmd_tcount(args, parser) -> int:
     return EXIT_OK
 
 
+def _witness(L) -> tuple[dict, str]:
+    """The JSON record and the text line of a witness map L."""
+    record = {"matrix": [[L.a, L.b], [L.c, L.d]], "translation": [L.t.x, L.t.y]}
+    return record, f"witness: M=[[{L.a},{L.b}],[{L.c},{L.d}]] t=({L.t.x},{L.t.y})"
+
+
 def cmd_reduce(args, parser) -> int:
     from . import lattice
 
     bf, L = lattice.reduce_to_base_form(_triangle(args.coords))
     pc = lattice.pick_counts(bf.triangle())
+    witness, witness_line = _witness(L)
     record = {
         "command": "reduce",
         "inputs": {"vertices": args.coords},
         "results": {
             "base_form": {"b": bf.b, "m": bf.m, "h": bf.h},
-            "witness": {
-                "matrix": [[L.a, L.b], [L.c, L.d]],
-                "translation": [L.t.x, L.t.y],
-            },
+            "witness": witness,
             "pick": {"interior": pc.interior, "boundary": pc.boundary,
                      "twice_area": pc.twice_area},
         },
@@ -411,7 +415,7 @@ def cmd_reduce(args, parser) -> int:
         args.json,
         [
             f"base form: b={bf.b} m={bf.m} h={bf.h}",
-            f"witness: M=[[{L.a},{L.b}],[{L.c},{L.d}]] t=({L.t.x},{L.t.y})",
+            witness_line,
             f"pick: I={pc.interior} B={pc.boundary} twice_area={pc.twice_area}",
         ],
     )
@@ -427,14 +431,8 @@ def cmd_equiv(args, parser) -> int:
     results: dict = {"equivalent": eq}
     lines = [f"equivalent: {'yes' if eq else 'no'}"]
     if witness is not None:
-        results["witness"] = {
-            "matrix": [[witness.a, witness.b], [witness.c, witness.d]],
-            "translation": [witness.t.x, witness.t.y],
-        }
-        lines.append(
-            f"witness: M=[[{witness.a},{witness.b}],[{witness.c},{witness.d}]]"
-            f" t=({witness.t.x},{witness.t.y})"
-        )
+        results["witness"], line = _witness(witness)
+        lines.append(line)
     record = {
         "command": "equiv",
         "inputs": {"vertices": args.coords},

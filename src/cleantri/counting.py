@@ -20,8 +20,10 @@ from functools import lru_cache
 
 from .arith import (
     IMPH_BRUTEFORCE_BOUND,
+    IP_BOUND as GEOMETRIC_N_BOUND,  # the geometric route and the orbits hold all of IP(n)
     _cached_factorization,
     _expect,
+    _half_units,
     _Record,
     _require,
     _set,
@@ -43,14 +45,6 @@ __all__ = [
     "t_geometric",
     "t_report",
 ]
-
-# The cap of the geometric route and the orbit decomposition, which hold an
-# array of every member of IP(n) at once.
-GEOMETRIC_N_BOUND = 10**5
-
-# Residues per step of the Burnside route's gcd pass: a few int64 arrays of
-# this length, under 3 MB in all, are alive at a time, whatever n is.
-_FIX_COUNT_CHUNK = 1 << 16
 
 
 def _check_member(m: int, n: int) -> None:
@@ -84,12 +78,10 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     g2 those with m^2 = 1, g3 those with 2m = 1, g4 and g5 those with
     m^2 - m + 1 = 0, g6 those with (1 - m)^2 = 1, that is m^2 = 2m.
 
-    One gcd pass in chunks of ``_FIX_COUNT_CHUNK`` residues finds the units.
-    For odd n, gcd(x, n) = gcd(n - x, n), so the pass covers only
-    1 <= x <= (n - 1)/2: x is a member when x and x - 1 are units, n - x
-    when x and x + 1 are, and the congruences of n - x are those of x with
-    the signs flipped.  m^2 < 10^14 fits int64.  No factorization, inverse
-    or residue map is used.
+    They read ``arith._half_units``, the gcd pass over x <= (n - 1)/2: x is
+    a member when x and x - 1 are units, n - x when x and x + 1 are, and the
+    congruences of n - x are those of x with the signs flipped.  m^2 < 10^14
+    fits int64.  No factorization, inverse or residue map is used.
     """
     import numpy as np
 
@@ -97,12 +89,8 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
         return (1,) * 6  # IP(1) = {1}, fixed by every map
     if n % 2 == 0:
         return (0,) * 6  # x and x - 1 cannot both be odd
-    half = (n - 1) // 2
     counts = [0] * 5
-    for lo in range(1, half + 1, _FIX_COUNT_CHUNK):
-        xs = np.arange(lo - 1, min(lo + _FIX_COUNT_CHUNK, half + 1) + 1, dtype=np.int64)
-        unit = np.gcd(xs, n) == 1  # of x - 1, x and x + 1 for each x
-        m = xs[1:-1]
+    for m, unit in _half_units(n):
         square = m * m
         square %= n  # the same for m = x and m = n - x
         double = 2 * m  # below n
@@ -129,7 +117,7 @@ def fix_count_closed(i: int, n: int) -> int:
 
 def t_burnside(n: int) -> int:
     """T(n) as the Burnside average of the fixed-point counts that
-    ``_fix_counts_vectorized`` counts by their congruences in one gcd pass,
+    ``_fix_counts_vectorized`` counts by their congruences in the gcd pass,
     for odd n up to ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7; it uses no
     factorization, inverse or residue map, so it shares nothing with
     ``t_closed``."""

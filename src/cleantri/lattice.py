@@ -44,7 +44,6 @@ __all__ = [
 
 ENUM_BOX_BOUND = 10**8
 SCOTT_SCAN_BOUND = 8
-ENUMERATE_CLEAN_BOUND = 10**5
 
 
 class DegenerateTriangleError(Refused):
@@ -189,11 +188,7 @@ def twice_area(t: LatticeTriangle) -> int:
 def boundary_count(t: LatticeTriangle) -> int:
     """Lattice points on the three sides: sum of edge gcds."""
     twice_area(t)  # degeneracy check
-    total = 0
-    for p, q in ((t.v0, t.v1), (t.v1, t.v2), (t.v2, t.v0)):
-        d = q - p
-        total += math.gcd(abs(d.x), abs(d.y))
-    return total
+    return _edge_gcd(t.v0, t.v1) + _edge_gcd(t.v1, t.v2) + _edge_gcd(t.v2, t.v0)
 
 
 def _pick_interior(a2, b):
@@ -470,15 +465,7 @@ def enumerate_clean(h: int) -> list[LatticeTriangle]:
     clean triangles of twice-area h up to unimodular equivalence (with
     repetition across an orbit).
     """
-    return [LatticeTriangle.from_coords(0, 0, 1, 0, m, h) for m in _clean_members(h).tolist()]
-
-
-def _clean_members(h: int) -> np.ndarray:
-    """The m of the base-form clean triangles (0,0), (1,0), (m,h): IP(h), as an
-    increasing int64 array, empty for even h > 1."""
-    _require(h >= 1, "h must be positive, got {}", h)
-    _require(h <= ENUMERATE_CLEAN_BOUND, "enumeration capped at {}", ENUMERATE_CLEAN_BOUND)
-    return ip_members(h)
+    return [LatticeTriangle.from_coords(0, 0, 1, 0, m, h) for m in ip_members(h).tolist()]
 
 
 def clean_keys(h: int) -> np.ndarray:
@@ -487,7 +474,7 @@ def clean_keys(h: int) -> np.ndarray:
     ``_KEYS_PER_CHUNK`` members at a time, so that memory stays bounded."""
     import numpy as np
 
-    members = _clean_members(h)
+    members = ip_members(h)
     keys = np.empty_like(members)
     for i in range(0, len(members), _KEYS_PER_CHUNK):
         keys[i : i + _KEYS_PER_CHUNK] = _least_keys(members[i : i + _KEYS_PER_CHUNK], h)

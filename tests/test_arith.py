@@ -754,6 +754,54 @@ class TestIpMembers:
         for n in range(2, 100, 2):
             assert ip_members(n).size == 0
 
+    @staticmethod
+    def _by_definition(n):
+        """IP(n) and phi(n) by the two gcds over every residue 1..n."""
+        x = np.arange(1, n + 1, dtype=np.int64)
+        unit = np.gcd(x, n) == 1
+        return x[unit & (np.gcd(x - 1, n) == 1)].tolist(), int(unit.sum())
+
+    def test_small_and_even_match_the_definition(self):
+        for n in (1, 2, 4, 10):
+            members, phi = arith._ip_members_and_phi(n)
+            expected, expected_phi = self._by_definition(n)
+            assert ip_members(n).tolist() == members.tolist() == expected, n
+            # IP(even n) is empty, so phi only feeds the inverses' exponent:
+            # it is phi(n) for n = 1 and 2, and 1 stands in above
+            assert phi == (expected_phi if n <= 2 else 1), n
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1001])
+    def test_pass_seams_match_the_definition(self, chunk):
+        # the half pass covers x = 1..(n - 1)/2 in chunks from x = 1: halves
+        # that fill their last chunk, leave it one x, or fall one x short
+        halves = [1] + [k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
+            for n in (2 * h + 1 for h in halves):
+                members, phi = arith._ip_members_and_phi(n)
+                assert (members.tolist(), phi) == self._by_definition(n), n
+                assert ip_members(n).tolist() == members.tolist(), n
+
+    def test_even_table_makes_no_pass(self):
+        def no_pass(n):
+            raise AssertionError(f"gcd pass at even n = {n}")
+
+        with mock.patch.object(arith, "_half_units", no_pass):
+            for n in (2, 10, arith.IP_BOUND):
+                members, table = six_map_table(n)
+                assert members.size == 0 and table.shape == (6, 0), n
+
+    @pytest.mark.parametrize("build", [ip_members, six_map_table])
+    def test_refused_before_allocating(self, build):
+        build(3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(arith.Refused, match=r"IP enumeration capped at 100000"):
+                build(arith.IP_BOUND + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
 
 class TestRootsQuad:
     def test_spot(self):

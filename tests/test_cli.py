@@ -1300,6 +1300,20 @@ def test_one_sieve_walk():
     assert named == []
 
 
+def test_one_gcd_pass():
+    """``np.gcd`` runs over the residues of n in one function of ``arith`` and
+    ``counting``, the half pass ``arith._half_units`` that ``ip_members``, the
+    six-map table and the Burnside route read."""
+    src = pathlib.Path(cli.__file__).parent
+    calls = []
+    for name in ("arith.py", "counting.py"):
+        for top in ast.parse((src / name).read_text(), name).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.gcd":
+                    calls.append(f"{name}:{getattr(top, 'name', None)}")
+    assert calls == ["arith.py:_half_units"]
+
+
 def test_one_prime_sieve():
     """``arith._prime_mask`` is the one prime sieve: no other function strikes
     an Eratosthenes ``p * p`` slice, only ``_primes_upto`` and the module's

@@ -90,7 +90,7 @@ class TestFixCounts:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2499).map(lambda k: 2 * k + 1))
     def test_any_chunk_gives_the_table_counts(self, chunk, n):
-        with mock.patch.object(counting, "_FIX_COUNT_CHUNK", chunk):
+        with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
             assert _uncached_fix_counts(n) == _table_counts(n)
 
     @pytest.mark.parametrize("chunk", [7, 64, 1001])
@@ -98,7 +98,7 @@ class TestFixCounts:
         # the pass covers x = 1..(n - 1)/2 in chunks from x = 1: halves that
         # fill their last chunk, leave it one x, or fall one x short of it
         halves = [k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]
-        with mock.patch.object(counting, "_FIX_COUNT_CHUNK", chunk):
+        with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
             for n in (2 * h + 1 for h in halves if 2 * h + 1 <= 5000):
                 assert _uncached_fix_counts(n) == _table_counts(n), n
 
