@@ -465,21 +465,38 @@ def imph_bruteforce(n: int) -> int:
     )
 
 
-_UNIT_CHUNK = 1 << 16  # x per step of ``_half_units``: under 3 MB alive, whatever n is
+_UNIT_CHUNK = 1 << 16  # x per step of ``_half_units``: under 2 MB traced with a caller, whatever n is
 IP_BOUND = 10**5  # the cap of every array over IP(n): its members, the six-map table
 
 
 def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The package's one gcd pass over the residues of odd n >= 3.  As
-    gcd(x, n) = gcd(n - x, n), it covers 1 <= x <= (n - 1)/2 alone, in steps
-    of ``_UNIT_CHUNK`` x, each yielded as an int64 array (the caller's) with
-    the unit flags of x - 1, x and x + 1, two entries longer."""
+    """The package's one gcd pass over the residues of odd n, 3 <= n <= 10^7.
+    As gcd(x, n) = gcd(n - x, n), it covers 1 <= x <= (n - 1)/2 alone, in
+    steps of ``_UNIT_CHUNK`` x, each yielded as an int64 array (the caller's)
+    with the unit flags of x - 1, x and x + 1, two entries longer.
+
+    The gcd runs in uint32.  The first step, all of x for n up to
+    2 * ``_UNIT_CHUNK`` + 1, takes it on odd x alone: 2 is a unit of odd n,
+    so x = 2^j * o has the flag of o, copied in one slice per j."""
     import numpy as np
 
     half = (n - 1) // 2
     for lo in range(1, half + 1, _UNIT_CHUNK):
-        xs = np.arange(lo - 1, min(lo + _UNIT_CHUNK, half + 1) + 1, dtype=np.int64)
-        yield xs[1:-1], np.gcd(xs, n) == 1
+        hi = min(lo + _UNIT_CHUNK, half + 1)  # the flags run over x = lo - 1..hi
+        first = lo == 1
+        xs = np.arange(lo if first else lo - 1, hi + 1, 2 if first else 1, dtype=np.uint32)
+        flags = np.gcd(xs, n) == 1
+        if first:
+            unit = np.empty(hi + 1, dtype=bool)
+            unit[1::2] = flags
+            unit[0] = False  # gcd(0, n) = n
+            step = 2
+            while step <= hi:
+                even = unit[step :: 2 * step]  # x = step * o for odd o
+                even[:] = flags[: even.size]
+                step *= 2
+            flags = unit
+        yield np.arange(lo, hi, dtype=np.int64), flags
 
 
 def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:
@@ -534,6 +551,8 @@ def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     members, phi = _ip_members_and_phi(n)
+    # phi = 0 would make the exponent -1, which the halving below never ends
+    _expect(phi >= 1, n, ("six-map",), "phi({}) counted as {}", n, phi)
     inv = np.full_like(members, 1 % n)
     base = members.copy()
     e = phi - 1

@@ -60,15 +60,29 @@ def map_g(i: int, m: int, n: int) -> int:
     return six_maps(m, n)[i - 1]
 
 
-def _add_fixed_counts(counts: list[int], members, m, square, double) -> None:
-    """Add to ``counts`` the number of the residues m flagged in ``members``
-    and of those among them with m^2 = 1, 2m = 1, m^2 = m - 1 and m^2 = 2m,
-    given m^2 and 2m reduced mod n as ``square`` and ``double``; m - 1 is
-    reduced too, so each congruence is an equality."""
-    import numpy as np
-
-    for k, fixed in enumerate((True, square == 1, double == 1, square == m - 1, square == double)):
-        counts[k] += int(np.count_nonzero(members & fixed))
+def _rare_x(x, n):
+    """Flag the x of the int64 array ``x``, 1 <= x <= (n - 1)/2, at which
+    m = x or m = n - x solves m^2 = 1, 2m = 1, m^2 - m + 1 = 0 or m^2 = 2m
+    mod n, by one mask.  With t = (x^2 mod n) - x, and each side reduced
+    mod n: m = x solves m^2 = m - 1 if and only if t = -1, and m^2 = 2m if
+    and only if t = x; m = x or n - x solves m^2 = 1 if and only if
+    t + x = 1; m = n - x solves m^2 = m - 1 if and only if t + 2x = n - 1,
+    m^2 = 2m if and only if t + 3x = n, and 2m = 1 if and only if
+    x = (n - 1)/2, which m = x never does.  x^2 < 10^14 fits int64."""
+    t = x * x
+    t %= n
+    t -= x
+    rare = t == -1
+    rare |= t == x
+    t += x
+    rare |= t == 1
+    t += x
+    rare |= t == n - 1
+    t += x
+    rare |= t == n
+    if x[-1] == (n - 1) // 2:
+        rare[-1] = True
+    return rare
 
 
 @lru_cache(maxsize=1 << 15)
@@ -79,9 +93,11 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     m^2 - m + 1 = 0, g6 those with (1 - m)^2 = 1, that is m^2 = 2m.
 
     They read ``arith._half_units``, the gcd pass over x <= (n - 1)/2: x is
-    a member when x and x - 1 are units, n - x when x and x + 1 are, and the
-    congruences of n - x are those of x with the signs flipped.  m^2 < 10^14
-    fits int64.  No factorization, inverse or residue map is used.
+    a member when x and x - 1 are units, n - x when x and x + 1 are.  g1
+    counts both by their flags.  The other congruences hold at few x,
+    which ``_rare_x`` finds by one mask, and each of those is tested
+    exactly, in Python ints, on the members m = x and m = n - x.  No
+    factorization, inverse or residue map is used.
     """
     import numpy as np
 
@@ -89,16 +105,18 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
         return (1,) * 6  # IP(1) = {1}, fixed by every map
     if n % 2 == 0:
         return (0,) * 6  # x and x - 1 cannot both be odd
-    counts = [0] * 5
-    for m, unit in _half_units(n):
-        square = m * m
-        square %= n  # the same for m = x and m = n - x
-        double = 2 * m  # below n
-        _add_fixed_counts(counts, unit[1:-1] & unit[:-2], m, square, double)
-        np.subtract(n, m, out=m)  # now m = n - x, and 2m = n - 2x (mod n)
-        np.subtract(n, double, out=double)
-        _add_fixed_counts(counts, unit[1:-1] & unit[2:], m, square, double)
-    g1, g2, g3, g45, g6 = counts
+    g1 = g2 = g3 = g45 = g6 = 0
+    for x, unit in _half_units(n):
+        pair = unit[:-1] & unit[1:]  # pair[i]: x[i] - 1, x[i] units, so x[i], n + 1 - x[i] members
+        g1 += int(np.count_nonzero(pair[:-1])) + int(np.count_nonzero(pair[1:]))
+        rare = np.flatnonzero(_rare_x(x, n))
+        for xi, low, high in zip(x[rare].tolist(), pair[rare].tolist(), pair[rare + 1].tolist()):
+            for m, member in ((xi, low), (n - xi, high)):
+                if member:
+                    g2 += (m * m - 1) % n == 0
+                    g3 += (2 * m - 1) % n == 0
+                    g45 += (m * m - m + 1) % n == 0
+                    g6 += (m * m - 2 * m) % n == 0
     return g1, g2, g3, g45, g45, g6
 
 
@@ -155,8 +173,7 @@ class OrbitDecomposition(_Record):
     def __init__(self, n: int, orbits: tuple[tuple[int, ...], ...]) -> None:
         _set(self, "n", n)
         _set(self, "orbits", orbits)
-        flat = sorted(x for orbit in orbits for x in orbit)
-        if flat != sorted(set(flat)):
+        if len(set().union(*orbits)) != sum(map(len, orbits)):
             raise ValueError("orbits overlap")
         for orbit in orbits:
             if 6 % len(orbit) != 0:
@@ -169,19 +186,25 @@ class OrbitDecomposition(_Record):
 
 def orbit_decomposition(n: int) -> OrbitDecomposition:
     """Partition IP(n) into orbits of the six-map action, grouping members by
-    the least of their six images (the six images of m are its whole orbit)."""
+    the least of their six images (the six images of m are its whole orbit).
+
+    The maps are checked closed on IP(n) by a member flag over 0..n, read at
+    every image.  The members, ordered by their least image, are listed once
+    and cut where it changes."""
     import numpy as np
 
     if n % 2 == 0 and n > 1:
         return OrbitDecomposition(n, ())
     _require(n <= GEOMETRIC_N_BOUND, "orbit decomposition capped at n = {}", GEOMETRIC_N_BOUND)
     members, table = six_map_table(n)
-    closed = np.isin(table, members).all()  # the maps are closed on IP(n)
-    _expect(closed, n, ("six-map",), "orbit escaped IP({})", n)
+    is_member = np.zeros(n + 1, dtype=bool)
+    is_member[members] = True
+    _expect(is_member[table].all(), n, ("six-map",), "orbit escaped IP({})", n)
     keys = table.min(axis=0)
     order = np.argsort(keys, kind="stable")
-    cuts = np.flatnonzero(np.diff(keys[order])) + 1
-    orbits = tuple(tuple(o.tolist()) for o in np.split(members[order], cuts))
+    cuts = [0, *(np.flatnonzero(np.diff(keys[order])) + 1).tolist(), members.size]
+    flat = members[order].tolist()
+    orbits = tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:]))
     return OrbitDecomposition(n, orbits)
 
 
@@ -233,15 +256,16 @@ def t_report(n: int) -> TCountReport:
     """T(n) by the closed form, the Burnside average and the geometric
     classes, cross-checked by ``TCountReport``, and each of the six
     fixed-point counts against ``fix_count_closed``.  n and the geometric
-    cap, the lower of the routes' caps, are checked first, before any work."""
+    cap, the lower of the routes' caps, are checked first, before any work.
+    The counts are checked before the routes, so a count that is off names
+    its map even where it also breaks the Burnside total."""
     _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return TCountReport(n, 0, 0, 0, (0,) * 6)
     _require(n <= GEOMETRIC_N_BOUND, "geometric route capped at n = {}", GEOMETRIC_N_BOUND)
     fix = _fix_counts_vectorized(n)
-    report = TCountReport(n, t_closed(n), t_burnside(n), t_geometric(n), fix)
     msg = "g{} fixes {} members of IP({}), the closed form {}"
     for i, count in enumerate(fix, 1):
         closed = fix_count_closed(i, n)
         _expect(count == closed, n, ("burnside", "closed"), msg, i, count, n, closed)
-    return report
+    return TCountReport(n, t_closed(n), t_burnside(n), t_geometric(n), fix)

@@ -743,6 +743,15 @@ class TestSieveKernel:
         _assert_walk_matches_factorize(hi - 3000, hi)
 
 
+def _one_x_short(half_units):
+    """``arith._half_units`` with its last chunk one x short."""
+    def broken(n):
+        *chunks, (x, unit) = half_units(n)
+        return iter([*chunks, (x[:-1], unit[:-1])])
+
+    return broken
+
+
 class TestIpMembers:
     def test_members(self):
         assert list(ip_members(15)) == [2, 8, 14]
@@ -770,16 +779,43 @@ class TestIpMembers:
             # it is phi(n) for n = 1 and 2, and 1 stands in above
             assert phi == (expected_phi if n <= 2 else 1), n
 
-    @pytest.mark.parametrize("chunk", [7, 64, 1001])
+    @staticmethod
+    def _assert_unit_flags(n):
+        """The chunks of the half pass of n run over x = 1..(n - 1)/2 in
+        order, as int64, each with the flags of x - 1, x and x + 1 that
+        ``math.gcd`` gives."""
+        half = (n - 1) // 2
+        unit = np.array([math.gcd(x, n) == 1 for x in range(half + 2)])
+        xs, flags = zip(*arith._half_units(n))
+        assert {x.dtype for x in xs} == {np.dtype(np.int64)}, n
+        assert np.array_equal(np.concatenate(xs), np.arange(1, half + 1)), n
+        expected = [unit[x[0] - 1 : x[-1] + 2] for x in xs]
+        assert np.array_equal(np.concatenate(flags), np.concatenate(expected)), n
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1001, arith._UNIT_CHUNK])
     def test_pass_seams_match_the_definition(self, chunk):
         # the half pass covers x = 1..(n - 1)/2 in chunks from x = 1: halves
         # that fill their last chunk, leave it one x, or fall one x short
         halves = [1] + [k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]
         with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
-            for n in (2 * h + 1 for h in halves):
+            for n in (2 * h + 1 for h in halves if 2 * h + 1 <= arith.IP_BOUND):
                 members, phi = arith._ip_members_and_phi(n)
                 assert (members.tolist(), phi) == self._by_definition(n), n
                 assert ip_members(n).tolist() == members.tolist(), n
+            # the first chunk takes the gcd on odd x alone and copies the
+            # flags of even x; at the default chunk, the halves of the last
+            # five n fall one x short of one chunk, fill it, pass it by one
+            # x, fill two chunks and pass them by one x
+            for n in (*range(3, 3001, 2), 131071, 131073, 131075, 262145, 262147):
+                self._assert_unit_flags(n)
+
+    def test_phi_counted_short_is_caught(self):
+        # a pass whose last chunk stops one x short counts phi(3) as 0; the
+        # inverses' exponent phi - 1 = -1 would then never halve to 0
+        with mock.patch.object(arith, "_half_units", _one_x_short(arith._half_units)):
+            with pytest.raises(arith.InvariantViolation, match=r"^phi\(3\) counted as 0$") as info:
+                six_map_table(3)
+        assert (info.value.n, info.value.routes) == (3, ("six-map",))
 
     def test_even_table_makes_no_pass(self):
         def no_pass(n):

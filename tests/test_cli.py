@@ -885,6 +885,16 @@ def _shifted(fn, by):
     return broken
 
 
+def _one_x_short(half_units):
+    """``arith._half_units`` with its last chunk one x short, so that phi(3)
+    is counted as 0."""
+    def broken(n):
+        *chunks, (x, unit) = half_units(n)
+        return iter([*chunks, (x[:-1], unit[:-1])])
+
+    return broken
+
+
 class TestInvariantViolationExit:
     """In-process runs with one route broken: exit 3, nothing on stdout, one
     JSON record on stderr, no traceback."""
@@ -904,6 +914,7 @@ class TestInvariantViolationExit:
              6, ["reduction", "witness"]),
             (arith, "_brent_rho", lambda fn: lambda m: 1009, ["imph", "10228324819"],
              1009 * 1013 * 10007, ["factorize"]),
+            (arith, "_half_units", _one_x_short, ["orbits", "3"], 3, ["six-map"]),
         ],
     )
     def test_exit_3_with_one_json_line(self, monkeypatch, capsys, module, name, fault, argv,

@@ -1,6 +1,8 @@
+import math
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,12 @@ def _uncached_fix_counts(n):
     return counting._fix_counts_vectorized.__wrapped__(n)
 
 
+def _congruences(m, n):
+    """Whether m^2 = 1, 2m = 1, m^2 - m + 1 = 0 and m^2 = 2m hold mod n."""
+    return ((m * m - 1) % n == 0, (2 * m - 1) % n == 0, (m * m - m + 1) % n == 0,
+            (m * m - 2 * m) % n == 0)
+
+
 class TestFixCounts:
     def test_spot_bruteforce(self):
         # IP(7) = {2..6}, IP(9) = {2, 5, 8}, IP(1) = {1}, IP(even n > 1) = {}
@@ -101,6 +109,29 @@ class TestFixCounts:
         with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
             for n in (2 * h + 1 for h in halves if 2 * h + 1 <= 5000):
                 assert _uncached_fix_counts(n) == _table_counts(n), n
+
+    def test_counts_match_the_congruences(self):
+        # each count, by the congruence over IP(n) built with math.gcd
+        for n in range(1, 2002, 2):
+            members = [m for m in range(1, n + 1)
+                       if math.gcd(m, n) == 1 and math.gcd(m - 1, n) == 1]
+            g2, g3, g45, g6 = (sum(c) for c in zip(*(_congruences(m, n) for m in members)))
+            assert _uncached_fix_counts(n) == (len(members), g2, g3, g45, g45, g6), n
+
+    def test_rare_x_flags_exactly_the_solutions(self):
+        # the mask flags the x at which x or n - x solves some congruence,
+        # member or not, and no other x
+        for n in range(3, 2002, 2):
+            half = (n - 1) // 2
+            flagged = np.flatnonzero(counting._rare_x(np.arange(1, half + 1), n)) + 1
+            expected = [x for x in range(1, half + 1)
+                        if any(_congruences(x, n)) or any(_congruences(n - x, n))]
+            assert flagged.tolist() == expected, n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 49999).map(lambda k: 2 * k + 1))
+    def test_counts_match_the_table_up_to_the_cap(self, n):
+        assert _uncached_fix_counts(n) == _table_counts(n)
 
     def test_spot_closed(self):
         assert fix_count_closed(2, 105) == 1
@@ -194,16 +225,18 @@ class TestTCounts:
         assert t_burnside(n) == t_closed(n)
 
     def test_burnside_memory_is_bounded(self):
-        # one chunk of the gcd pass is alive at a time, whatever n is
-        counting._fix_counts_vectorized.cache_clear()
-        tracemalloc.start()
-        try:
-            value = t_burnside(9999991)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert value == t_closed(9999991)
-        assert peak < 4 * 10**6, peak
+        # one chunk of the gcd pass is alive at a time, whatever n is: the
+        # first, whole at n = 131,073, or one of many at 9,999,991
+        for n in (131073, 9999991):
+            counting._fix_counts_vectorized.cache_clear()
+            tracemalloc.start()
+            try:
+                value = t_burnside(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == t_closed(n)
+            assert peak < 4 * 10**6, (n, peak)
 
 
 class TestOrbits:
@@ -234,6 +267,23 @@ class TestOrbits:
     def test_orbit_sizes_divide_six(self):
         with pytest.raises(ValueError):
             OrbitDecomposition(11, ((2, 3, 4, 5),))
+
+    def test_overlap(self):
+        with pytest.raises(ValueError, match="^orbits overlap$"):
+            OrbitDecomposition(7, ((2, 3), (3,)))
+
+    @pytest.mark.parametrize("image", [1, 7])
+    def test_image_outside_ip_is_caught(self, monkeypatch, image):
+        # 1 and n are no members of IP(7); one image moved there escapes
+        def escaping(n):
+            members, table = six_map_table(n)
+            table[4, 2] = image
+            return members, table
+
+        monkeypatch.setattr(counting, "six_map_table", escaping)
+        with pytest.raises(InvariantViolation, match=r"^orbit escaped IP\(7\)$") as info:
+            orbit_decomposition(7)
+        assert (info.value.n, info.value.routes) == (7, ("six-map",))
 
 
 class TestCanonical:
