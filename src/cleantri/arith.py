@@ -499,26 +499,32 @@ def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield np.arange(lo, hi, dtype=np.int64), flags
 
 
+def _chunk_members(x: np.ndarray, unit: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The members of IP(n) that one step ``x, unit`` of ``_half_units``
+    gives: x when x - 1 and x are units, increasing, and n - x when x and
+    x + 1 are, decreasing."""
+    mid = unit[1:-1]
+    return x[mid & unit[:-2]], n - x[mid & unit[2:]]
+
+
 def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:
-    """The members of IP(n), increasing, and phi(n), for n <= ``IP_BOUND``.
-    Of the x of ``_half_units``, x is a member when x - 1 and x are units,
-    n - x when x and x + 1 are, and phi(n) is twice the units.  Even n have
-    no member, and phi = 1 stands in as the inverses' exponent."""
+    """The members of IP(n), increasing, and phi(n), for n <= ``IP_BOUND``,
+    read off ``_half_units`` by ``_chunk_members``; phi(n) is twice the
+    units.  Even n have no member, and phi = 1 stands in as the inverses'
+    exponent."""
     import numpy as np
 
     _require(n >= 1, "n must be positive, got {}", n)
     _require(n <= IP_BOUND, "IP enumeration capped at {}, got {}", IP_BOUND, n)
     if n % 2 == 0 or n == 1:
         return np.ones(int(n == 1), dtype=np.int64), 1  # IP(1) = {1}, IP(even n) = {}
-    low, high, units = [], [], 0
+    chunks, units = [], 0
     for x, unit in _half_units(n):
-        low.append(x[unit[1:-1] & unit[:-2]])
-        high.append(x[unit[1:-1] & unit[2:]])
+        chunks.append(_chunk_members(x, unit, n))
         units += int(np.count_nonzero(unit[1:-1]))
     del x, unit  # the last chunk, before the members are joined
-    high = np.concatenate(high)
-    np.subtract(n, high, out=high)
-    return np.concatenate((*low, high[::-1])), 2 * units
+    low, high = zip(*chunks)
+    return np.concatenate((*low, *(h[::-1] for h in high[::-1]))), 2 * units
 
 
 def ip_members(n: int) -> np.ndarray:
@@ -544,9 +550,9 @@ def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The inverses are m^(phi(n) - 1) mod n by square-and-multiply over the
     whole member array, with phi(n) counted by the same pass, so no
-    factorization is used; products stay below n^2 <= 10^14.  Every inverse
-    is checked before the table is built.  m -> n + 1 - m reverses the sorted
-    members, so (1 - m)^-1 is m^-1 reversed.
+    factorization is used; products stay below n^2 <= ``IP_BOUND``^2 = 10^10.
+    Every inverse is checked before the table is built.  m -> n + 1 - m
+    reverses the sorted members, so (1 - m)^-1 is m^-1 reversed.
     """
     import numpy as np
 

@@ -335,11 +335,9 @@ def cmd_tcount(args, parser) -> int:
     A closed range within the sieve cap is read from ``arith._factor_blocks``
     by ``meanvalue._t_closed_block``; the rest calls the point routes n by n.
     Refused before any work (even n are always 0):
-    - a range holding an odd n past its route's cap: for ``burnside``,
-      ``arith.IMPH_BRUTEFORCE_BOUND``; for ``geometric`` and ``all``,
-      ``counting.GEOMETRIC_N_BOUND``;
-    - for every method but ``closed``, a range whose odd n sum past
-      ``arith.IMPH_BRUTEFORCE_BOUND``, as each costs about imph(n);
+    - for every method but ``closed``, a range holding an odd n past
+      ``arith.IMPH_BRUTEFORCE_BOUND``, the Burnside and geometric routes'
+      cap, or whose odd n sum past it, as each costs about imph(n);
     - a range holding an odd n from ``arith.FACTORIZE_BOUND`` on;
     - a closed range past the sieve cap, which factorizes n by n, holding
       more than ``_POINT_RANGE_ODD_BOUND`` odd n.
@@ -349,15 +347,14 @@ def cmd_tcount(args, parser) -> int:
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
     if method != "closed":
-        route, cap = (("Burnside", arith.IMPH_BRUTEFORCE_BOUND) if method == "burnside"
-                      else ("geometric", counting.GEOMETRIC_N_BOUND))
+        cap = arith.IMPH_BRUTEFORCE_BOUND
         past = max(lo, cap + 1) | 1  # the least odd n past the cap
+        route = "Burnside" if method == "burnside" else "geometric"
         arith._require(past > hi, "{} route capped at n = {}", route, cap)
         # the odd n up to y are the first (y + 1) // 2 odd numbers, which sum to its square
         work = ((hi + 1) // 2) ** 2 - (lo // 2) ** 2
         msg = "--method {} on {}..{} sums more than {} over its odd n"
-        arith._require(work <= arith.IMPH_BRUTEFORCE_BOUND, msg, method, lo, hi,
-                       arith.IMPH_BRUTEFORCE_BOUND)
+        arith._require(work <= cap, msg, method, lo, hi, cap)
     first = max(lo, arith.FACTORIZE_BOUND) | 1  # the least odd n factorize refuses
     arith._require(first > hi, "factorize is capped below 2^63, got {}", first)
     odd = arith._odd_count(lo, hi)

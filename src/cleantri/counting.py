@@ -7,10 +7,10 @@ and ``arith.six_map_table``.  T(n), the number of equivalence classes of
 clean triangles of twice-area n, is computed three ways that share no
 formula: a closed form from the prime factorization, the Burnside average of
 the fixed-point counts, each counted as the congruence that defines the
-map's fixed points, and the distinct class keys of the base-form clean
-triangles, ``lattice.clean_keys``, which reduces all of them at once on
-arrays by extended Euclid.  The Burnside route serves odd n up to 10^7,
-the geometric route and the orbits odd n up to 10^5.
+map's fixed points, and the base-form clean triangles that are their own
+class key, found by ``lattice._least_keys`` on arrays by extended Euclid.
+The Burnside and geometric routes stream the one gcd pass and serve odd n
+up to 10^7; the orbits hold all of IP(n) and serve odd n up to 10^5.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from functools import lru_cache
 
 from .arith import (
     IMPH_BRUTEFORCE_BOUND,
-    IP_BOUND as GEOMETRIC_N_BOUND,  # the geometric route and the orbits hold all of IP(n)
+    IP_BOUND as GEOMETRIC_N_BOUND,  # caps the orbits, which hold all of IP(n)
     _cached_factorization,
+    _chunk_members,
     _expect,
     _half_units,
     _Record,
@@ -219,19 +220,29 @@ def canonical_m(m: int, n: int) -> int:
 
 
 def t_geometric(n: int) -> int:
-    """Geometric oracle for T(n): the number of distinct ``lattice.clean_keys``,
-    the least base-form m over the six vertex orders of each base-form clean
-    triangle, for odd n up to 10^5.  The keys come from extended Euclid on
-    the triangles' edges alone, so no residue map or modular inverse is used."""
+    """Geometric oracle for T(n), for odd n up to 10^7: the members m of IP(n)
+    whose class key, the least base-form m over the six vertex orders of
+    (0,0), (1,0), (m,n), is m itself; the identity order gives m, so each
+    class has one.  ``lattice._least_keys`` keys the members of each chunk
+    of the gcd pass, ``lattice._KEYS_PER_CHUNK`` at a time, by extended
+    Euclid on the edges alone: no residue map or modular inverse is used."""
     import numpy as np
 
-    from .lattice import clean_keys
+    from .lattice import _KEYS_PER_CHUNK, _least_keys
 
     _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return 0
-    _require(n <= GEOMETRIC_N_BOUND, "geometric route capped at n = {}", GEOMETRIC_N_BOUND)
-    return int(np.count_nonzero(np.bincount(clean_keys(n))))
+    _require(n <= IMPH_BRUTEFORCE_BOUND, "geometric route capped at n = {}", IMPH_BRUTEFORCE_BOUND)
+    if n == 1:
+        return 1  # IP(1) = {1}, keyed 0, and the pass holds no x
+    classes = 0
+    for x, unit in _half_units(n):
+        members = np.concatenate(_chunk_members(x, unit, n))
+        for i in range(0, members.size, _KEYS_PER_CHUNK):
+            part = members[i : i + _KEYS_PER_CHUNK]
+            classes += int(np.count_nonzero(_least_keys(part, n) == part))
+    return classes
 
 
 class TCountReport(_Record):
@@ -255,14 +266,14 @@ class TCountReport(_Record):
 def t_report(n: int) -> TCountReport:
     """T(n) by the closed form, the Burnside average and the geometric
     classes, cross-checked by ``TCountReport``, and each of the six
-    fixed-point counts against ``fix_count_closed``.  n and the geometric
-    cap, the lower of the routes' caps, are checked first, before any work.
+    fixed-point counts against ``fix_count_closed``.  n and the cap the
+    Burnside and geometric routes share are checked first, before any work.
     The counts are checked before the routes, so a count that is off names
     its map even where it also breaks the Burnside total."""
     _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return TCountReport(n, 0, 0, 0, (0,) * 6)
-    _require(n <= GEOMETRIC_N_BOUND, "geometric route capped at n = {}", GEOMETRIC_N_BOUND)
+    _require(n <= IMPH_BRUTEFORCE_BOUND, "geometric route capped at n = {}", IMPH_BRUTEFORCE_BOUND)
     fix = _fix_counts_vectorized(n)
     msg = "g{} fixes {} members of IP({}), the closed form {}"
     for i, count in enumerate(fix, 1):

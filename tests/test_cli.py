@@ -237,10 +237,10 @@ class TestTcountCommand:
 
     @pytest.mark.parametrize("method", ["burnside", "all"])
     def test_burnside_cap_before_any_work(self, monkeypatch, capsys, method):
-        # a range holding an odd n past its route's cap is refused before its
-        # first n: 10^7 for burnside alone, the geometric route's 10^5 with
-        # all three; an even n past it is 0 on every route and still served
-        route, cap = ("Burnside", 10**7) if method == "burnside" else ("geometric", 10**5)
+        # a range holding an odd n past the routes' cap of 10^7 is refused
+        # before its first n, in the name of the geometric route with all
+        # three; an even n past it is 0 on every route and still served
+        route, cap = "Burnside" if method == "burnside" else "geometric", 10**7
 
         def forbidden(n):
             raise RuntimeError(f"route called at n={n}")
@@ -252,10 +252,12 @@ class TestTcountCommand:
                 assert cli.main(["tcount", spec, "--method", method]) == 2
                 out, err = capsys.readouterr()
                 assert out == "" and err == f"error: {route} route capped at n = {cap}\n"
+        # the geometric count of 9,999,999 takes seconds; the cap is what is tested
+        monkeypatch.setattr(counting, "t_geometric", counting.t_closed)
         assert cli.main(["tcount", f"{cap - 2}..{cap}", "--method", method]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
-        assert cli.main(["tcount", "100002", "--method", "burnside"]) == 0
-        assert capsys.readouterr().out == "T(100002): burnside=0\n"
+        assert cli.main(["tcount", f"{cap + 2}", "--method", method]) == 0
+        assert set(re.findall(r"=(\d+)", capsys.readouterr().out)) == {"0"}
 
     def test_unfactorable_range_refused_before_any_work(self, monkeypatch, capsys):
         # a closed range past the sieve cap streams n by n, so an odd n past
@@ -330,10 +332,10 @@ class TestTcountCommand:
             raise RuntimeError(f"t_geometric called at n={n}")
 
         monkeypatch.setattr(counting, "t_geometric", forbidden)
-        for spec in ("100001", "99999..100001"):
+        for spec in ("10000001", "9999999..10000001"):
             assert cli.main(["tcount", spec, "--method", "geometric"]) == 2
             out, err = capsys.readouterr()
-            assert out == "" and err == "error: geometric route capped at n = 100000\n"
+            assert out == "" and err == "error: geometric route capped at n = 10000000\n"
 
 
 def _mutate(monkeypatch, fn, old, new):
@@ -941,11 +943,11 @@ class TestInvariantViolationExit:
         def no_table(n):
             raise RuntimeError(f"six-map table built for n={n}")
 
-        monkeypatch.setattr(counting, "six_map_table", no_table)
-        monkeypatch.setattr(counting, "_fix_counts_vectorized", no_table)
-        assert cli.main(["tcount", "100001", "--method", "all"]) == 2
+        for name in ("six_map_table", "_fix_counts_vectorized", "_half_units"):
+            monkeypatch.setattr(counting, name, no_table)
+        assert cli.main(["tcount", "10000001", "--method", "all"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: geometric route capped at n = 100000\n"
+        assert out == "" and err == "error: geometric route capped at n = 10000000\n"
 
     def test_fixed_point_mismatch_exits_3(self, monkeypatch, capsys):
         # g3 one too many and g6 one too few keep the Burnside sum, so only
@@ -975,10 +977,10 @@ REFUSALS = [
                  id="tcount factorize cap"),
     pytest.param({}, ["tcount", "10000001", "--method", "burnside"],
                  "Burnside route capped at n = 10000000", id="burnside cap"),
-    pytest.param({}, ["tcount", "100001", "--method", "geometric"],
-                 "geometric route capped at n = 100000", id="geometric cap"),
-    pytest.param({}, ["tcount", "100001", "--method", "all"],
-                 "geometric route capped at n = 100000", id="all cap"),
+    pytest.param({}, ["tcount", "10000001", "--method", "geometric"],
+                 "geometric route capped at n = 10000000", id="geometric cap"),
+    pytest.param({}, ["tcount", "10000001", "--method", "all"],
+                 "geometric route capped at n = 10000000", id="all cap"),
     pytest.param({}, ["tcount", "1..10000", "--method", "burnside"],
                  "--method burnside on 1..10000 sums more than 10000000 over its odd n",
                  id="tcount work guard"),
@@ -1314,7 +1316,7 @@ def test_one_sieve_walk():
 def test_one_gcd_pass():
     """``np.gcd`` runs over the residues of n in one function of ``arith`` and
     ``counting``, the half pass ``arith._half_units`` that ``ip_members``, the
-    six-map table and the Burnside route read."""
+    six-map table, the Burnside route and the geometric route read."""
     src = pathlib.Path(cli.__file__).parent
     calls = []
     for name in ("arith.py", "counting.py"):

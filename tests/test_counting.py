@@ -196,17 +196,17 @@ class TestTCounts:
             assert info.value.n == 7 and info.value.routes == routes
 
     def test_report_checks_burnside_cap_before_tables(self, monkeypatch):
-        # the geometric cap, the lowest of the three routes', comes first
+        # the cap the Burnside and geometric routes share comes first
         def no_work(n):
             raise RuntimeError(f"route run for n={n}")
 
-        for name in ("six_map_table", "_fix_counts_vectorized", "t_closed", "t_burnside",
-                     "t_geometric"):
+        for name in ("six_map_table", "_fix_counts_vectorized", "_half_units", "t_closed",
+                     "t_burnside", "t_geometric"):
             monkeypatch.setattr(counting, name, no_work)
-        with pytest.raises(ValueError, match="geometric route capped at n = 100000"):
-            t_report(100001)
-        with pytest.raises(ValueError, match="geometric route capped at n = 100000"):
-            t_report(999999)
+        with pytest.raises(ValueError, match="geometric route capped at n = 10000000"):
+            t_report(10000001)
+        with pytest.raises(ValueError, match="geometric route capped at n = 10000000"):
+            t_report(99999999)
         with pytest.raises(ValueError, match="positive"):
             t_report(0)
 
@@ -237,6 +237,20 @@ class TestTCounts:
                 tracemalloc.stop()
             assert value == t_closed(n)
             assert peak < 4 * 10**6, (n, peak)
+
+    def test_geometric_memory_is_bounded(self):
+        # one chunk of the gcd pass and one call of _least_keys are alive at
+        # a time: the first chunk, whole at n = 131,073, or one of two at
+        # 262,147
+        for n in (131073, 262147):
+            tracemalloc.start()
+            try:
+                value = t_geometric(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == t_closed(n)
+            assert peak < 8 * 10**6, (n, peak)
 
 
 class TestOrbits:
@@ -312,32 +326,48 @@ class TestGeometric:
         for n in range(1, 100, 2):
             assert t_geometric(n) == t_closed(n)
 
-    @pytest.mark.parametrize("n,value", [(99991, 16666), (99999, 5246)])
+    # at the old cap of 10^5, and past it: 131,075 is the first odd n whose
+    # gcd pass takes two chunks
+    @pytest.mark.parametrize("n,value", [(99991, 16666), (99999, 5246), (100003, 16668),
+                                         (131075, 9188)])
     def test_at_the_cap(self, n, value):
         assert t_geometric(n) == t_closed(n) == value
 
-    def test_bound(self):
-        # even n are 0 before the cap is checked, as on the Burnside route
-        assert t_geometric(2 * counting.GEOMETRIC_N_BOUND) == 0
-        with pytest.raises(ValueError, match="geometric route capped"):
-            t_geometric(counting.GEOMETRIC_N_BOUND + 1)
+    def test_bound(self, monkeypatch):
+        # even n are 0 before the cap is checked, as on the Burnside route,
+        # and odd n past it are refused before the gcd pass
+        def no_pass(n):
+            raise RuntimeError(f"gcd pass run for n={n}")
+
+        monkeypatch.setattr(counting, "_half_units", no_pass)
+        assert t_geometric(2 * arith.IMPH_BRUTEFORCE_BOUND) == 0
+        with pytest.raises(ValueError, match="geometric route capped at n = 10000000"):
+            t_geometric(arith.IMPH_BRUTEFORCE_BOUND + 1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 999).map(lambda k: 2 * k + 1))
     def test_array_keys_match_scalar_oracle(self, h):
         # member by member, the array reduction equals clean_key's scalar one
         triangles = lattice.enumerate_clean(h)
-        keys = lattice.clean_keys(h).tolist()
+        keys = lattice._least_keys(ip_members(h), h).tolist()
         assert len(keys) == len(triangles) == arith.imph(h)
         assert [(h, k) for k in keys] == [lattice.clean_key(t) for t in triangles]
 
+    def test_nonprimitive_edge_is_caught(self):
+        # (0,0), (1,0), (m,9) is not clean for m = 3 or 4: an edge is (3, 9)
+        with pytest.raises(InvariantViolation, match="not primitive") as info:
+            lattice._least_keys(np.array([4, 3]), 9)
+        assert info.value.n == 9 and info.value.routes == ("geometric",)
+
     def test_array_keys_across_chunks(self, monkeypatch):
-        # h = 1 has the one member 1, reduced to m = 0; even h have none; and
-        # where the members are cut into chunks changes no key
-        whole = {h: lattice.clean_keys(h).tolist() for h in (1, 2, 1000, 91, 1999)}
-        assert whole[1] == [0] and whole[2] == whole[1000] == []
+        # where the gcd pass and the keying cut the members changes no count;
+        # n = 1 has the one member 1, keyed 0, and even n have none.  The odd
+        # n stop at 400 but for two: to 2,001 these short chunks take about
+        # 30 s on a 2-core VM, and criterion 3 covers them on the default ones
+        monkeypatch.setattr(arith, "_UNIT_CHUNK", 7)
         monkeypatch.setattr(lattice, "_KEYS_PER_CHUNK", 5)
-        assert {h: lattice.clean_keys(h).tolist() for h in whole} == whole
+        for n in (*range(1, 400, 2), 2, 1000, 1999, 2001):
+            assert t_geometric(n) == t_closed(n), n
 
 
 class TestIndependence:
@@ -345,10 +375,11 @@ class TestIndependence:
         def broken(*args):
             raise AssertionError("residue maps used")
 
-        expected = {n: t_closed(n) for n in (*range(1, 100, 2), 2003, 4001)}
+        expected = {n: t_closed(n) for n in (*range(1, 100, 2), 2003, 4001, 131075)}
         # the kernel's formula, table and maps under every name they are
         # imported as, the modular inverse, and the orbit test equivalent_clean
-        # goes through; n past the old scalar route's cap of 2000 too
+        # goes through; n past the old scalar route's cap of 2000 too, and
+        # 131,075, whose gcd pass takes two chunks
         monkeypatch.setattr(arith, "_six_images", broken)
         monkeypatch.setattr(arith, "mod_inverse", broken)
         for module in (arith, counting):
