@@ -335,9 +335,8 @@ def cmd_tcount(args, parser) -> int:
     A closed range within the sieve cap is read from ``arith._factor_blocks``
     by ``meanvalue._t_closed_block``; the rest calls the point routes n by n.
     Refused before any work (even n are always 0):
-    - for every method but ``closed``, a range holding an odd n past
-      ``arith.IMPH_BRUTEFORCE_BOUND``, the Burnside and geometric routes'
-      cap, or whose odd n sum past it, as each costs about imph(n);
+    - for every method but ``closed``, a range that the Burnside and
+      geometric routes' serving rule, ``counting._require_served``, refuses;
     - a range holding an odd n from ``arith.FACTORIZE_BOUND`` on;
     - a closed range past the sieve cap, which factorizes n by n, holding
       more than ``_POINT_RANGE_ODD_BOUND`` odd n.
@@ -347,14 +346,7 @@ def cmd_tcount(args, parser) -> int:
     lo, hi = _parse_range(args.spec, parser)
     method = args.method
     if method != "closed":
-        cap = arith.IMPH_BRUTEFORCE_BOUND
-        past = max(lo, cap + 1) | 1  # the least odd n past the cap
-        route = "Burnside" if method == "burnside" else "geometric"
-        arith._require(past > hi, "{} route capped at n = {}", route, cap)
-        # the odd n up to y are the first (y + 1) // 2 odd numbers, which sum to its square
-        work = ((hi + 1) // 2) ** 2 - (lo // 2) ** 2
-        msg = "--method {} on {}..{} sums more than {} over its odd n"
-        arith._require(work <= cap, msg, method, lo, hi, cap)
+        counting._require_served(method, lo, hi)
     first = max(lo, arith.FACTORIZE_BOUND) | 1  # the least odd n factorize refuses
     arith._require(first > hi, "factorize is capped below 2^63, got {}", first)
     odd = arith._odd_count(lo, hi)

@@ -10,13 +10,13 @@ the fixed-point counts, each counted as the congruence that defines the
 map's fixed points, and the base-form clean triangles that are their own
 class key, found by ``lattice._least_keys`` on arrays by extended Euclid.
 The Burnside and geometric routes stream the one gcd pass and serve odd n
-up to 10^7; the orbits hold all of IP(n) and serve odd n up to 10^5.
+up to 10^7 by one rule, ``_require_served``; the orbits hold all of IP(n)
+and serve odd n up to 10^5.  No route keeps a cache.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .arith import (
     IMPH_BRUTEFORCE_BOUND,
@@ -86,7 +86,6 @@ def _rare_x(x, n):
     return rare
 
 
-@lru_cache(maxsize=1 << 15)
 def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     """The fixed-point counts of g1..g6 on IP(n), for n <= 10^7, each counted
     as the congruence that defines it on the members m: g1 fixes them all,
@@ -134,6 +133,21 @@ def fix_count_closed(i: int, n: int) -> int:
     return imph_from_factorization(f) if i == 1 else quad_root_count(f)
 
 
+def _require_served(method: str, lo: int, hi: int) -> None:
+    """The serving rule of the Burnside and geometric routes: refuse lo..hi on
+    ``method`` ("burnside", "geometric", or "all", refused in the geometric
+    route's name) if it holds an odd n past 10^7, their cap, or if its odd n,
+    each costing about imph(n), sum past 10^7."""
+    cap = IMPH_BRUTEFORCE_BOUND
+    route = "Burnside" if method == "burnside" else "geometric"
+    past = max(lo, cap + 1) | 1  # the least odd n past the cap
+    _require(past > hi, "{} route capped at n = {}", route, cap)
+    # the odd n up to y are the first (y + 1) // 2 odd numbers, which sum to its square
+    work = ((hi + 1) // 2) ** 2 - (lo // 2) ** 2
+    _require(work <= cap, "--method {} on {}..{} sums more than {} over its odd n",
+             method, lo, hi, cap)
+
+
 def t_burnside(n: int) -> int:
     """T(n) as the Burnside average of the fixed-point counts that
     ``_fix_counts_vectorized`` counts by their congruences in the gcd pass,
@@ -143,7 +157,7 @@ def t_burnside(n: int) -> int:
     _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return 0
-    _require(n <= IMPH_BRUTEFORCE_BOUND, "Burnside route capped at n = {}", IMPH_BRUTEFORCE_BOUND)
+    _require_served("burnside", n, n)
     total = sum(_fix_counts_vectorized(n))
     msg = "fixed-point total {} not divisible by 6 at n={}"  # Burnside guarantees it
     _expect(total % 6 == 0, n, ("burnside",), msg, total, n)
@@ -191,7 +205,8 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
 
     The maps are checked closed on IP(n) by a member flag over 0..n, read at
     every image.  The members, ordered by their least image, are listed once
-    and cut where it changes."""
+    and cut where it changes.  Their count is checked against ``t_closed``,
+    which catches maps that split or merge orbits of sizes dividing 6."""
     import numpy as np
 
     if n % 2 == 0 and n > 1:
@@ -205,8 +220,11 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
     order = np.argsort(keys, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(keys[order])) + 1).tolist(), members.size]
     flat = members[order].tolist()
-    orbits = tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:]))
-    return OrbitDecomposition(n, orbits)
+    dec = OrbitDecomposition(n, tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:])))
+    closed = t_closed(n)
+    msg = "{} orbits in IP({}), the closed form T = {}"
+    _expect(dec.count == closed, n, ("six-map", "closed"), msg, dec.count, n, closed)
+    return dec
 
 
 def canonical_m(m: int, n: int) -> int:
@@ -233,7 +251,7 @@ def t_geometric(n: int) -> int:
     _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return 0
-    _require(n <= IMPH_BRUTEFORCE_BOUND, "geometric route capped at n = {}", IMPH_BRUTEFORCE_BOUND)
+    _require_served("geometric", n, n)
     if n == 1:
         return 1  # IP(1) = {1}, keyed 0, and the pass holds no x
     classes = 0
@@ -266,17 +284,18 @@ class TCountReport(_Record):
 def t_report(n: int) -> TCountReport:
     """T(n) by the closed form, the Burnside average and the geometric
     classes, cross-checked by ``TCountReport``, and each of the six
-    fixed-point counts against ``fix_count_closed``.  n and the cap the
-    Burnside and geometric routes share are checked first, before any work.
-    The counts are checked before the routes, so a count that is off names
-    its map even where it also breaks the Burnside total."""
+    fixed-point counts against ``fix_count_closed``.  n is checked first by
+    ``_require_served``, before any work.  The fixed points are counted
+    once, and their sum over 6 is the Burnside value.  The counts are
+    checked before the routes, so a count that is off names its map even
+    where it also breaks the Burnside total."""
     _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return TCountReport(n, 0, 0, 0, (0,) * 6)
-    _require(n <= IMPH_BRUTEFORCE_BOUND, "geometric route capped at n = {}", IMPH_BRUTEFORCE_BOUND)
+    _require_served("all", n, n)
     fix = _fix_counts_vectorized(n)
     msg = "g{} fixes {} members of IP({}), the closed form {}"
     for i, count in enumerate(fix, 1):
         closed = fix_count_closed(i, n)
         _expect(count == closed, n, ("burnside", "closed"), msg, i, count, n, closed)
-    return TCountReport(n, t_closed(n), t_burnside(n), t_geometric(n), fix)
+    return TCountReport(n, t_closed(n), sum(fix) // 6, t_geometric(n), fix)

@@ -897,6 +897,18 @@ def _one_x_short(half_units):
     return broken
 
 
+def _g1_g2_only(six_map_table):
+    """``arith.six_map_table`` with rows g1 and g2 alone, each three times:
+    every image stays in IP(n) and every orbit has size 1 or 2, which
+    divides 6, but the orbits of size 3 and 6 split, so only their count
+    against the closed form sees it."""
+    def broken(n):
+        members, table = six_map_table(n)
+        return members, table[[0, 1, 0, 1, 0, 1]]
+
+    return broken
+
+
 class TestInvariantViolationExit:
     """In-process runs with one route broken: exit 3, nothing on stdout, one
     JSON record on stderr, no traceback."""
@@ -917,6 +929,8 @@ class TestInvariantViolationExit:
             (arith, "_brent_rho", lambda fn: lambda m: 1009, ["imph", "10228324819"],
              1009 * 1013 * 10007, ["factorize"]),
             (arith, "_half_units", _one_x_short, ["orbits", "3"], 3, ["six-map"]),
+            (counting, "six_map_table", _g1_g2_only, ["orbits", "21"], 21,
+             ["six-map", "closed"]),
         ],
     )
     def test_exit_3_with_one_json_line(self, monkeypatch, capsys, module, name, fault, argv,
@@ -1325,6 +1339,50 @@ def test_one_gcd_pass():
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.gcd":
                     calls.append(f"{name}:{getattr(top, 'name', None)}")
     assert calls == ["arith.py:_half_units"]
+
+
+def test_one_serving_rule():
+    """The serving rule of the Burnside and geometric routes, the cap and the
+    work guard, is stated once: both refusal messages are built in
+    ``counting._require_served``, and ``cli.cmd_tcount`` names neither them
+    nor the cap."""
+    src = pathlib.Path(cli.__file__).parent
+    messages = ("{} route capped at n = {}",
+                "--method {} on {}..{} sums more than {} over its odd n")
+    built, caps = {message: [] for message in messages}, []
+    for path in sorted(src.glob("*.py")):
+        for node, where in _located(path):
+            at = f"{path.stem}.{where}"
+            if isinstance(node, ast.Constant) and node.value in built:
+                built[node.value].append(at)
+            if getattr(node, "attr", getattr(node, "id", None)) == "IMPH_BRUTEFORCE_BOUND":
+                caps.append(at)
+    assert built == {message: ["counting._require_served"] for message in messages}
+    assert "cli.cmd_tcount" not in caps
+
+
+def test_one_fixed_point_pass(monkeypatch):
+    """``counting`` keeps no cache for its routes, and ``t_report`` counts
+    the fixed points once: it runs the gcd pass ``arith._half_units`` twice,
+    for the counts and for the geometric route, and never ``t_burnside``."""
+    assert [name for name, fn in vars(counting).items() if hasattr(fn, "cache_info")
+            and getattr(fn, "__module__", None) == counting.__name__] == []
+    calls = []
+    half_units = arith._half_units
+
+    def spy(n):
+        calls.append(n)
+        return half_units(n)
+
+    def no_burnside(n):
+        raise AssertionError(f"t_burnside run for n={n}")
+
+    for module in (arith, counting):
+        monkeypatch.setattr(module, "_half_units", spy)
+    monkeypatch.setattr(counting, "t_burnside", no_burnside)
+    report = counting.t_report(4001)
+    assert calls == [4001, 4001]
+    assert report.t_burnside == report.t_closed == counting.t_closed(4001)
 
 
 def test_one_prime_sieve():

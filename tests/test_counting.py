@@ -76,10 +76,6 @@ def _table_counts(n):
     return tuple(int(c) for c in (table == members).sum(axis=1))
 
 
-def _uncached_fix_counts(n):
-    return counting._fix_counts_vectorized.__wrapped__(n)
-
-
 def _congruences(m, n):
     """Whether m^2 = 1, 2m = 1, m^2 - m + 1 = 0 and m^2 = 2m hold mod n."""
     return ((m * m - 1) % n == 0, (2 * m - 1) % n == 0, (m * m - m + 1) % n == 0,
@@ -92,14 +88,14 @@ class TestFixCounts:
         assert _fix_counts_vectorized(7) == (5, 1, 1, 2, 2, 1)
         assert _fix_counts_vectorized(9) == (3, 1, 1, 0, 0, 1)
         for n in (1, 2, 10):
-            assert _uncached_fix_counts(n) == _table_counts(n)
+            assert _fix_counts_vectorized(n) == _table_counts(n)
 
     @pytest.mark.parametrize("chunk", [7, 64, 1001])
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2499).map(lambda k: 2 * k + 1))
     def test_any_chunk_gives_the_table_counts(self, chunk, n):
         with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
-            assert _uncached_fix_counts(n) == _table_counts(n)
+            assert _fix_counts_vectorized(n) == _table_counts(n)
 
     @pytest.mark.parametrize("chunk", [7, 64, 1001])
     def test_halves_ending_on_a_chunk_seam(self, chunk):
@@ -108,7 +104,7 @@ class TestFixCounts:
         halves = [k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]
         with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
             for n in (2 * h + 1 for h in halves if 2 * h + 1 <= 5000):
-                assert _uncached_fix_counts(n) == _table_counts(n), n
+                assert _fix_counts_vectorized(n) == _table_counts(n), n
 
     def test_counts_match_the_congruences(self):
         # each count, by the congruence over IP(n) built with math.gcd
@@ -116,7 +112,7 @@ class TestFixCounts:
             members = [m for m in range(1, n + 1)
                        if math.gcd(m, n) == 1 and math.gcd(m - 1, n) == 1]
             g2, g3, g45, g6 = (sum(c) for c in zip(*(_congruences(m, n) for m in members)))
-            assert _uncached_fix_counts(n) == (len(members), g2, g3, g45, g45, g6), n
+            assert _fix_counts_vectorized(n) == (len(members), g2, g3, g45, g45, g6), n
 
     def test_rare_x_flags_exactly_the_solutions(self):
         # the mask flags the x at which x or n - x solves some congruence,
@@ -131,7 +127,7 @@ class TestFixCounts:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 49999).map(lambda k: 2 * k + 1))
     def test_counts_match_the_table_up_to_the_cap(self, n):
-        assert _uncached_fix_counts(n) == _table_counts(n)
+        assert _fix_counts_vectorized(n) == _table_counts(n)
 
     def test_spot_closed(self):
         assert fix_count_closed(2, 105) == 1
@@ -228,7 +224,6 @@ class TestTCounts:
         # one chunk of the gcd pass is alive at a time, whatever n is: the
         # first, whole at n = 131,073, or one of many at 9,999,991
         for n in (131073, 9999991):
-            counting._fix_counts_vectorized.cache_clear()
             tracemalloc.start()
             try:
                 value = t_burnside(n)
@@ -387,7 +382,6 @@ class TestIndependence:
         for module in (arith, counting, lattice):
             monkeypatch.setattr(module, "six_maps", broken)
         monkeypatch.setattr(lattice, "_orbit_min", broken)
-        counting._fix_counts_vectorized.cache_clear()
         for n, value in expected.items():
             assert t_geometric(n) == value
         with pytest.raises(AssertionError, match="residue maps used"):
@@ -416,7 +410,6 @@ class TestIndependence:
             monkeypatch.setattr(module, "six_maps", no_map)
         monkeypatch.setattr(arith, "mod_inverse", no_map)
         monkeypatch.setattr(arith, "_six_images", no_map)
-        counting._fix_counts_vectorized.cache_clear()
         for n, value in expected.items():
             assert t_burnside(n) == value
         with pytest.raises(AssertionError, match="factorization used"):
