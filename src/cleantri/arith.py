@@ -256,16 +256,31 @@ _set = object.__setattr__  # sets a field of a record past its refusing __setatt
 
 
 class _Record:
-    """Base of the package's frozen records, whose fields are their
-    ``__slots__`` in order.  A record equals, and hashes as, the tuple of its
-    fields, but only against a record of its own class; its repr reads
-    ``Name(field=value, ...)``; its fields cannot be assigned or deleted.  A
-    subclass's ``__init__`` sets each field with ``_set``, then checks them."""
+    """Base of the package's frozen records.  A subclass states its fields
+    once, as ``__slots__``, and ``__init_subclass__`` builds its ``__init__``
+    from them: a parameter per field in slot order, defaults only from the
+    class's ``_defaults`` mapping, a ``_set`` per field, then the class's
+    ``_validate`` check, if it has one, called with the field values.  A
+    record equals, and hashes as, the tuple of its fields, but only against
+    a record of its own class; its repr reads ``Name(field=value, ...)``;
+    its fields cannot be assigned or deleted."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._values = property(attrgetter(*cls.__slots__))  # every record has two fields or more
+        # compiled from source, as collections.namedtuple builds __new__: a
+        # generic loop over the fields takes 1.5 to 2 times as long per record
+        names = cls.__slots__
+        defaults = cls.__dict__.get("_defaults", {})
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in names)
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in names)
+        if hasattr(cls, "_validate"):
+            body += f"\n    self._validate({', '.join(names)})"
+        namespace = {"__name__": cls.__module__, "_set": _set, "_defaults": defaults}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._values = property(attrgetter(*names))  # every record has two fields or more
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -300,9 +315,7 @@ class Factorization(_Record):
 
     __slots__ = ("n", "factors")
 
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "factors", factors)
+    def _validate(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
         prod = 1
@@ -322,7 +335,7 @@ class Factorization(_Record):
     @classmethod
     def _proven(cls, n: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
         """The factorization of n by ``factorize``, whose primes are proven
-        and sorted; skips ``__init__`` but raises ``InvariantViolation``
+        and sorted; skips ``_validate`` but raises ``InvariantViolation``
         when the factors do not multiply to n."""
         prod = math.prod(p**e for p, e in factors)
         _expect(prod == n, n, ("factorize",), "factors multiply to {}, not {}", prod, n)
@@ -499,12 +512,19 @@ def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield np.arange(lo, hi, dtype=np.int64), flags
 
 
+def _member_flags(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The IP(n) member rule on one step of ``_half_units``: the low flags mark
+    the x with x - 1 and x units, the high flags the n - x with x, x + 1 units."""
+    pair = unit[:-1] & unit[1:]
+    return pair[:-1], pair[1:]
+
+
 def _chunk_members(x: np.ndarray, unit: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The members of IP(n) that one step ``x, unit`` of ``_half_units``
-    gives: x when x - 1 and x are units, increasing, and n - x when x and
-    x + 1 are, decreasing."""
-    mid = unit[1:-1]
-    return x[mid & unit[:-2]], n - x[mid & unit[2:]]
+    gives: the x of the low flags, increasing, and the n - x of the high
+    flags, decreasing."""
+    low, high = _member_flags(unit)
+    return x[low], n - x[high]
 
 
 def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:

@@ -25,9 +25,9 @@ from .arith import (
     _chunk_members,
     _expect,
     _half_units,
+    _member_flags,
     _Record,
     _require,
-    _set,
     imph_from_factorization,
     quad_root_count,
     six_map_table,
@@ -92,12 +92,12 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     g2 those with m^2 = 1, g3 those with 2m = 1, g4 and g5 those with
     m^2 - m + 1 = 0, g6 those with (1 - m)^2 = 1, that is m^2 = 2m.
 
-    They read ``arith._half_units``, the gcd pass over x <= (n - 1)/2: x is
-    a member when x and x - 1 are units, n - x when x and x + 1 are.  g1
-    counts both by their flags.  The other congruences hold at few x,
-    which ``_rare_x`` finds by one mask, and each of those is tested
-    exactly, in Python ints, on the members m = x and m = n - x.  No
-    factorization, inverse or residue map is used.
+    They read ``arith._half_units``, the gcd pass over x <= (n - 1)/2, and
+    its member rule ``arith._member_flags``, whose low flags mark the
+    members x and high flags the members n - x; g1 counts both.  The other
+    congruences hold at few x, which ``_rare_x`` finds by one mask, and each
+    of those is tested exactly, in Python ints, on the members m = x and
+    m = n - x.  No factorization, inverse or residue map is used.
     """
     import numpy as np
 
@@ -107,11 +107,11 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
         return (0,) * 6  # x and x - 1 cannot both be odd
     g1 = g2 = g3 = g45 = g6 = 0
     for x, unit in _half_units(n):
-        pair = unit[:-1] & unit[1:]  # pair[i]: x[i] - 1, x[i] units, so x[i], n + 1 - x[i] members
-        g1 += int(np.count_nonzero(pair[:-1])) + int(np.count_nonzero(pair[1:]))
+        low, high = _member_flags(unit)
+        g1 += int(np.count_nonzero(low)) + int(np.count_nonzero(high))
         rare = np.flatnonzero(_rare_x(x, n))
-        for xi, low, high in zip(x[rare].tolist(), pair[rare].tolist(), pair[rare + 1].tolist()):
-            for m, member in ((xi, low), (n - xi, high)):
+        for xi, is_low, is_high in zip(x[rare].tolist(), low[rare].tolist(), high[rare].tolist()):
+            for m, member in ((xi, is_low), (n - xi, is_high)):
                 if member:
                     g2 += (m * m - 1) % n == 0
                     g3 += (2 * m - 1) % n == 0
@@ -185,9 +185,7 @@ def t_closed(n: int) -> int:
 class OrbitDecomposition(_Record):
     __slots__ = ("n", "orbits")
 
-    def __init__(self, n: int, orbits: tuple[tuple[int, ...], ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "orbits", orbits)
+    def _validate(self, n: int, orbits: tuple[tuple[int, ...], ...]) -> None:
         if len(set().union(*orbits)) != sum(map(len, orbits)):
             raise ValueError("orbits overlap")
         for orbit in orbits:
@@ -266,13 +264,8 @@ def t_geometric(n: int) -> int:
 class TCountReport(_Record):
     __slots__ = ("n", "t_closed", "t_burnside", "t_geometric", "fix_counts")
 
-    def __init__(self, n: int, t_closed: int, t_burnside: int, t_geometric: int,
-                 fix_counts: tuple[int, int, int, int, int, int]) -> None:
-        _set(self, "n", n)
-        _set(self, "t_closed", t_closed)
-        _set(self, "t_burnside", t_burnside)
-        _set(self, "t_geometric", t_geometric)
-        _set(self, "fix_counts", fix_counts)
+    def _validate(self, n: int, t_closed: int, t_burnside: int, t_geometric: int,
+                  fix_counts: tuple[int, int, int, int, int, int]) -> None:
         for agree, routes in (
             (t_closed == t_burnside, ("closed", "burnside")),
             (t_closed == t_geometric, ("closed", "geometric")),

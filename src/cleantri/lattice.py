@@ -16,7 +16,7 @@ import math
 from functools import lru_cache, total_ordering
 from itertools import permutations
 
-from .arith import Refused, _expect, _Record, _require, _set, extended_gcd, ip_members, six_maps
+from .arith import Refused, _expect, _Record, _require, extended_gcd, ip_members, six_maps
 
 __all__ = [
     "DegenerateTriangleError",
@@ -54,10 +54,6 @@ class DegenerateTriangleError(Refused):
 class LatticePoint(_Record):
     __slots__ = ("x", "y")
 
-    def __init__(self, x: int, y: int) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-
     def __lt__(self, other: "LatticePoint") -> bool:
         if other.__class__ is self.__class__:
             return (self.x, self.y) < (other.x, other.y)
@@ -69,11 +65,6 @@ class LatticePoint(_Record):
 
 class LatticeTriangle(_Record):
     __slots__ = ("v0", "v1", "v2")
-
-    def __init__(self, v0: LatticePoint, v1: LatticePoint, v2: LatticePoint) -> None:
-        _set(self, "v0", v0)
-        _set(self, "v1", v1)
-        _set(self, "v2", v2)
 
     @classmethod
     def from_coords(cls, x0, y0, x1, y1, x2, y2) -> "LatticeTriangle":
@@ -91,13 +82,9 @@ class AffineUnimodularMap(_Record):
     """x -> M x + t with M = [[a, b], [c, d]], det M = +-1, integer t."""
 
     __slots__ = ("a", "b", "c", "d", "t")
+    _defaults = {"t": LatticePoint(0, 0)}
 
-    def __init__(self, a: int, b: int, c: int, d: int, t: LatticePoint = LatticePoint(0, 0)):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "t", t)
+    def _validate(self, a: int, b: int, c: int, d: int, t: LatticePoint) -> None:
         if (det := a * d - b * c) not in (1, -1):
             raise ValueError(f"matrix determinant must be +-1, got {det}")
 
@@ -145,10 +132,7 @@ class BaseForm(_Record):
 
     __slots__ = ("b", "m", "h")
 
-    def __init__(self, b: int, m: int, h: int) -> None:
-        _set(self, "b", b)
-        _set(self, "m", m)
-        _set(self, "h", h)
+    def _validate(self, b: int, m: int, h: int) -> None:
         if b <= 0 or h <= 0:
             raise ValueError(f"b and h must be positive: {self}")
         if not (0 <= m < h):
@@ -166,10 +150,7 @@ class BaseForm(_Record):
 class PickCounts(_Record):
     __slots__ = ("interior", "boundary", "twice_area")
 
-    def __init__(self, interior: int, boundary: int, twice_area: int) -> None:
-        _set(self, "interior", interior)
-        _set(self, "boundary", boundary)
-        _set(self, "twice_area", twice_area)
+    def _validate(self, interior: int, boundary: int, twice_area: int) -> None:
         if twice_area != 2 * interior + boundary - 2:
             raise ValueError(f"Pick identity violated: {self}")
 
@@ -376,25 +357,9 @@ def clean_key(t: LatticeTriangle) -> tuple[int, int]:
 class ScottResult(_Record):
     __slots__ = ("applicable", "holds", "equality", "interior", "boundary")
 
-    def __init__(self, applicable: bool, holds: bool, equality: bool, interior: int, boundary: int):
-        _set(self, "applicable", applicable)
-        _set(self, "holds", holds)
-        _set(self, "equality", equality)
-        _set(self, "interior", interior)
-        _set(self, "boundary", boundary)
-
 
 class ScottScanReport(_Record):
     __slots__ = ("grid_bound", "checked", "violations", "equality_cases", "equality_base_forms")
-
-    def __init__(self, grid_bound: int, checked: int, violations: tuple[LatticeTriangle, ...],
-                 equality_cases: tuple[LatticeTriangle, ...],
-                 equality_base_forms: tuple[tuple[int, int, int], ...]) -> None:
-        _set(self, "grid_bound", grid_bound)
-        _set(self, "checked", checked)
-        _set(self, "violations", violations)
-        _set(self, "equality_cases", equality_cases)
-        _set(self, "equality_base_forms", equality_base_forms)
 
 
 def scott_check(t: LatticeTriangle) -> ScottResult:

@@ -24,7 +24,6 @@ from .arith import (
     _primes_upto,
     _Record,
     _require,
-    _set,
     _sieve_table,
     _spot_indices,
     _spot_row,
@@ -51,10 +50,7 @@ class ConstantEstimate(_Record):
 
     __slots__ = ("value", "prime_bound", "tail_bound")
 
-    def __init__(self, value: float, prime_bound: int, tail_bound: float) -> None:
-        _set(self, "value", value)
-        _set(self, "prime_bound", prime_bound)
-        _set(self, "tail_bound", tail_bound)
+    def _validate(self, value: float, prime_bound: int, tail_bound: float) -> None:
         if tail_bound < 0:
             raise ValueError("tail bound must be nonnegative")
 
@@ -252,23 +248,6 @@ class MeanValueReport(_Record):
         "deviation_imph", "deviation_t", "product", "feller_tornier", "feller_tornier_zeta",
     )
 
-    def __init__(self, x: int, sum_imph: int, sum_t: int, ratio_imph: float, ratio_t: float,
-                 limit_imph: float, limit_t: float, deviation_imph: float, deviation_t: float,
-                 product: ConstantEstimate, feller_tornier: ConstantEstimate,
-                 feller_tornier_zeta: ConstantEstimate) -> None:
-        _set(self, "x", x)
-        _set(self, "sum_imph", sum_imph)
-        _set(self, "sum_t", sum_t)
-        _set(self, "ratio_imph", ratio_imph)
-        _set(self, "ratio_t", ratio_t)
-        _set(self, "limit_imph", limit_imph)
-        _set(self, "limit_t", limit_t)
-        _set(self, "deviation_imph", deviation_imph)
-        _set(self, "deviation_t", deviation_t)
-        _set(self, "product", product)
-        _set(self, "feller_tornier", feller_tornier)
-        _set(self, "feller_tornier_zeta", feller_tornier_zeta)
-
 
 def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
     """Empirical sums against the limit constants.
@@ -309,11 +288,6 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
 
 class GrosswaldReport(_Record):
     __slots__ = ("x", "total", "ratio_to_xlog2x")
-
-    def __init__(self, x: int, total: int, ratio_to_xlog2x: float) -> None:
-        _set(self, "x", x)
-        _set(self, "total", total)
-        _set(self, "ratio_to_xlog2x", ratio_to_xlog2x)
 
 
 def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:

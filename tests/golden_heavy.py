@@ -5,13 +5,15 @@ each takes seconds (``tcount 9999991 --method all`` the most, about 7 s on a
     PYTHONPATH=src python tests/golden_heavy.py
 
 Prints one line per row, with its time and md5 prefixes, and exits 1 if any
-row differs from the table.  pytest does not collect this file.
+row differs from the table.  A row's ``env`` is set for its run alone.
+pytest does not collect this file.
 """
 
 import os
 import pathlib
 import sys
 import time
+from unittest.mock import patch
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -23,7 +25,8 @@ def main() -> int:
     failed = 0
     for row in rows(heavy=True):
         start = time.perf_counter()
-        got = run_row(row["argv"])
+        with patch.dict(os.environ, row.get("env", {})):
+            got = run_row(row["argv"])
         ok = got == expected(row)
         failed += not ok
         print(f"{'ok' if ok else 'FAIL'} {time.perf_counter() - start:6.2f} s exit {got['exit']}"

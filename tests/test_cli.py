@@ -1136,20 +1136,20 @@ def test_import_loads_no_heavy_modules():
     """In a fresh interpreter, ``import cleantri`` and ``from cleantri import
     cli`` load none of the modules that would dominate a point query's start:
     dataclasses (which brings inspect), heapq and json (loaded by the paths
-    that use them) and numpy.  Modules the interpreter loaded before are not
-    counted."""
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import cleantri\n"
-        "from cleantri import cli\n"
-        "print(sorted(set(sys.modules) - before))\n"
-    )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert r.returncode == 0, r.stderr
-    added = set(ast.literal_eval(r.stdout))
-    assert "cleantri.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect", "heapq", "json", "numpy"})
+    that use them) and numpy.  Nor does importing the three modules that,
+    with ``arith``, build the constructors of all the records from their
+    ``__slots__``.  Modules the interpreter loaded before are not counted."""
+    for imports, module in (
+        ("import cleantri\nfrom cleantri import cli", "cleantri.cli"),
+        ("import cleantri.lattice, cleantri.counting, cleantri.meanvalue", "cleantri.meanvalue"),
+    ):
+        code = (f"import sys\nbefore = set(sys.modules)\n{imports}\n"
+                "print(sorted(set(sys.modules) - before))")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        added = set(ast.literal_eval(r.stdout))
+        assert module in added
+        assert added.isdisjoint({"dataclasses", "inspect", "heapq", "json", "numpy"})
 
 
 @pytest.mark.parametrize(
@@ -1265,9 +1265,10 @@ def _located(path):
 def test_one_refusal_path():
     """A refused input raises ``arith.Refused``, built in one function, the
     refusal helper ``arith._require``, and ``main`` exits 2 on it alone: a
-    plain ``ValueError`` is raised only by the records' checks of their own
-    fields, which the library fills, the collinear refusal only in
-    ``lattice.twice_area``, and only ``cli.main`` catches every exception."""
+    plain ``ValueError`` is raised only by the records' ``_validate`` hooks,
+    which their built constructors call to check the fields the library
+    fills, the collinear refusal only in ``lattice.twice_area``, and only
+    ``cli.main`` catches every exception."""
     src = pathlib.Path(cli.__file__).parent
     built, plain, degenerate, broad = [], set(), [], []
     for path in sorted(src.glob("*.py")):
@@ -1285,12 +1286,12 @@ def test_one_refusal_path():
                 broad.append(at)
     assert built == ["arith._require"]
     assert plain == {
-        "arith.Factorization.__init__",
-        "counting.OrbitDecomposition.__init__",
-        "lattice.AffineUnimodularMap.__init__",
-        "lattice.BaseForm.__init__",
-        "lattice.PickCounts.__init__",
-        "meanvalue.ConstantEstimate.__init__",
+        "arith.Factorization._validate",
+        "counting.OrbitDecomposition._validate",
+        "lattice.AffineUnimodularMap._validate",
+        "lattice.BaseForm._validate",
+        "lattice.PickCounts._validate",
+        "meanvalue.ConstantEstimate._validate",
     }
     assert degenerate == ["lattice.twice_area"]
     assert broad == ["cli.main"]

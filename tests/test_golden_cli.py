@@ -1,7 +1,9 @@
 """The golden CLI table: every row of ``golden_cli.json`` runs through
 ``cli.main`` and must give the exit code and the md5s of stdout and stderr
-that the table pins.  Rows marked heavy take seconds each and are checked by
-``golden_heavy.py`` instead.
+that the table pins.  A row's optional ``env`` maps the environment
+variables set for its run, over an environment without
+``CLEANTRI_SIEVE_MEMORY``.  Rows marked heavy take seconds each and are
+checked by ``golden_heavy.py`` instead.
 
 A change that alters an output on purpose edits its rows; a failing row's
 message shows the entry it produced, ready to paste.
@@ -60,4 +62,6 @@ def expected(row: dict) -> dict:
 @pytest.mark.parametrize("row", rows(heavy=False), ids=lambda row: " ".join(row["argv"]))
 def test_golden_row(monkeypatch, row):
     monkeypatch.delenv("CLEANTRI_SIEVE_MEMORY", raising=False)
+    for name, value in row.get("env", {}).items():
+        monkeypatch.setenv(name, value)
     assert run_row(row["argv"]) == expected(row)

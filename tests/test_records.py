@@ -1,15 +1,21 @@
 """The contract of the package's frozen records: repr text, equality and hash
 within one class only, refusal of assignment, LatticePoint's (x, y) order,
-copies and pickles, and the constructors' error texts, which embed reprs."""
+copies and pickles, the constructors' error texts, which embed reprs, and the
+constructors built from ``__slots__``."""
 
+import ast
 import copy
+import inspect
+import pathlib
 import pickle
+import re
 import subprocess
 import sys
 
 import pytest
 
-from cleantri.arith import Factorization, InvariantViolation, factorize
+import cleantri
+from cleantri.arith import Factorization, InvariantViolation, _Record, factorize
 from cleantri.counting import OrbitDecomposition, TCountReport
 from cleantri.lattice import (
     AffineUnimodularMap,
@@ -204,3 +210,56 @@ def test_cli_error_lines_print_reprs(argv, stderr):
         [sys.executable, "-m", "cleantri.cli", *argv], capture_output=True, text=True, timeout=60
     )
     assert (r.returncode, r.stdout, r.stderr) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("cls,values,text", RECORDS, ids=IDS)
+class TestBuiltConstructor:
+    """Each record's ``__init__`` is built from its ``__slots__``."""
+
+    def test_signature_names_the_slots_in_order(self, cls, values, text):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == list(cls.__slots__) == _field_names(text)
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
+    def test_one_argument_too_few_names_the_missing_field(self, cls, values, text):
+        required = [p.name for p in inspect.signature(cls).parameters.values()
+                    if p.default is p.empty]
+        with pytest.raises(TypeError) as info:
+            cls(*values[: len(required) - 1])
+        assert str(info.value) == (f"{cls.__name__}.__init__() missing 1 required positional "
+                                   f"argument: {required[-1]!r}")
+
+
+def test_only_the_map_translation_has_a_default():
+    defaults = {f"{cls.__name__}.{p.name}": p.default for cls, _, _ in RECORDS
+                for p in inspect.signature(cls).parameters.values() if p.default is not p.empty}
+    assert defaults == {"AffineUnimodularMap.t": P(0, 0)}
+
+
+def test_checks_take_the_fields_in_slot_order():
+    """The seven records that check their fields do so in ``_validate``, which
+    the built constructor calls with the field values in slot order."""
+    checked = (Factorization, OrbitDecomposition, TCountReport, AffineUnimodularMap, BaseForm,
+               PickCounts, ConstantEstimate)
+    hooks = {cls.__name__: list(inspect.signature(cls._validate).parameters)
+             for cls, _, _ in RECORDS if hasattr(cls, "_validate")}
+    assert hooks == {cls.__name__: ["self", *cls.__slots__] for cls in checked}
+
+
+def test_no_record_writes_its_constructor():
+    """RECORDS holds every ``_Record`` subclass; none of them defines
+    ``__init__`` in its source, and only ``arith``, which builds the
+    constructors, names ``_set``."""
+    assert set(_Record.__subclasses__()) == {cls for cls, _, _ in RECORDS}
+    src = pathlib.Path(cleantri.__file__).parent
+    records, inits, setters = [], [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        setters += [path.stem] * bool(re.search(r"\b_set\b", text))
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.ClassDef) and "_Record" in map(ast.unparse, node.bases):
+                records.append(node.name)
+                inits += [node.name for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+    assert sorted(records) == sorted(IDS) and inits == []
+    assert setters == ["arith"]
