@@ -61,31 +61,6 @@ def map_g(i: int, m: int, n: int) -> int:
     return six_maps(m, n)[i - 1]
 
 
-def _rare_x(x, n):
-    """Flag the x of the int64 array ``x``, 1 <= x <= (n - 1)/2, at which
-    m = x or m = n - x solves m^2 = 1, 2m = 1, m^2 - m + 1 = 0 or m^2 = 2m
-    mod n, by one mask.  With t = (x^2 mod n) - x, and each side reduced
-    mod n: m = x solves m^2 = m - 1 if and only if t = -1, and m^2 = 2m if
-    and only if t = x; m = x or n - x solves m^2 = 1 if and only if
-    t + x = 1; m = n - x solves m^2 = m - 1 if and only if t + 2x = n - 1,
-    m^2 = 2m if and only if t + 3x = n, and 2m = 1 if and only if
-    x = (n - 1)/2, which m = x never does.  x^2 < 10^14 fits int64."""
-    t = x * x
-    t %= n
-    t -= x
-    rare = t == -1
-    rare |= t == x
-    t += x
-    rare |= t == 1
-    t += x
-    rare |= t == n - 1
-    t += x
-    rare |= t == n
-    if x[-1] == (n - 1) // 2:
-        rare[-1] = True
-    return rare
-
-
 def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     """The fixed-point counts of g1..g6 on IP(n), for n <= 10^7, each counted
     as the congruence that defines it on the members m: g1 fixes them all,
@@ -94,10 +69,14 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
 
     They read ``arith._half_units``, the gcd pass over x <= (n - 1)/2, and
     its member rule ``arith._member_flags``, whose low flags mark the
-    members x and high flags the members n - x; g1 counts both.  The other
-    congruences hold at few x, which ``_rare_x`` finds by one mask, and each
-    of those is tested exactly, in Python ints, on the members m = x and
-    m = n - x.  No factorization, inverse or residue map is used.
+    members m = x and high flags the members m = n - x; g1 counts both.
+    Each chunk takes t = x^2 mod n, also (n - x)^2 mod n, once, and counts
+    each congruence by one int64 comparison with the low or high flags:
+    m^2 = 1 at t = 1 on both halves; m = x solves m^2 - m + 1 = 0 at
+    t = x - 1 and m^2 = 2m at t = 2x, m = n - x at t = n - 1 - x and
+    t = n - 2x.  As x <= (n - 1)/2, both sides lie in [0, n), so each
+    comparison is exact.  Only m = (n + 1)/2, the high member of the last
+    x, solves 2m = 1.  No factorization, inverse or residue map is used.
     """
     import numpy as np
 
@@ -105,19 +84,26 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
         return (1,) * 6  # IP(1) = {1}, fixed by every map
     if n % 2 == 0:
         return (0,) * 6  # x and x - 1 cannot both be odd
-    g1 = g2 = g3 = g45 = g6 = 0
+
+    def count(hit, flags):  # the members among flags at which hit holds
+        hit &= flags
+        return int(np.count_nonzero(hit))
+
+    g1 = g2 = g45 = g6 = 0
     for x, unit in _half_units(n):
         low, high = _member_flags(unit)
         g1 += int(np.count_nonzero(low)) + int(np.count_nonzero(high))
-        rare = np.flatnonzero(_rare_x(x, n))
-        for xi, is_low, is_high in zip(x[rare].tolist(), low[rare].tolist(), high[rare].tolist()):
-            for m, member in ((xi, is_low), (n - xi, is_high)):
-                if member:
-                    g2 += (m * m - 1) % n == 0
-                    g3 += (2 * m - 1) % n == 0
-                    g45 += (m * m - m + 1) % n == 0
-                    g6 += (m * m - 2 * m) % n == 0
-    return g1, g2, g3, g45, g45, g6
+        t = x * x
+        t %= n  # x^2 < 10^14 fits int64
+        g2 += count(t == 1, low) + count(t == 1, high)
+        t -= x  # t = x - 1 and t = 2x, shifted by -x
+        g45 += count(t == -1, low)
+        g6 += count(t == x, low)
+        t += 2 * x  # t = n - 1 - x and t = n - 2x, shifted by +x
+        g45 += count(t == n - 1, high)
+        t += x
+        g6 += count(t == n, high)
+    return g1, g2, int(high[-1]), g45, g45, g6
 
 
 def fix_count_closed(i: int, n: int) -> int:
@@ -150,8 +136,9 @@ def _require_served(method: str, lo: int, hi: int) -> None:
 
 def t_burnside(n: int) -> int:
     """T(n) as the Burnside average of the fixed-point counts that
-    ``_fix_counts_vectorized`` counts by their congruences in the gcd pass,
-    for odd n up to ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7; it uses no
+    ``_fix_counts_vectorized`` counts by their congruences, one array
+    comparison each per chunk of the gcd pass, for odd n up to
+    ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7; it uses no
     factorization, inverse or residue map, so it shares nothing with
     ``t_closed``."""
     _require(n >= 1, "n must be positive, got {}", n)

@@ -683,6 +683,29 @@ class TestRangeWriter:
         assert record["error"] == "invariant"
         assert record["routes"] == routes.get(caught, ["sieve", "factorize"])
 
+    @pytest.mark.parametrize("old,new,n,caught", [
+        pytest.param("count(t == 1, low)", "count(t == 1, high)", 7, "g2", id="g2 low half"),
+        pytest.param("count(t == 1, high)", "count(t == 1, low)", 7, "g2", id="g2 high half"),
+        pytest.param("t == -1", "t == 0", 7, "g4", id="g4/g5 low half"),
+        pytest.param("t == n - 1", "t == n + 1", 7, "g4", id="g4/g5 high half"),
+        pytest.param("t == x", "t == 2 * x", 9, "g6", id="g6 low half"),
+        # m = 2 is the one member with m^2 = 2m, and a high one only at n = 3
+        pytest.param("t == n,", "t == n - 2,", 3, "g6", id="g6 high half"),
+        pytest.param("int(high[-1])", "int(low[-1])", 9, "g3", id="g3 read"),
+    ])
+    def test_fixed_point_comparison_mutation_exits_3(self, monkeypatch, capsys, old, new, n,
+                                                     caught):
+        # a slip in one comparison of the Burnside fixed-point count, or in
+        # its read of g3, is named by t_report's check of that map's count
+        # against the closed form before any line is written
+        _mutate(monkeypatch, counting._fix_counts_vectorized, old, new)
+        assert cli.main(["tcount", str(n), "--method", "all"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "invariant" and record["routes"] == ["burnside", "closed"]
+        assert record["n"] == n and record["message"].startswith(f"{caught} fixes ")
+
     def test_far_closed_range(self, capsys):
         # past the sieve cap, a closed range is served by the point route
         lo, hi = 10**12, 10**12 + 20
@@ -1384,6 +1407,20 @@ def test_one_fixed_point_pass(monkeypatch):
     report = counting.t_report(4001)
     assert calls == [4001, 4001]
     assert report.t_burnside == report.t_closed == counting.t_closed(4001)
+
+
+def test_fixed_points_counted_on_arrays():
+    """``counting._fix_counts_vectorized`` counts every fixed point by array
+    comparisons in its one loop, over the gcd pass ``_half_units``: there is
+    no mask of rare x and no retest of them in Python ints."""
+    assert not hasattr(counting, "_rare_x")
+    body = ast.parse(textwrap.dedent(inspect.getsource(counting._fix_counts_vectorized)))
+    loops = [node for node in ast.walk(body)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert len(loops) == 1 and isinstance(loops[0], ast.For)
+    assert ast.unparse(loops[0].iter) == "_half_units(n)"
+    assert not [node for node in ast.walk(body)
+                if isinstance(node, ast.Attribute) and node.attr == "tolist"]
 
 
 def test_one_prime_sieve():

@@ -107,22 +107,17 @@ class TestFixCounts:
                 assert _fix_counts_vectorized(n) == _table_counts(n), n
 
     def test_counts_match_the_congruences(self):
-        # each count, by the congruence over IP(n) built with math.gcd
+        # each count, by the congruence over IP(n) built with math.gcd, on
+        # the default chunks and on short ones, whose seams each comparison
+        # crosses
         for n in range(1, 2002, 2):
             members = [m for m in range(1, n + 1)
                        if math.gcd(m, n) == 1 and math.gcd(m - 1, n) == 1]
             g2, g3, g45, g6 = (sum(c) for c in zip(*(_congruences(m, n) for m in members)))
-            assert _fix_counts_vectorized(n) == (len(members), g2, g3, g45, g45, g6), n
-
-    def test_rare_x_flags_exactly_the_solutions(self):
-        # the mask flags the x at which x or n - x solves some congruence,
-        # member or not, and no other x
-        for n in range(3, 2002, 2):
-            half = (n - 1) // 2
-            flagged = np.flatnonzero(counting._rare_x(np.arange(1, half + 1), n)) + 1
-            expected = [x for x in range(1, half + 1)
-                        if any(_congruences(x, n)) or any(_congruences(n - x, n))]
-            assert flagged.tolist() == expected, n
+            expected = (len(members), g2, g3, g45, g45, g6)
+            for chunk in (arith._UNIT_CHUNK, 7, 64):
+                with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
+                    assert _fix_counts_vectorized(n) == expected, (n, chunk)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 49999).map(lambda k: 2 * k + 1))
