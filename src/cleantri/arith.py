@@ -482,11 +482,12 @@ _UNIT_CHUNK = 1 << 16  # x per step of ``_half_units``: under 2 MB traced with a
 IP_BOUND = 10**5  # the cap of every array over IP(n): its members, the six-map table
 
 
-def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The package's one gcd pass over the residues of odd n, 3 <= n <= 10^7.
     As gcd(x, n) = gcd(n - x, n), it covers 1 <= x <= (n - 1)/2 alone, in
     steps of ``_UNIT_CHUNK`` x, each yielded as an int64 array (the caller's)
-    with the unit flags of x - 1, x and x + 1, two entries longer.
+    with the member flags of IP(n): low marks the members m = x, whose x - 1
+    and x are units, and high the members m = n - x, whose x and x + 1 are.
 
     The gcd runs in uint32.  The first step, all of x for n up to
     2 * ``_UNIT_CHUNK`` + 1, takes it on odd x alone: 2 is a unit of odd n,
@@ -498,9 +499,9 @@ def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         hi = min(lo + _UNIT_CHUNK, half + 1)  # the flags run over x = lo - 1..hi
         first = lo == 1
         xs = np.arange(lo if first else lo - 1, hi + 1, 2 if first else 1, dtype=np.uint32)
-        flags = np.gcd(xs, n) == 1
+        unit = np.gcd(xs, n) == 1
         if first:
-            unit = np.empty(hi + 1, dtype=bool)
+            flags, unit = unit, np.empty(hi + 1, dtype=bool)
             unit[1::2] = flags
             unit[0] = False  # gcd(0, n) = n
             step = 2
@@ -508,49 +509,25 @@ def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 even = unit[step :: 2 * step]  # x = step * o for odd o
                 even[:] = flags[: even.size]
                 step *= 2
-            flags = unit
-        yield np.arange(lo, hi, dtype=np.int64), flags
+        pair = unit[:-1] & unit[1:]  # x - 1 and x, or x and x + 1, both units
+        yield np.arange(lo, hi, dtype=np.int64), pair[:-1], pair[1:]
 
 
-def _member_flags(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The IP(n) member rule on one step of ``_half_units``: the low flags mark
-    the x with x - 1 and x units, the high flags the n - x with x, x + 1 units."""
-    pair = unit[:-1] & unit[1:]
-    return pair[:-1], pair[1:]
-
-
-def _chunk_members(x: np.ndarray, unit: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The members of IP(n) that one step ``x, unit`` of ``_half_units``
-    gives: the x of the low flags, increasing, and the n - x of the high
-    flags, decreasing."""
-    low, high = _member_flags(unit)
-    return x[low], n - x[high]
-
-
-def _ip_members_and_phi(n: int) -> tuple[np.ndarray, int]:
-    """The members of IP(n), increasing, and phi(n), for n <= ``IP_BOUND``,
-    read off ``_half_units`` by ``_chunk_members``; phi(n) is twice the
-    units.  Even n have no member, and phi = 1 stands in as the inverses'
-    exponent."""
+def ip_members(n: int) -> np.ndarray:
+    """Members of IP(n) as an increasing int64 array (empty for even n > 1),
+    for n <= ``IP_BOUND``: the low x of each step of the half pass ascending,
+    then the n - x of its high flags, reversed, so it stays increasing."""
     import numpy as np
 
     _require(n >= 1, "n must be positive, got {}", n)
     _require(n <= IP_BOUND, "IP enumeration capped at {}, got {}", IP_BOUND, n)
     if n % 2 == 0 or n == 1:
-        return np.ones(int(n == 1), dtype=np.int64), 1  # IP(1) = {1}, IP(even n) = {}
-    chunks, units = [], 0
-    for x, unit in _half_units(n):
-        chunks.append(_chunk_members(x, unit, n))
-        units += int(np.count_nonzero(unit[1:-1]))
-    del x, unit  # the last chunk, before the members are joined
-    low, high = zip(*chunks)
-    return np.concatenate((*low, *(h[::-1] for h in high[::-1]))), 2 * units
-
-
-def ip_members(n: int) -> np.ndarray:
-    """Members of IP(n) as an increasing int64 array (empty for even n > 1),
-    read off the half pass, for n <= ``IP_BOUND``."""
-    return _ip_members_and_phi(n)[0]
+        return np.ones(int(n == 1), dtype=np.int64)  # IP(1) = {1}, IP(even n) = {}
+    low, high = [], []
+    for x, is_low, is_high in _half_units(n):
+        low.append(x[is_low])
+        high.append(n - x[is_high])
+    return np.concatenate((*low, *(h[::-1] for h in high[::-1])))
 
 
 def _six_images(m, a, b, n):
@@ -568,20 +545,22 @@ def six_maps(m: int, n: int) -> tuple[int, int, int, int, int, int]:
 def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The members of IP(n) and the (6, imph(n)) table of their images g1..g6.
 
-    The inverses are m^(phi(n) - 1) mod n by square-and-multiply over the
-    whole member array, with phi(n) counted by the same pass, so no
-    factorization is used; products stay below n^2 <= ``IP_BOUND``^2 = 10^10.
-    Every inverse is checked before the table is built.  m -> n + 1 - m
-    reverses the sorted members, so (1 - m)^-1 is m^-1 reversed.
+    The inverses are m^(lambda(n) - 1) mod n by square-and-multiply over the
+    whole member array, with Carmichael's lambda(n), the exponent of the unit
+    group, from the cached factorization; products stay below n^2 <=
+    ``IP_BOUND``^2 = 10^10.  Without members, as at even n, the empty table
+    is returned before any factorization.  Every inverse is checked before
+    the table is built.  m -> n + 1 - m reverses the sorted members, so
+    (1 - m)^-1 is m^-1 reversed.
     """
     import numpy as np
 
-    members, phi = _ip_members_and_phi(n)
-    # phi = 0 would make the exponent -1, which the halving below never ends
-    _expect(phi >= 1, n, ("six-map",), "phi({}) counted as {}", n, phi)
+    members = ip_members(n)
+    if not members.size:
+        return members, np.empty((6, 0), dtype=np.int64)
     inv = np.full_like(members, 1 % n)
     base = members.copy()
-    e = phi - 1
+    e = math.lcm(*(p ** (k - 1) * (p - 1) for p, k in _cached_factorization(n).factors)) - 1
     while e:
         if e & 1:
             inv *= base

@@ -22,10 +22,8 @@ from .arith import (
     IMPH_BRUTEFORCE_BOUND,
     IP_BOUND as GEOMETRIC_N_BOUND,  # caps the orbits, which hold all of IP(n)
     _cached_factorization,
-    _chunk_members,
     _expect,
     _half_units,
-    _member_flags,
     _Record,
     _require,
     imph_from_factorization,
@@ -67,9 +65,9 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     g2 those with m^2 = 1, g3 those with 2m = 1, g4 and g5 those with
     m^2 - m + 1 = 0, g6 those with (1 - m)^2 = 1, that is m^2 = 2m.
 
-    They read ``arith._half_units``, the gcd pass over x <= (n - 1)/2, and
-    its member rule ``arith._member_flags``, whose low flags mark the
-    members m = x and high flags the members m = n - x; g1 counts both.
+    They read ``arith._half_units``, the gcd pass over x <= (n - 1)/2,
+    whose low flags mark the members m = x and high flags the members
+    m = n - x; g1 counts both.
     Each chunk takes t = x^2 mod n, also (n - x)^2 mod n, once, and counts
     each congruence by one int64 comparison with the low or high flags:
     m^2 = 1 at t = 1 on both halves; m = x solves m^2 - m + 1 = 0 at
@@ -90,8 +88,7 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
         return int(np.count_nonzero(hit))
 
     g1 = g2 = g45 = g6 = 0
-    for x, unit in _half_units(n):
-        low, high = _member_flags(unit)
+    for x, low, high in _half_units(n):
         g1 += int(np.count_nonzero(low)) + int(np.count_nonzero(high))
         t = x * x
         t %= n  # x^2 < 10^14 fits int64
@@ -203,7 +200,9 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
     _expect(is_member[table].all(), n, ("six-map",), "orbit escaped IP({})", n)
     keys = table.min(axis=0)
     order = np.argsort(keys, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(keys[order])) + 1).tolist(), members.size]
+    # an orbit starts where the key changes; a 0 before the keys, which are
+    # at least 1, starts the first, and no members make no orbit
+    cuts = [*np.flatnonzero(np.diff(keys[order], prepend=0)).tolist(), members.size]
     flat = members[order].tolist()
     dec = OrbitDecomposition(n, tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:])))
     closed = t_closed(n)
@@ -226,8 +225,8 @@ def t_geometric(n: int) -> int:
     """Geometric oracle for T(n), for odd n up to 10^7: the members m of IP(n)
     whose class key, the least base-form m over the six vertex orders of
     (0,0), (1,0), (m,n), is m itself; the identity order gives m, so each
-    class has one.  ``lattice._least_keys`` keys the members of each chunk
-    of the gcd pass, ``lattice._KEYS_PER_CHUNK`` at a time, by extended
+    class has one.  ``lattice._least_keys`` keys the members that each chunk
+    of the gcd pass flags, ``lattice._KEYS_PER_CHUNK`` at a time, by extended
     Euclid on the edges alone: no residue map or modular inverse is used."""
     import numpy as np
 
@@ -240,8 +239,8 @@ def t_geometric(n: int) -> int:
     if n == 1:
         return 1  # IP(1) = {1}, keyed 0, and the pass holds no x
     classes = 0
-    for x, unit in _half_units(n):
-        members = np.concatenate(_chunk_members(x, unit, n))
+    for x, low, high in _half_units(n):
+        members = np.concatenate((x[low], n - x[high]))
         for i in range(0, members.size, _KEYS_PER_CHUNK):
             part = members[i : i + _KEYS_PER_CHUNK]
             classes += int(np.count_nonzero(_least_keys(part, n) == part))

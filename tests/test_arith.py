@@ -26,7 +26,7 @@ from cleantri.arith import (
     six_map_table,
     six_maps,
 )
-from cleantri.counting import GEOMETRIC_N_BOUND
+from cleantri.counting import GEOMETRIC_N_BOUND, orbit_decomposition
 
 
 def _trial_division(n):
@@ -746,8 +746,8 @@ class TestSieveKernel:
 def _one_x_short(half_units):
     """``arith._half_units`` with its last chunk one x short."""
     def broken(n):
-        *chunks, (x, unit) = half_units(n)
-        return iter([*chunks, (x[:-1], unit[:-1])])
+        *chunks, last = half_units(n)
+        return iter([*chunks, tuple(a[:-1] for a in last)])
 
     return broken
 
@@ -764,33 +764,32 @@ class TestIpMembers:
             assert ip_members(n).size == 0
 
     @staticmethod
-    def _by_definition(n):
-        """IP(n) and phi(n) by the two gcds over every residue 1..n."""
-        x = np.arange(1, n + 1, dtype=np.int64)
-        unit = np.gcd(x, n) == 1
-        return x[unit & (np.gcd(x - 1, n) == 1)].tolist(), int(unit.sum())
+    def _is_member(n):
+        """Flags over m = 0..n of IP(n) by the two gcds, gcd(m, n) = 1 and
+        gcd(m - 1, n) = 1, on every residue."""
+        m = np.arange(n + 1, dtype=np.int64)
+        return (np.gcd(m, n) == 1) & (np.gcd(m - 1, n) == 1)
+
+    def _by_definition(self, n):
+        """IP(n), increasing, by the two gcds over every residue 1..n."""
+        return (np.flatnonzero(self._is_member(n)[1:]) + 1).tolist()
 
     def test_small_and_even_match_the_definition(self):
         for n in (1, 2, 4, 10):
-            members, phi = arith._ip_members_and_phi(n)
-            expected, expected_phi = self._by_definition(n)
-            assert ip_members(n).tolist() == members.tolist() == expected, n
-            # IP(even n) is empty, so phi only feeds the inverses' exponent:
-            # it is phi(n) for n = 1 and 2, and 1 stands in above
-            assert phi == (expected_phi if n <= 2 else 1), n
+            assert ip_members(n).tolist() == self._by_definition(n), n
 
-    @staticmethod
-    def _assert_unit_flags(n):
+    def _assert_member_flags(self, n):
         """The chunks of the half pass of n run over x = 1..(n - 1)/2 in
-        order, as int64, each with the flags of x - 1, x and x + 1 that
-        ``math.gcd`` gives."""
+        order, as int64, each with the low flags of the members m = x and
+        the high flags of the members m = n - x that the two gcds give."""
         half = (n - 1) // 2
-        unit = np.array([math.gcd(x, n) == 1 for x in range(half + 2)])
-        xs, flags = zip(*arith._half_units(n))
+        member = self._is_member(n)
+        xs, low, high = zip(*arith._half_units(n))
         assert {x.dtype for x in xs} == {np.dtype(np.int64)}, n
-        assert np.array_equal(np.concatenate(xs), np.arange(1, half + 1)), n
-        expected = [unit[x[0] - 1 : x[-1] + 2] for x in xs]
-        assert np.array_equal(np.concatenate(flags), np.concatenate(expected)), n
+        x = np.concatenate(xs)
+        assert np.array_equal(x, np.arange(1, half + 1)), n
+        assert np.array_equal(np.concatenate(low), member[x]), n
+        assert np.array_equal(np.concatenate(high), member[n - x]), n
 
     @pytest.mark.parametrize("chunk", [7, 64, 1001, arith._UNIT_CHUNK])
     def test_pass_seams_match_the_definition(self, chunk):
@@ -799,23 +798,23 @@ class TestIpMembers:
         halves = [1] + [k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]
         with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
             for n in (2 * h + 1 for h in halves if 2 * h + 1 <= arith.IP_BOUND):
-                members, phi = arith._ip_members_and_phi(n)
-                assert (members.tolist(), phi) == self._by_definition(n), n
-                assert ip_members(n).tolist() == members.tolist(), n
+                assert ip_members(n).tolist() == self._by_definition(n), n
             # the first chunk takes the gcd on odd x alone and copies the
             # flags of even x; at the default chunk, the halves of the last
             # five n fall one x short of one chunk, fill it, pass it by one
             # x, fill two chunks and pass them by one x
             for n in (*range(3, 3001, 2), 131071, 131073, 131075, 262145, 262147):
-                self._assert_unit_flags(n)
+                self._assert_member_flags(n)
 
-    def test_phi_counted_short_is_caught(self):
-        # a pass whose last chunk stops one x short counts phi(3) as 0; the
-        # inverses' exponent phi - 1 = -1 would then never halve to 0
+    def test_pass_one_x_short_is_caught(self):
+        # a pass whose last chunk stops one x short finds no member of IP(3):
+        # the table is empty, which makes no orbit, and the orbit count
+        # against the closed form T(3) = 1 names the fault
         with mock.patch.object(arith, "_half_units", _one_x_short(arith._half_units)):
-            with pytest.raises(arith.InvariantViolation, match=r"^phi\(3\) counted as 0$") as info:
-                six_map_table(3)
-        assert (info.value.n, info.value.routes) == (3, ("six-map",))
+            assert six_map_table(3)[1].shape == (6, 0)
+            with pytest.raises(arith.InvariantViolation, match=r"^0 orbits in IP\(3\)") as info:
+                orbit_decomposition(3)
+        assert (info.value.n, info.value.routes) == (3, ("six-map", "closed"))
 
     def test_even_table_makes_no_pass(self):
         def no_pass(n):

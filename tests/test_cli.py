@@ -911,11 +911,11 @@ def _shifted(fn, by):
 
 
 def _one_x_short(half_units):
-    """``arith._half_units`` with its last chunk one x short, so that phi(3)
-    is counted as 0."""
+    """``arith._half_units`` with its last chunk one x short, so that IP(3)
+    comes out empty and makes no orbit."""
     def broken(n):
-        *chunks, (x, unit) = half_units(n)
-        return iter([*chunks, (x[:-1], unit[:-1])])
+        *chunks, last = half_units(n)
+        return iter([*chunks, tuple(a[:-1] for a in last)])
 
     return broken
 
@@ -951,7 +951,7 @@ class TestInvariantViolationExit:
              6, ["reduction", "witness"]),
             (arith, "_brent_rho", lambda fn: lambda m: 1009, ["imph", "10228324819"],
              1009 * 1013 * 10007, ["factorize"]),
-            (arith, "_half_units", _one_x_short, ["orbits", "3"], 3, ["six-map"]),
+            (arith, "_half_units", _one_x_short, ["orbits", "3"], 3, ["six-map", "closed"]),
             (counting, "six_map_table", _g1_g2_only, ["orbits", "21"], 21,
              ["six-map", "closed"]),
         ],
@@ -1363,6 +1363,25 @@ def test_one_gcd_pass():
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.gcd":
                     calls.append(f"{name}:{getattr(top, 'name', None)}")
     assert calls == ["arith.py:_half_units"]
+
+
+def test_member_flags_made_in_the_pass():
+    """The gcd pass ``arith._half_units`` yields the member flags of IP(n)
+    itself: the AND of neighbouring unit flags is taken there alone, the
+    helpers that read members off unit flags are gone, and the six-map
+    table's inverses take no exponent from a count of units."""
+    for name in ("_member_flags", "_chunk_members", "_ip_members_and_phi"):
+        assert not hasattr(arith, name)
+    assert "phi" not in inspect.getsource(arith.six_map_table)
+    src = pathlib.Path(cli.__file__).parent
+    ands = []
+    for path in sorted(src.glob("*.py")):
+        for node, where in _located(path):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+                    and all(isinstance(side, ast.Subscript) for side in (node.left, node.right))
+                    and ast.unparse(node.left.value) == ast.unparse(node.right.value)):
+                ands.append(f"{path.stem}.{where}")
+    assert ands == ["arith._half_units"]
 
 
 def test_one_serving_rule():
