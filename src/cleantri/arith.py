@@ -140,14 +140,21 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """The Miller-Rabin rounds of ``is_prime``, for an n > 1 below psi_13
+    with no prime factor among the witnesses, such as factorize's cofactors,
+    whose prime factors are all >= the trial limit.  n - 1 = d 2^r, with r
+    read off the lowest set bit of n - 1.
+    """
     for psi, k in _MR_PSI:
         if n < psi:
             break
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
     for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -362,11 +369,14 @@ def factorize(n: int) -> Factorization:
     """Factor n deterministically; valid for 1 <= n < 2^63, ``Refused`` beyond.
 
     The primes below 1000 that divide g = gcd(n, their product) are divided
-    out, stopping once g is 1 or p^2 exceeds the cofactor; the cofactor is
-    split by Brent's rho until ``is_prime`` proves every piece, with the
-    witnesses that Jaeschke (1993) and Sorenson-Webster (2017) prove below
-    it.  Each prime is proven once; a rho result that is no proper divisor,
-    or factors that do not multiply to n, raise ``InvariantViolation``.
+    out in increasing order.  The walk stops at the first p with g < p^2:
+    every prime factor of g is then >= p, so g is 1 or a trial prime, which
+    is divided out at once.  The cofactor left has no prime factor below
+    1000; it is split by Brent's rho until the Miller-Rabin rounds of
+    ``is_prime`` prove every piece, with the witnesses that Jaeschke (1993)
+    and Sorenson-Webster (2017) prove below it.  Each prime is proven once;
+    a rho result that is no proper divisor, or factors that do not multiply
+    to n, raise ``InvariantViolation``.
     """
     _require(n >= 1, "cannot factor {}", n)
     _require(n < FACTORIZE_BOUND, "factorize is capped below 2^63, got {}", n)
@@ -374,19 +384,17 @@ def factorize(n: int) -> Factorization:
     m = n
     g = math.gcd(m, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        if g == 1 or p * p > m:
+        if g < p * p:
             break
         if g % p == 0:
             g //= p
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors[p] = e
+            m, factors[p] = _divide_out(m, p)
+    if g > 1:
+        m, factors[g] = _divide_out(m, g)
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if _miller_rabin(m):
             factors[m] = factors.get(m, 0) + 1
         else:
             d = _brent_rho(m)
@@ -395,6 +403,15 @@ def factorize(n: int) -> Factorization:
             stack.append(d)
             stack.append(m // d)
     return Factorization._proven(n, tuple(sorted(factors.items())))
+
+
+def _divide_out(m: int, p: int) -> tuple[int, int]:
+    """(m / p^e, e) for the largest e with p^e | m."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return m, e
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +482,7 @@ def imph(n: int) -> int:
     """Count of x in [1, n] with gcd(x, n) = gcd(x - 1, n) = 1, via the closed form."""
     if n > 1 and n % 2 == 0:
         return 0
-    return imph_from_factorization(factorize(n))
+    return imph_from_factorization(_cached_factorization(n))
 
 
 def imph_bruteforce(n: int) -> int:

@@ -3,11 +3,14 @@
 Triangles live on Z^2 and all predicates are exact integer arithmetic.
 The key operation is the reduction of an arbitrary lattice triangle to a
 base-form representative (0,0), (b,0), (m,h) by an affine unimodular map,
-with the witness map returned alongside.  Clean triangles (boundary lattice
-points = vertices only) reduce to b = 1.  Their equivalence test compares
-the orbits of m under the six residue maps mod h (``arith.six_maps``), while
-clean_key classifies them from the reduction alone, and ``_least_keys`` does
-the same for many base-form clean triangles of one h at once, on arrays.
+with the witness map returned alongside.  The predicates and the reduction
+kernel ``_reduce_oriented`` run on plain ints and int tuples; records are
+built only for what a public function returns.  Clean triangles (boundary
+lattice points = vertices only) reduce to b = 1.  Their equivalence test
+compares the orbits of m under the six residue maps mod h
+(``arith.six_maps``), while clean_key classifies them from the reduction
+alone, and ``_least_keys`` does the same for many base-form clean triangles
+of one h at once, on arrays.
 """
 
 from __future__ import annotations
@@ -155,11 +158,15 @@ class PickCounts(_Record):
             raise ValueError(f"Pick identity violated: {self}")
 
 
+def _corners(t: LatticeTriangle) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """The vertices of t as int pairs, read once for the int predicates."""
+    return (t.v0.x, t.v0.y), (t.v1.x, t.v1.y), (t.v2.x, t.v2.y)
+
+
 def twice_area(t: LatticeTriangle) -> int:
     """|cross product of two edge vectors|; raises on collinear vertices."""
-    u = t.v1 - t.v0
-    v = t.v2 - t.v0
-    cross = u.x * v.y - u.y * v.x
+    (x0, y0), (x1, y1), (x2, y2) = _corners(t)
+    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if cross == 0:
         raise DegenerateTriangleError(f"collinear vertices: {t.vertices}")
     return abs(cross)
@@ -168,7 +175,8 @@ def twice_area(t: LatticeTriangle) -> int:
 def boundary_count(t: LatticeTriangle) -> int:
     """Lattice points on the three sides: sum of edge gcds."""
     twice_area(t)  # degeneracy check
-    return _edge_gcd(t.v0, t.v1) + _edge_gcd(t.v1, t.v2) + _edge_gcd(t.v2, t.v0)
+    (x0, y0), (x1, y1), (x2, y2) = _corners(t)
+    return math.gcd(x1 - x0, y1 - y0) + math.gcd(x2 - x1, y2 - y1) + math.gcd(x0 - x2, y0 - y2)
 
 
 def _pick_interior(a2, b):
@@ -230,61 +238,70 @@ def apply_map(L: AffineUnimodularMap, t: LatticeTriangle) -> LatticeTriangle:
 # --------------------------------------------------------------------------
 
 
-def _edge_gcd(p: LatticePoint, q: LatticePoint) -> int:
-    d = q - p
-    return math.gcd(abs(d.x), abs(d.y))
-
-
 def _reduce_oriented(
-    origin: LatticePoint, other: LatticePoint, apex: LatticePoint
-) -> tuple[BaseForm, AffineUnimodularMap]:
-    """Reduce with the base edge directed origin -> other.
+    ox: int, oy: int, ex: int, ey: int, vx: int, vy: int
+) -> tuple[tuple[int, int, int], tuple[int, int, int, int, int, int]]:
+    """Reduce with the base edge directed from the origin o to the end e,
+    the third vertex v the apex, all on plain ints: returns the base form
+    (b, m, h) and the map (a, b, c, d, tx, ty), x -> [[a, b], [c, d]] x + t.
 
     The map is built in one step.  With the primitive base direction w and
     an extended-Euclid pair s w.x + t w.y = 1, its rows are (s, t) and
     +-(-w.y, w.x), the sign putting the apex in the upper half plane; the
     first row is then sheared by -q to bring the apex x-coordinate into
-    [0, h), and the translation is -M origin.
+    [0, h), and the translation is -M o.
     """
-    u = other - origin
-    v = apex - origin
-    g = math.gcd(abs(u.x), abs(u.y))
-    w = LatticePoint(u.x // g, u.y // g)
-    _, s, t = extended_gcd(w.x, w.y)
-    c, d = -w.y, w.x
-    h = c * v.x + d * v.y
+    ux, uy = ex - ox, ey - oy
+    vx, vy = vx - ox, vy - oy
+    g = math.gcd(ux, uy)
+    wx, wy = ux // g, uy // g
+    _, s, t = extended_gcd(wx, wy)
+    c, d = -wy, wx
+    h = c * vx + d * vy
     if h < 0:
         c, d, h = -c, -d, -h
-    x = s * v.x + t * v.y
+    x = s * vx + t * vy
     q = x // h
     a, b = s - q * c, t - q * d
-    shift = LatticePoint(-(a * origin.x + b * origin.y), -(c * origin.x + d * origin.y))
-    return BaseForm(g, x - q * h, h), AffineUnimodularMap(a, b, c, d, shift)
+    return (g, x - q * h, h), (a, b, c, d, -(a * ox + b * oy), -(c * ox + d * oy))
+
+
+def _map_record(L: tuple[int, int, int, int, int, int]) -> AffineUnimodularMap:
+    a, b, c, d, tx, ty = L
+    return AffineUnimodularMap(a, b, c, d, LatticePoint(tx, ty))
 
 
 def reduce_to_base_form(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularMap]:
     """Reduce t to (0,0), (b,0), (m,h) and return the witness map.
 
-    One pass: the base is a richest edge, ties going to the lexicographically
+    One pass on the six ints of t, which builds records only for its
+    result: the base is a richest edge, ties going to the lexicographically
     smallest sorted endpoint pair, and of its two directions the smaller
-    (b, m, h) wins.  The pass is idempotent.  The triple of an oriented edge
-    and its apex is invariant under unimodular maps, so the base edge
-    (0,0)-(b,0) of a base form gives back the same two triples, and it wins
-    every tie of (0,0), (b,0), (m,h) except in (b, 0, b), where the edge
-    (0,0)-(0,b) sorts first and gives the same triple (b, 0, b).
+    (b, m, h) wins, the direction lo -> hi on a tie.  The pass is
+    idempotent.  The triple of an oriented edge and its apex is invariant
+    under unimodular maps, so the base edge (0,0)-(b,0) of a base form
+    gives back the same two triples, and it wins every tie of (0,0), (b,0),
+    (m,h) except in (b, 0, b), where the edge (0,0)-(0,b) sorts first and
+    gives the same triple (b, 0, b).  The witness map must take the three
+    vertices onto (0,0), (b,0), (m,h).
     """
     twice_area(t)
+    corners = _corners(t)
+    p0, p1, p2 = corners
     _, lo, hi = min(
-        (-_edge_gcd(p, q), *sorted((p, q))) for p, q in ((t.v0, t.v1), (t.v1, t.v2), (t.v2, t.v0))
+        (-math.gcd(q[0] - p[0], q[1] - p[1]), *sorted((p, q)))
+        for p, q in ((p0, p1), (p1, p2), (p2, p0))
     )
-    apex = next(v for v in t.vertices if v not in (lo, hi))
+    apex = next(p for p in corners if p not in (lo, hi))
     bf, L = min(
-        (_reduce_oriented(lo, hi, apex), _reduce_oriented(hi, lo, apex)),
-        key=lambda pair: pair[0].as_tuple(),
+        (_reduce_oriented(*lo, *hi, *apex), _reduce_oriented(*hi, *lo, *apex)),
+        key=lambda pair: pair[0],
     )
-    _expect(apply_map(L, t).vertex_set() == bf.triangle().vertex_set(), bf.b * bf.h,
+    (base, m, h), (a, b, c, d, tx, ty) = bf, L
+    images = {(a * x + b * y + tx, c * x + d * y + ty) for x, y in corners}
+    _expect(images == {(0, 0), (base, 0), (m, h)}, base * h,
             ("reduction", "witness"), "witness map does not realize the base form for {}", t)
-    return bf, L
+    return BaseForm(*bf), _map_record(L)
 
 
 # --------------------------------------------------------------------------
@@ -324,11 +341,12 @@ def equivalent_clean(
         return equivalent
     witness = None
     if equivalent:
-        orders = (_reduce_oriented(*order) for order in permutations(bf2.triangle().vertices))
-        bridge = next((L for bf, L in orders if bf == bf1), None)
+        corners = ((0, 0), (bf2.b, 0), (bf2.m, bf2.h))
+        orders = (_reduce_oriented(*o, *e, *v) for o, e, v in permutations(corners))
+        bridge = next((L for bf, L in orders if bf == bf1.as_tuple()), None)
         msg = "orbit test succeeded but no witness map exists"  # the two must agree
         _expect(bridge is not None, bf1.h, ("orbit", "witness"), msg)
-        witness = r2.inverse().compose(bridge.inverse()).compose(r1)
+        witness = r2.inverse().compose(_map_record(bridge).inverse()).compose(r1)
         ok = apply_map(witness, t1).vertex_set() == t2.vertex_set()
         _expect(ok, bf1.h, ("orbit", "witness"), "composed witness map failed verification")
     return equivalent, witness
@@ -342,11 +360,8 @@ def clean_key(t: LatticeTriangle) -> tuple[int, int]:
     least of the six, so keys are equal exactly for equivalent triangles.
     """
     _require(is_clean(t), "clean_key requires a clean triangle: {}", t.vertices)
-    bf = min(
-        (_reduce_oriented(o, e, v)[0] for o, e, v in permutations(t.vertices)),
-        key=BaseForm.as_tuple,
-    )
-    return bf.h, bf.m
+    _, m, h = min(_reduce_oriented(*o, *e, *v)[0] for o, e, v in permutations(_corners(t)))
+    return h, m
 
 
 # --------------------------------------------------------------------------
@@ -442,23 +457,27 @@ def _least_keys(members: np.ndarray, h: int) -> np.ndarray:
     triangle (0,0), (1,0), (m,h), m in ``members``: the m of ``clean_key``,
     on whole arrays.
 
-    Extended Euclid, run on the three edges (1,0), (m,h) and (m-1,h) of
-    every triangle at once, gives s u.x + t u.y = 1 for each edge u, as the
-    edges of a clean triangle are primitive and these have no negative
-    coordinate; the reversed edge -u takes (-s, -t).  The base-form m of an
-    order is s w.x + t w.y mod h for its base edge u = e - o and w = v - o:
-    another Bezout pair moves it by a multiple of h, and the flip into the
-    upper half plane leaves it alone.  Every w.y is 0 or +-h, so t drops out
-    and only s is carried.  No residue map and no modular inverse is used.
+    Extended Euclid, run on the edges (m,h) and (m-1,h) of every triangle
+    at once, gives s u.x + t u.y = 1 for each edge u, as the edges of a
+    clean triangle are primitive and these have no negative coordinate; the
+    third edge (1,0) has s = 1 before any step, and the reversed edge -u
+    takes (-s, -t).  The base-form m of an order is s w.x + t w.y mod h for
+    its base edge u = e - o and w = v - o: another Bezout pair moves it by a
+    multiple of h, and the flip into the upper half plane leaves it alone.
+    Every w.y is 0 or +-h, so t drops out and only s is carried.  No residue
+    map and no modular inverse is used.
     """
     import numpy as np
 
     corners = np.zeros((2, 3, len(members)), dtype=np.int64)  # x, y of (0,0), (1,0), (m,h)
     corners[0, 1], corners[0, 2], corners[1, 2] = 1, members, h
-    r0, r1 = corners[:, [1, 2, 2]] - corners[:, [0, 0, 1]]  # edges 0->1, 0->2, 1->2
-    s0, s1 = np.ones_like(r0), np.zeros_like(r0)
-    # Each step maps (r0, r1) to (r1, r0 - q r1), and s alike, in place.
-    # A finished entry, (g, 0) or (0, g), is masked to q = 0, so it only swaps.
+    edges = corners[:, [1, 2, 2]] - corners[:, [0, 0, 1]]  # x, y of 0->1, 0->2, 1->2
+    s = np.ones_like(edges[0])  # the edge 0->1 is (1, 0), whose s is 1 as it stands
+    # Euclid runs on views of the edges 0->2 and 1->2 alone.  Each step maps
+    # (r0, r1) to (r1, r0 - q r1), and s alike, in place.  A finished entry,
+    # (g, 0) or (0, g), is masked to q = 0, so it only swaps.
+    r0, r1 = edges[:, 1:]
+    s0, s1 = s[1:], np.zeros_like(r0)
     while np.logical_and(r0, r1).any():
         q = np.floor_divide(r0, r1, out=np.zeros_like(r0), where=r1 != 0)
         r0 -= q * r1
@@ -466,9 +485,10 @@ def _least_keys(members: np.ndarray, h: int) -> np.ndarray:
         r0, r1, s0, s1 = r1, r0, s1, s0
     msg = "an edge of a base-form triangle of twice-area {} is not primitive"
     _expect((r0 + r1 == 1).all(), h, ("geometric",), msg, h)
+    s[1:] = np.where(r1 == 0, s0, s1)
     o, e, v = np.array(list(permutations(range(3)))).T
     edge, sign = o + e - 1, np.where(o < e, 1, -1)[:, None]
-    s = np.where(r1 == 0, s0, s1)[edge] * sign
+    s = s[edge] * sign
     s *= corners[0, v] - corners[0, o]
     s %= h
     return s.min(axis=0)

@@ -62,6 +62,25 @@ factorize_inputs = st.one_of(
     st.integers(1, 2**63 - 1),
 )
 
+
+@st.composite
+def built_factorizations(draw):
+    """(n, factors) for an n < 2^63 built from trial primes with exponents and
+    from primes >= 1000 that is_prime proves; a drawn power that would take n
+    past 2^63 is left out."""
+    big = draw(st.dictionaries(
+        st.one_of(st.integers(1000, 10**4), st.integers(10**4, 10**12)).map(_prime_at_least),
+        st.integers(1, 3), max_size=3))
+    trial = draw(st.dictionaries(st.sampled_from(arith._TRIAL_PRIMES), st.integers(1, 6),
+                                 max_size=6))
+    n, factors = 1, {}
+    for p, e in [*big.items(), *trial.items()]:
+        if n * p**e < 2**63:
+            n *= p**e
+            factors[p] = e
+    return n, tuple(sorted(factors.items()))
+
+
 # factor tuples that trial division below 10^5 gave before the trial bound
 # dropped to 1000
 PINNED_FACTORS = {
@@ -107,6 +126,16 @@ class TestFactorize:
         if n <= 10**6:
             assert factors == _trial_division(n)
 
+    @settings(max_examples=300, deadline=None)
+    @given(built_factorizations())
+    @example((997**3 * 1013, ((997, 3), (1013, 1))))
+    @example((3 * 997 * 334336351, ((3, 1), (997, 1), (334336351, 1))))
+    @example((2 * 3 * 5 * 7, ((2, 1), (3, 1), (5, 1), (7, 1))))
+    @example((999983**2, ((999983, 2),)))
+    def test_gives_back_the_built_factors(self, built):
+        n, factors = built
+        assert factorize(n).factors == factors
+
     def test_domain(self):
         assert factorize(2**63 - 1).factors == (
             (7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)
@@ -151,6 +180,15 @@ class TestIsPrime:
         # so it cannot pose as a prime factor, e.g. on its way to quad_root_count
         with pytest.raises(ValueError, match="not prime"):
             Factorization(self.PSI_12, ((self.PSI_12, 1),))
+
+    def test_miller_rabin_rounds_match_is_prime(self):
+        # every odd n the rounds may be handed, up to 200,000: no prime
+        # factor among the witnesses, checked against the prime mask too
+        mask = arith._prime_mask(200_000)
+        witnesses = math.prod(arith._MR_WITNESSES)
+        for n in range(1001, 200_001, 2):
+            if math.gcd(n, witnesses) == 1:
+                assert arith._miller_rabin(n) == is_prime(n) == bool(mask[n]), n
 
     def test_proven_range(self):
         psi_13 = 3_317_044_064_679_887_385_961_981

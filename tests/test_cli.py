@@ -920,6 +920,24 @@ def _one_x_short(half_units):
     return broken
 
 
+def _translation_one_off(reduce_oriented):
+    """``lattice._reduce_oriented`` with the translation of its map moved by
+    one in x, so that the witness map misses the base form it comes with."""
+    def broken(*coords):
+        bf, (a, b, c, d, tx, ty) = reduce_oriented(*coords)
+        return bf, (a, b, c, d, tx + 1, ty)
+
+    return broken
+
+
+def _rho_gives_1009(brent_rho):
+    """``arith._brent_rho`` returning 1009 for every cofactor; the
+    factorization cache is cleared first, so that no cached result of an
+    earlier run hides it."""
+    arith._cached_factorization.cache_clear()
+    return lambda m: 1009
+
+
 def _g1_g2_only(six_map_table):
     """``arith.six_map_table`` with rows g1 and g2 alone, each three times:
     every image stays in IP(n) and every orbit has size 1 or 2, which
@@ -947,9 +965,9 @@ class TestInvariantViolationExit:
              None, ["feller-tornier", "zeta"]),
             (meanvalue, "moebius_sum_odd", 0.1, ["meanvalue", "--x", "1000", "--json"],
              None, ["euler-product", "moebius-sum"]),
-            (lattice, "apply_map", None, ["reduce", "0", "0", "-3", "-3", "2", "4"],
-             6, ["reduction", "witness"]),
-            (arith, "_brent_rho", lambda fn: lambda m: 1009, ["imph", "10228324819"],
+            (lattice, "_reduce_oriented", _translation_one_off,
+             ["reduce", "0", "0", "-3", "-3", "2", "4"], 6, ["reduction", "witness"]),
+            (arith, "_brent_rho", _rho_gives_1009, ["imph", "10228324819"],
              1009 * 1013 * 10007, ["factorize"]),
             (arith, "_half_units", _one_x_short, ["orbits", "3"], 3, ["six-map", "closed"]),
             (counting, "six_map_table", _g1_g2_only, ["orbits", "21"], 21,
@@ -959,10 +977,7 @@ class TestInvariantViolationExit:
     def test_exit_3_with_one_json_line(self, monkeypatch, capsys, module, name, fault, argv,
                                        n, routes):
         fn = getattr(module, name)
-        if callable(fault):
-            broken = fault(fn)
-        else:
-            broken = (lambda L, t: t) if fault is None else _shifted(fn, fault)
+        broken = fault(fn) if callable(fault) else _shifted(fn, fault)
         monkeypatch.setattr(module, name, broken)
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
@@ -1440,6 +1455,29 @@ def test_fixed_points_counted_on_arrays():
     assert ast.unparse(loops[0].iter) == "_half_units(n)"
     assert not [node for node in ast.walk(body)
                 if isinstance(node, ast.Attribute) and node.attr == "tolist"]
+
+
+def test_reduction_kernel_builds_no_records(monkeypatch):
+    """``lattice._reduce_oriented``, ``twice_area``, ``boundary_count`` and
+    the predicates and keys over them run on plain ints: they build no
+    ``LatticePoint``, ``BaseForm`` or ``AffineUnimodularMap``, not even
+    through a record's arithmetic such as ``LatticePoint.__sub__``."""
+    t = lattice.LatticeTriangle.from_coords(150695, -296679, 1, 0, 567215, -285988)
+    clean = lattice.LatticeTriangle.from_coords(27254, 730546, 55774, 731195, 78757, 731718)
+    built = []
+    for record in (lattice.LatticePoint, lattice.BaseForm, lattice.AffineUnimodularMap):
+        init = record.__init__
+        monkeypatch.setattr(record, "__init__",
+                            lambda self, *args, init=init: built.append(self) or init(self, *args))
+    lattice._reduce_oriented(150695, -296679, 1, 0, 567215, -285988)
+    lattice.twice_area(t)
+    lattice.boundary_count(t)
+    lattice.is_clean(clean)
+    lattice.clean_key(clean)
+    assert built == []
+    lattice.reduce_to_base_form(t)  # builds the two records it returns
+    assert [type(r).__name__ for r in built] == ["BaseForm", "LatticePoint",
+                                                 "AffineUnimodularMap"]
 
 
 def test_one_prime_sieve():
