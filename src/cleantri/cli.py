@@ -385,8 +385,9 @@ def _witness(L) -> tuple[dict, str]:
 def cmd_reduce(args, parser) -> int:
     from . import lattice
 
-    bf, L = lattice.reduce_to_base_form(_triangle(args.coords))
-    pc = lattice.pick_counts(bf.triangle())
+    t = _triangle(args.coords)
+    bf, L = lattice.reduce_to_base_form(t)
+    pc = lattice.pick_counts(t)
     witness, witness_line = _witness(L)
     record = {
         "command": "reduce",

@@ -3,14 +3,15 @@
 Triangles live on Z^2 and all predicates are exact integer arithmetic.
 The key operation is the reduction of an arbitrary lattice triangle to a
 base-form representative (0,0), (b,0), (m,h) by an affine unimodular map,
-with the witness map returned alongside.  The predicates and the reduction
-kernel ``_reduce_oriented`` run on plain ints and int tuples; records are
-built only for what a public function returns.  Clean triangles (boundary
-lattice points = vertices only) reduce to b = 1.  Their equivalence test
-compares the orbits of m under the six residue maps mod h
-(``arith.six_maps``), while clean_key classifies them from the reduction
-alone, and ``_least_keys`` does the same for many base-form clean triangles
-of one h at once, on arrays.
+with the witness map returned alongside.  ``_measure`` reads a triangle's
+six ints once, for its area, its edge gcds and the collinear refusal; the
+predicates, the reduction and the equivalence test run on what it returns,
+as plain ints, and build records only for what a public function returns.
+Clean triangles (boundary lattice points = vertices only) reduce to b = 1.
+Their equivalence test compares the orbits of m under the six residue maps
+mod h (``arith.six_maps``), while clean_key classifies them from the
+reduction alone, and ``_least_keys`` does the same for many base-form
+clean triangles of one h at once, on arrays.
 """
 
 from __future__ import annotations
@@ -158,25 +159,25 @@ class PickCounts(_Record):
             raise ValueError(f"Pick identity violated: {self}")
 
 
-def _corners(t: LatticeTriangle) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """The vertices of t as int pairs, read once for the int predicates."""
-    return (t.v0.x, t.v0.y), (t.v1.x, t.v1.y), (t.v2.x, t.v2.y)
+def _measure(t: LatticeTriangle):
+    """The corners of t as int pairs, twice its area and the gcds of the
+    edges v0v1, v1v2, v2v0, from one read; the one collinear refusal."""
+    (x0, y0), (x1, y1), (x2, y2) = corners = (t.v0.x, t.v0.y), (t.v1.x, t.v1.y), (t.v2.x, t.v2.y)
+    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    if cross == 0:
+        raise DegenerateTriangleError(f"collinear vertices: {t.vertices}")
+    gcds = math.gcd(x1 - x0, y1 - y0), math.gcd(x2 - x1, y2 - y1), math.gcd(x0 - x2, y0 - y2)
+    return corners, abs(cross), gcds
 
 
 def twice_area(t: LatticeTriangle) -> int:
     """|cross product of two edge vectors|; raises on collinear vertices."""
-    (x0, y0), (x1, y1), (x2, y2) = _corners(t)
-    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    if cross == 0:
-        raise DegenerateTriangleError(f"collinear vertices: {t.vertices}")
-    return abs(cross)
+    return _measure(t)[1]
 
 
 def boundary_count(t: LatticeTriangle) -> int:
     """Lattice points on the three sides: sum of edge gcds."""
-    twice_area(t)  # degeneracy check
-    (x0, y0), (x1, y1), (x2, y2) = _corners(t)
-    return math.gcd(x1 - x0, y1 - y0) + math.gcd(x2 - x1, y2 - y1) + math.gcd(x0 - x2, y0 - y2)
+    return sum(_measure(t)[2])
 
 
 def _pick_interior(a2, b):
@@ -192,8 +193,8 @@ def _pick_interior(a2, b):
 
 def pick_counts(t: LatticeTriangle) -> PickCounts:
     """Interior count via Pick's identity from the exact area and boundary."""
-    a2 = twice_area(t)
-    b = boundary_count(t)
+    _, a2, gcds = _measure(t)
+    b = sum(gcds)
     return PickCounts(_pick_interior(a2, b), b, a2)
 
 
@@ -226,7 +227,7 @@ def interior_count_enum(t: LatticeTriangle) -> int:
 
 def is_clean(t: LatticeTriangle) -> bool:
     """True when the only boundary lattice points are the three vertices."""
-    return boundary_count(t) == 3
+    return _measure(t)[2] == (1, 1, 1)
 
 
 def apply_map(L: AffineUnimodularMap, t: LatticeTriangle) -> LatticeTriangle:
@@ -271,6 +272,25 @@ def _map_record(L: tuple[int, int, int, int, int, int]) -> AffineUnimodularMap:
     return AffineUnimodularMap(a, b, c, d, LatticePoint(tx, ty))
 
 
+def _base_form(corners: tuple, gcds: tuple[int, int, int]) -> tuple[tuple, tuple]:
+    """The body of ``reduce_to_base_form`` on the corners and edge gcds of
+    ``_measure``: returns (b, m, h) and the map's six ints."""
+    p0, p1, p2 = corners
+    _, lo, hi = min((-g, *sorted(e)) for g, e in zip(gcds, ((p0, p1), (p1, p2), (p2, p0))))
+    apex = next(p for p in corners if p not in (lo, hi))
+    orders = (_reduce_oriented(*lo, *hi, *apex), _reduce_oriented(*hi, *lo, *apex))
+    bf, L = min(orders, key=lambda pair: pair[0])
+    (base, m, h), (a, b, c, d, tx, ty) = bf, L
+    images = {(a * x + b * y + tx, c * x + d * y + ty) for x, y in corners}
+    _expect(images == {(0, 0), (base, 0), (m, h)}, base * h,
+            ("reduction", "witness"), "witness map does not realize the base form for {}", corners)
+    return bf, L
+
+
+# Serves ``equivalent_clean`` alone: ``reduce_to_base_form`` runs its witness check every call.
+_reduce_cached = lru_cache(maxsize=4096)(_base_form)
+
+
 def reduce_to_base_form(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularMap]:
     """Reduce t to (0,0), (b,0), (m,h) and return the witness map.
 
@@ -285,22 +305,8 @@ def reduce_to_base_form(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularM
     gives the same triple (b, 0, b).  The witness map must take the three
     vertices onto (0,0), (b,0), (m,h).
     """
-    twice_area(t)
-    corners = _corners(t)
-    p0, p1, p2 = corners
-    _, lo, hi = min(
-        (-math.gcd(q[0] - p[0], q[1] - p[1]), *sorted((p, q)))
-        for p, q in ((p0, p1), (p1, p2), (p2, p0))
-    )
-    apex = next(p for p in corners if p not in (lo, hi))
-    bf, L = min(
-        (_reduce_oriented(*lo, *hi, *apex), _reduce_oriented(*hi, *lo, *apex)),
-        key=lambda pair: pair[0],
-    )
-    (base, m, h), (a, b, c, d, tx, ty) = bf, L
-    images = {(a * x + b * y + tx, c * x + d * y + ty) for x, y in corners}
-    _expect(images == {(0, 0), (base, 0), (m, h)}, base * h,
-            ("reduction", "witness"), "witness map does not realize the base form for {}", t)
+    corners, _, gcds = _measure(t)
+    bf, L = _base_form(corners, gcds)
     return BaseForm(*bf), _map_record(L)
 
 
@@ -314,9 +320,7 @@ def _orbit_min(m: int, h: int) -> int:
     return min(six_maps(m, h))
 
 
-def equivalent_clean(
-    t1: LatticeTriangle, t2: LatticeTriangle, with_witness: bool = False
-):
+def equivalent_clean(t1: LatticeTriangle, t2: LatticeTriangle, with_witness: bool = False):
     """Unimodular-equivalence test for clean triangles.
 
     Reduces both triangles to base form (b = 1 for clean input) and compares
@@ -327,28 +331,27 @@ def equivalent_clean(
     first base form gives the one affine map between them, in that order,
     and its inverse bridges the two reductions.
     """
+    clean = []
     for t in (t1, t2):
-        _require(is_clean(t), "equivalence test requires clean triangles: {}", t.vertices)
-    bf1, r1 = _reduce_cached(t1)
-    bf2, r2 = _reduce_cached(t2)
-    equivalent = False
-    if bf1.h == bf2.h:
-        h = bf1.h
-        m1 = (bf1.m - 1) % h + 1
-        m2 = (bf2.m - 1) % h + 1
-        equivalent = _orbit_min(m1, h) == _orbit_min(m2, h)
+        corners, _, gcds = _measure(t)
+        _require(gcds == (1, 1, 1), "equivalence test requires clean triangles: {}", t.vertices)
+        clean.append(corners)
+    (bf1, r1), (bf2, r2) = (_reduce_cached(c, (1, 1, 1)) for c in clean)
+    (_, m1, h), (b2, m2, h2) = bf1, bf2
+    equivalent = h == h2 and _orbit_min((m1 - 1) % h + 1, h) == _orbit_min((m2 - 1) % h + 1, h)
     if not with_witness:
         return equivalent
     witness = None
     if equivalent:
-        corners = ((0, 0), (bf2.b, 0), (bf2.m, bf2.h))
+        corners = ((0, 0), (b2, 0), (m2, h))
         orders = (_reduce_oriented(*o, *e, *v) for o, e, v in permutations(corners))
-        bridge = next((L for bf, L in orders if bf == bf1.as_tuple()), None)
+        bridge = next((L for bf, L in orders if bf == bf1), None)
         msg = "orbit test succeeded but no witness map exists"  # the two must agree
-        _expect(bridge is not None, bf1.h, ("orbit", "witness"), msg)
-        witness = r2.inverse().compose(_map_record(bridge).inverse()).compose(r1)
+        _expect(bridge is not None, h, ("orbit", "witness"), msg)
+        bridge, r1, r2 = map(_map_record, (bridge, r1, r2))
+        witness = r2.inverse().compose(bridge.inverse()).compose(r1)
         ok = apply_map(witness, t1).vertex_set() == t2.vertex_set()
-        _expect(ok, bf1.h, ("orbit", "witness"), "composed witness map failed verification")
+        _expect(ok, h, ("orbit", "witness"), "composed witness map failed verification")
     return equivalent, witness
 
 
@@ -359,8 +362,9 @@ def clean_key(t: LatticeTriangle) -> tuple[int, int]:
     (m,h) with 0 <= m < h that takes o, e, v there in order; the key is the
     least of the six, so keys are equal exactly for equivalent triangles.
     """
-    _require(is_clean(t), "clean_key requires a clean triangle: {}", t.vertices)
-    _, m, h = min(_reduce_oriented(*o, *e, *v)[0] for o, e, v in permutations(_corners(t)))
+    corners, _, gcds = _measure(t)
+    _require(gcds == (1, 1, 1), "clean_key requires a clean triangle: {}", t.vertices)
+    _, m, h = min(_reduce_oriented(*o, *e, *v)[0] for o, e, v in permutations(corners))
     return h, m
 
 
@@ -492,8 +496,3 @@ def _least_keys(members: np.ndarray, h: int) -> np.ndarray:
     s *= corners[0, v] - corners[0, o]
     s %= h
     return s.min(axis=0)
-
-
-@lru_cache(maxsize=4096)
-def _reduce_cached(t: LatticeTriangle) -> tuple[BaseForm, AffineUnimodularMap]:
-    return reduce_to_base_form(t)

@@ -1305,7 +1305,7 @@ def test_one_refusal_path():
     refusal helper ``arith._require``, and ``main`` exits 2 on it alone: a
     plain ``ValueError`` is raised only by the records' ``_validate`` hooks,
     which their built constructors call to check the fields the library
-    fills, the collinear refusal only in ``lattice.twice_area``, and only
+    fills, the collinear refusal only in ``lattice._measure``, and only
     ``cli.main`` catches every exception."""
     src = pathlib.Path(cli.__file__).parent
     built, plain, degenerate, broad = [], set(), [], []
@@ -1331,7 +1331,7 @@ def test_one_refusal_path():
         "lattice.PickCounts._validate",
         "meanvalue.ConstantEstimate._validate",
     }
-    assert degenerate == ["lattice.twice_area"]
+    assert degenerate == ["lattice._measure"]
     assert broad == ["cli.main"]
 
 
@@ -1459,25 +1459,40 @@ def test_fixed_points_counted_on_arrays():
 
 def test_reduction_kernel_builds_no_records(monkeypatch):
     """``lattice._reduce_oriented``, ``twice_area``, ``boundary_count`` and
-    the predicates and keys over them run on plain ints: they build no
-    ``LatticePoint``, ``BaseForm`` or ``AffineUnimodularMap``, not even
-    through a record's arithmetic such as ``LatticePoint.__sub__``."""
+    the predicates, keys and equivalence test over them run on plain ints:
+    they build no ``LatticePoint``, ``BaseForm``, ``AffineUnimodularMap`` or
+    ``PickCounts`` but the ones they return, not even through a record's
+    arithmetic such as ``LatticePoint.__sub__``, and each reads a triangle's
+    six ints once, through ``lattice._measure``."""
     t = lattice.LatticeTriangle.from_coords(150695, -296679, 1, 0, 567215, -285988)
     clean = lattice.LatticeTriangle.from_coords(27254, 730546, 55774, 731195, 78757, 731718)
-    built = []
-    for record in (lattice.LatticePoint, lattice.BaseForm, lattice.AffineUnimodularMap):
+    other = lattice.LatticeTriangle.from_coords(311881, -550541, 295568, -552876, 243059, -560392)
+    built, measured = [], []
+    for record in (lattice.LatticePoint, lattice.BaseForm, lattice.AffineUnimodularMap,
+                   lattice.PickCounts):
         init = record.__init__
         monkeypatch.setattr(record, "__init__",
                             lambda self, *args, init=init: built.append(self) or init(self, *args))
-    lattice._reduce_oriented(150695, -296679, 1, 0, 567215, -285988)
-    lattice.twice_area(t)
-    lattice.boundary_count(t)
-    lattice.is_clean(clean)
-    lattice.clean_key(clean)
-    assert built == []
-    lattice.reduce_to_base_form(t)  # builds the two records it returns
-    assert [type(r).__name__ for r in built] == ["BaseForm", "LatticePoint",
-                                                 "AffineUnimodularMap"]
+    measure = lattice._measure
+    monkeypatch.setattr(lattice, "_measure", lambda t: measured.append(t) or measure(t))
+
+    def run(call, *args, **kwargs):
+        built.clear()
+        measured.clear()
+        call(*args, **kwargs)
+        return [type(r).__name__ for r in built], measured
+
+    assert run(lattice._reduce_oriented, 150695, -296679, 1, 0, 567215, -285988) == ([], [])
+    assert run(lattice.twice_area, t) == ([], [t])
+    assert run(lattice.boundary_count, t) == ([], [t])
+    assert run(lattice.is_clean, clean) == ([], [clean])
+    assert run(lattice.clean_key, clean) == ([], [clean])
+    assert run(lattice.equivalent_clean, clean, other) == ([], [clean, other])
+    assert run(lattice.pick_counts, t) == (["PickCounts"], [t])
+    assert run(lattice.reduce_to_base_form, t) == (  # the two records it returns
+        ["BaseForm", "LatticePoint", "AffineUnimodularMap"], [t])
+    names, seen = run(lattice.equivalent_clean, clean, other, with_witness=True)
+    assert names and seen == [clean, other]  # records for the witness alone
 
 
 def test_one_prime_sieve():

@@ -264,10 +264,10 @@ class TestEquivalentClean:
         # a reduction map of t1 off by one step leaves a witness that misses t2
         t1, t2 = T(0, 0, 1, 0, 2, 7), T(0, 0, 1, 0, 4, 7)
 
-        def shifted(t):
-            bf, L = reduce_to_base_form(t)
-            step = int(t == t1)
-            return bf, AffineUnimodularMap(L.a, L.b, L.c, L.d, LatticePoint(L.t.x + step, L.t.y))
+        def shifted(corners, gcds):
+            bf, (a, b, c, d, tx, ty) = lattice._base_form(corners, gcds)
+            step = int(corners == ((0, 0), (1, 0), (2, 7)))
+            return bf, (a, b, c, d, tx + step, ty)
 
         monkeypatch.setattr(lattice, "_reduce_cached", shifted)
         with pytest.raises(InvariantViolation) as e:
