@@ -2,6 +2,7 @@
 
 Submodules:
     arith     -- factorization, imph(n), quadratic-congruence root counts
+    sieve     -- the factor sieve walk behind the imph and T tables and ranges
     lattice   -- exact triangle geometry, Pick/Scott, base-form reduction
     counting  -- the six-map Burnside action on IP(n) and T(n)
     meanvalue -- summatory functions, Euler products, Feller-Tornier constant

@@ -246,27 +246,27 @@ def _sieve_blocks(values, runs, width):
     between blocks: a chunk is made and dropped between blocks."""
     import numpy as np
 
-    held = [arith._walk_bytes(a, b) for a, b in runs]
+    from . import sieve
+
+    held = [sieve.walk_bytes(a, b) for a, b in runs]
     lines = min(_LINES_PER_WRITE, runs[-1][1] - runs[0][0] + 1)
-    idle = sum(arith._walk_idle_bytes(a, b) for a, b in runs)
+    idle = sum(sieve.walk_idle_bytes(a, b) for a, b in runs)
     chunk = max(0, _chunk_bytes(lines, width) - idle)
 
-    def spread(a, odd, i, j):
+    def fetch(a, odd, i, j):
         """The n and the values of i <= n < j, with odd[k] at n = a + 2k."""
-        vs = np.zeros(j - i, dtype=np.int64)
-        vs[(a - i) % 2 :: 2] = odd[(i - a + 1) // 2 : (j - a + 1) // 2]
-        return np.arange(i, j), vs
+        return np.arange(i, j), sieve.spread_odd(odd, a, np.empty(j - i, dtype=np.int64), i)
 
     def pieces(lo, hi, blocks):
         s = lo
         for a, f in blocks:
             e = min(hi, a + 2 * len(f.imph) - 1)
-            yield s, e, partial(spread, a, values(a, f))
+            yield s, e, partial(fetch, a, values(a, f))
             s = e + 1
         if s <= hi:  # a run of one even n, which has no block
-            yield s, hi, partial(spread, hi + 1, np.zeros(0, dtype=np.int64))
+            yield s, hi, partial(fetch, hi + 1, np.zeros(0, dtype=np.int64))
 
-    return [pieces(lo, hi, arith._factor_blocks(lo, hi, sum(held) - own + chunk))
+    return [pieces(lo, hi, sieve.factor_blocks(lo, hi, sum(held) - own + chunk))
             for (lo, hi), own in zip(runs, held)]
 
 
@@ -289,7 +289,7 @@ def _point_blocks(value, runs, width):
 
 def cmd_imph(args, parser) -> int:
     """imph on one n (by ``arith.imph``, never the sieve) or on a range (by
-    ``arith._factor_blocks``), written by ``_write_range``.
+    ``sieve.factor_blocks``), written by ``_write_range``.
 
     ``--bruteforce`` scans n residues for each n, and is refused before any
     work when their sum over the range exceeds ``arith.IMPH_BRUTEFORCE_BOUND``;
@@ -332,8 +332,8 @@ def cmd_tcount(args, parser) -> int:
     """T(n) on one n or a range, by one route or, with ``all``, by all three,
     cross-checked; written by ``_write_range``.
 
-    A closed range within the sieve cap is read from ``arith._factor_blocks``
-    by ``meanvalue._t_closed_block``; the rest calls the point routes n by n.
+    A closed range within the sieve cap is read from ``sieve.factor_blocks``
+    by ``sieve.t_closed_block``; the rest calls the point routes n by n.
     Refused before any work (even n are always 0):
     - for every method but ``closed``, a range that the Burnside and
       geometric routes' serving rule, ``counting._require_served``, refuses;
@@ -356,9 +356,9 @@ def cmd_tcount(args, parser) -> int:
     value = _t_all if method == "all" else getattr(counting, f"t_{method}")
     source, fmt = _point_blocks, _format_points
     if method == "closed" and lo < hi <= arith.IMPH_SIEVE_BOUND:
-        from . import meanvalue
+        from . import sieve
 
-        source, value, fmt = _sieve_blocks, meanvalue._t_closed_block, _format_lines
+        source, value, fmt = _sieve_blocks, sieve.t_closed_block, _format_lines
     mode = "json" if args.json else "bfile" if args.bfile else "text"
     if method == "all":
         template = {"json": ('"', '": ', ""), "bfile": ("", " ", "\n"), "text": ("T(", "): ", "\n")}

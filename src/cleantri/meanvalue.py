@@ -16,18 +16,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import (
-    _expect,
-    _factor_blocks,
-    _FactorData,
-    _odd_offset,
-    _primes_upto,
-    _Record,
-    _require,
-    _sieve_table,
-    _spot_indices,
-    _spot_row,
-)
+from . import sieve
+from .arith import _expect, _primes_upto, _Record, _require
 
 __all__ = [
     "ConstantEstimate",
@@ -66,56 +56,13 @@ class ConstantEstimate(_Record):
 def partial_sum_imph(x: int) -> int:
     """Exact sum of imph(n) for n <= x, added up block by block."""
     _require(x >= 1, "bound must be positive, got {}", x)
-    return sum(int(f.imph.sum()) for _, f in _factor_blocks(0, x))
-
-
-def _t_closed_block(a: int, f: _FactorData) -> np.ndarray:
-    """T(n) for the odd n = a + 2i of a block of the walk, built in f.imph's
-    array.
-
-    Applies the scalar closed form 6 T(n) = imph(n) + 2 rho(n) + 3 to a whole
-    block, with imph(n), omega(n) and the p = 5 (mod 6) flag from the factor
-    sieve.  By the rule of ``arith.quad_root_count``, 2 rho(n) is 0 when
-    9 | n or some p = 5 (mod 6) divides n, 2^omega(n) when 3 | n otherwise,
-    and 2^(omega(n) + 1) in the remaining case.  f.imph is overwritten; the
-    int16 root-count array and the uint8 arrays of the divisibility check
-    keep the peak within the walk's own figure.  A numerator that 6 does not
-    divide raises ``InvariantViolation`` at its n; at the walk's
-    ``_spot_indices`` the result is compared with the closed form of the
-    walk's own ``factorize(n)``, read from ``arith._spot_row``.
-    """
-    import numpy as np
-
-    roots = np.left_shift(2, f.omega, dtype=np.int16)  # 2^(omega + 1)
-    roots[_odd_offset(a, 3) :: 3] >>= 1
-    roots[_odd_offset(a, 9) :: 9] = 0
-    roots *= ~f.bad5
-    table = f.imph
-    table += roots
-    table += 3
-    del roots
-    # numerator - 6 * (numerator // 6) is 0..5, so it is 0 exactly when the
-    # two agree mod 256: the multiply-back compares their low bytes alone
-    low = table.astype(np.uint8)
-    table //= 6
-    low -= np.multiply(table, 6, out=np.empty_like(low), casting="unsafe")
-    if np.count_nonzero(low):
-        n = a + 2 * int(np.flatnonzero(low)[0])
-        _expect(False, n, ("closed",), "closed-form numerator of T({}) not divisible by 6", n)
-    del low
-    msg = "sieved T({}) = {}, factorize gives {}"
-    for i in _spot_indices(a, len(table)):
-        n = a + 2 * i
-        imph, *_, rho = _spot_row(n)
-        want = (imph + 2 * rho + 3) // 6
-        _expect(table[i] == want, n, ("sieve", "factorize"), msg, n, table[i], want)
-    return table
+    return sum(int(f.imph.sum()) for _, f in sieve.factor_blocks(0, x))
 
 
 def t_closed_sieve(x: int) -> np.ndarray:
     """Table t with t[n] = T(n) for n <= x, from one walk of the factor sieve
-    (``arith._factor_blocks``) and the closed form of ``_t_closed_block``."""
-    return _sieve_table(x, _t_closed_block)
+    (``sieve.factor_blocks``) and the closed form of ``sieve.t_closed_block``."""
+    return sieve.sieve_table(x, sieve.t_closed_block)
 
 
 def partial_sum_T(x: int) -> int:
@@ -123,7 +70,7 @@ def partial_sum_T(x: int) -> int:
     block by block."""
     if x < 1:
         return 0
-    return sum(int(_t_closed_block(a, f).sum()) for a, f in _factor_blocks(0, x))
+    return sum(int(sieve.t_closed_block(a, f).sum()) for a, f in sieve.factor_blocks(0, x))
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +161,7 @@ def moebius_sum_odd(d_bound: int) -> ConstantEstimate:
     if d_bound < 3:
         return ConstantEstimate(1.0, d_bound, tail)
     count = (d_bound - 1) // 2  # d = 3, 5, ..., d_bound
-    blocks = _factor_blocks(3, d_bound, holding=8 * count)  # checked before terms exist
+    blocks = sieve.factor_blocks(3, d_bound, holding=8 * count)  # checked before terms exist
     terms = np.empty(count)
     for a, f in blocks:
         out = terms[(a - 3) // 2 :][: len(f.omega)]
@@ -260,12 +207,12 @@ def mean_value_report(x: int, prime_bound: int = 10**7) -> MeanValueReport:
     walk of the factor sieve over 0..x, block by block.
     """
     _require(x >= 1, "bound must be positive, got {}", x)
-    blocks = _factor_blocks(0, x)
+    blocks = sieve.factor_blocks(0, x)
     prod, ft, ft_zeta = _prime_constants(prime_bound, 3)
     s_imph = s_t = 0
     for a, f in blocks:
-        s_imph += int(f.imph.sum())  # before _t_closed_block overwrites f.imph
-        s_t += int(_t_closed_block(a, f).sum())
+        s_imph += int(f.imph.sum())  # before t_closed_block overwrites f.imph
+        s_t += int(sieve.t_closed_block(a, f).sum())
     ratio_imph = s_imph / (x * x)
     ratio_t = s_t / (x * x)
     limit_imph = prod.value / 4.0
@@ -311,7 +258,7 @@ def grosswald_ratios(bounds: list[int]) -> list[GrosswaldReport]:
     cuts = np.unique([x >> k for x in xs for k in range(x.bit_length())])
     odd_sums = np.empty_like(cuts)  # O at each cut
     done = 0  # the sum over the odd m below the block's start
-    for a, f in _factor_blocks(1, xs[-1]):
+    for a, f in sieve.factor_blocks(1, xs[-1]):
         cumulative = np.left_shift(1, f.big_omega, out=f.imph, dtype=np.int64)
         np.add.accumulate(cumulative, out=cumulative)
         i, j = np.searchsorted(cuts, [a, a + 2 * len(cumulative)])

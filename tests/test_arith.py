@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cleantri import arith, meanvalue
+from cleantri import arith, meanvalue, sieve
 from cleantri.arith import (
     Factorization,
     extended_gcd,
@@ -525,7 +525,7 @@ class TestPrimeMask:
         primes = [n for n, bit in enumerate(_primality_upto_3000()) if bit and n < 1000]
         assert list(arith._TRIAL_PRIMES) == primes
         assert len(primes) == 168 and primes[-1] == 997
-        assert len(arith._SIEVE_PRIMES) == 1228 and list(arith._SIEVE_PRIMES[:167]) == primes[1:]
+        assert len(sieve._SIEVE_PRIMES) == 1228 and list(sieve._SIEVE_PRIMES[:167]) == primes[1:]
 
 
 class TestPrimesUpto:
@@ -558,8 +558,8 @@ FACTOR_SIEVE_X = 10**5
 def _walk_table(x):
     """The factor data of the odd n <= x at index n of whole arrays, copied
     from the blocks of one walk; even entries stay 0."""
-    table = arith._FactorData(*(np.zeros(x + 1, arr.dtype) for arr in arith._empty_factor_data(0)))
-    for a, block in arith._factor_blocks(0, x):
+    table = sieve._FactorData(*(np.zeros(x + 1, arr.dtype) for arr in sieve._empty_factor_data(0)))
+    for a, block in sieve.factor_blocks(0, x):
         for arr, got in zip(table, block):
             arr[a : a + 2 * len(got) : 2] = got
     return table
@@ -578,7 +578,7 @@ def _factor_table():
 def test_caches_bounded():
     from cleantri import counting, lattice, meanvalue
 
-    for mod in (arith, counting, lattice, meanvalue):
+    for mod in (arith, counting, lattice, meanvalue, sieve):
         for name, fn in vars(mod).items():
             if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__:
                 assert fn.cache_info().maxsize is not None, f"{mod.__name__}.{name}"
@@ -613,7 +613,7 @@ class TestFactorSieve:
             _assert_factor_data(data, n)
 
 
-BLOCK = arith._SIEVE_BLOCK
+BLOCK = sieve._SIEVE_BLOCK
 SPAN = 2 * BLOCK  # the numbers one block of odd n covers
 
 
@@ -647,7 +647,7 @@ class TestFactorSieveBlocks:
     def test_any_block_length_gives_the_same_table(self, monkeypatch, length):
         x = 2 * SPAN + 3
         want = _boundary_table(x)
-        monkeypatch.setattr(arith, "_SIEVE_BLOCK", length)
+        monkeypatch.setattr(sieve, "_SIEVE_BLOCK", length)
         for got, ref in zip(_walk_table(x), want):
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref)
@@ -657,7 +657,7 @@ class TestFactorSieveBlocks:
         # the block's start, which is a multiple of neither
         pinned = {521**2: (521 * 519, 1, 2, True), 67**3: (67**2 * 65, 1, 3, False)}
         table = _boundary_table(2 * SPAN + 3)
-        [(a, block)] = arith._factor_blocks(BLOCK + 7, BLOCK + 40_000)
+        [(a, block)] = sieve.factor_blocks(BLOCK + 7, BLOCK + 40_000)
         for n, fields in pinned.items():
             assert a < n < SPAN
             assert tuple(arr[n] for arr in table) == fields
@@ -671,7 +671,7 @@ class TestFactorSieveBlocks:
         hi = lo + SPAN + extra if long else SPAN + extra
         table = _boundary_table(2 * SPAN + 3)
         n = lo | 1
-        for a, block in arith._factor_blocks(lo, hi):
+        for a, block in sieve.factor_blocks(lo, hi):
             assert a == n
             for got, want in zip(block, table):
                 assert got.dtype == want.dtype
@@ -685,9 +685,9 @@ class TestFactorSieveBlocks:
         # built from generators once fed CPython's free lists about 260 B
         # a block here, past the charge after a few hundred blocks
         length, blocks = 1 << 6, 1000
-        monkeypatch.setattr(arith, "_SIEVE_BLOCK", length)
+        monkeypatch.setattr(sieve, "_SIEVE_BLOCK", length)
         hi = 2 * length * blocks - 1
-        walk = arith._factor_blocks(0, hi)
+        walk = sieve.factor_blocks(0, hi)
         _fill_tuple_free_lists()
         tracemalloc.start()
         try:
@@ -700,39 +700,39 @@ class TestFactorSieveBlocks:
             tracemalloc.stop()
         assert count == blocks
         assert late <= early + 256
-        assert early <= arith._walk_bytes(0, hi)
+        assert early <= sieve.walk_bytes(0, hi)
 
     def test_no_odd_n_no_block(self):
-        assert list(arith._factor_blocks(4, 4)) == []
-        assert [a for a, _ in arith._factor_blocks(4, 5)] == [5]
+        assert list(sieve.factor_blocks(4, 4)) == []
+        assert [a for a, _ in sieve.factor_blocks(4, 5)] == [5]
 
     def test_spot_indices(self):
         # the first and last multiples of 15 of a block (15 and 524265 in the
         # first, not n = 1 and the prime 2^19 - 1, which no slice touches),
         # else its edges
-        assert [1 + 2 * i for i in arith._spot_indices(1, BLOCK)[:2]] == [15, SPAN - 23]
-        assert arith._spot_indices(SPAN + 1, BLOCK)[:2] == (3, BLOCK - 1)
-        assert arith._spot_indices(17, 6)[:2] == (0, 5)  # 17..27 holds no multiple of 15
-        assert arith._spot_indices(13, 9)[:2] == (1, 1)
+        assert [1 + 2 * i for i in sieve._spot_indices(1, BLOCK)[:2]] == [15, SPAN - 23]
+        assert sieve._spot_indices(SPAN + 1, BLOCK)[:2] == (3, BLOCK - 1)
+        assert sieve._spot_indices(17, 6)[:2] == (0, 5)  # 17..27 holds no multiple of 15
+        assert sieve._spot_indices(13, 9)[:2] == (1, 1)
         for a, length in ((1, BLOCK), (17, 6), (SPAN + 1, 1001)):
-            assert all(0 <= i < length for i in arith._spot_indices(a, length))
+            assert all(0 <= i < length for i in sieve._spot_indices(a, length))
 
     @pytest.mark.parametrize("walk", [
-        lambda: list(arith._factor_blocks(0, SPAN)),
+        lambda: list(sieve.factor_blocks(0, SPAN)),
         lambda: meanvalue.moebius_sum_odd(10**5),
     ], ids=["factor_blocks", "moebius_sum_odd"])
     def test_spot_check_catches_a_wrong_bad5_slice(self, monkeypatch, walk):
         # p = 1 (mod 6) flagged in place of p = 5 (mod 6): no divisibility
         # check reads the flag here, so the first block's spot check must
         # in the factor of a power that the kernel's slices and scatter read
-        source = textwrap.dedent(inspect.getsource(arith._power_update))
+        source = textwrap.dedent(inspect.getsource(sieve._power_update))
         assert source.count("if p % 6 == 5:") == 1
-        namespace = dict(vars(arith))
+        namespace = dict(vars(sieve))
         code = "from __future__ import annotations\n" + source.replace(
             "if p % 6 == 5:", "if p % 6 == 1:"
         )
-        exec(compile(code, arith.__file__, "exec"), namespace)
-        monkeypatch.setattr(arith, "_power_update", namespace["_power_update"])
+        exec(compile(code, sieve.__file__, "exec"), namespace)
+        monkeypatch.setattr(sieve, "_power_update", namespace["_power_update"])
         with pytest.raises(arith.InvariantViolation, match=r"^sieved bad5\(") as info:
             walk()
         assert 1 <= info.value.n < SPAN and info.value.routes == ("sieve", "factorize")
@@ -741,7 +741,7 @@ class TestFactorSieveBlocks:
 def _assert_walk_matches_factorize(lo, hi, near=None, width=40):
     """Every odd n of the walk over lo..hi, or those within ``width`` of
     ``near`` alone, against one factorize(n)."""
-    for a, block in arith._factor_blocks(lo, hi):
+    for a, block in sieve.factor_blocks(lo, hi):
         entries = range(len(block.imph))
         if near is not None:
             entries = entries[max(0, (near - width - a) // 2) : (near + width - a) // 2 + 1]
@@ -764,14 +764,14 @@ class TestSieveKernel:
         # blocks of 316 entries cover 632 numbers, so the 315 blocks of this
         # walk start at every odd residue mod 630 once
         a = 630 * k + 1
-        with mock.patch.object(arith, "_SIEVE_BLOCK", 316):
+        with mock.patch.object(sieve, "_SIEVE_BLOCK", 316):
             _assert_walk_matches_factorize(a, a + 2 * 316 * 315 - 2)
 
     @pytest.mark.parametrize("length", [1, 2, 314, 316, 1001])
     @settings(max_examples=8, deadline=None)
     @given(lo=st.integers(0, 10**6), count=st.integers(0, 1500))
     def test_block_lengths(self, length, lo, count):
-        with mock.patch.object(arith, "_SIEVE_BLOCK", length):
+        with mock.patch.object(sieve, "_SIEVE_BLOCK", length):
             _assert_walk_matches_factorize(lo, lo + count)
 
     @settings(max_examples=20, deadline=None)
@@ -964,6 +964,6 @@ class TestScatter:
         # one block of the walk, placed so that it holds n anywhere
         lo = max(1, n - 2 * data.draw(st.integers(0, length - 1)))
         hi = min(lo + 2 * length - 1, arith.IMPH_SIEVE_BOUND)
-        with mock.patch.object(arith, "_SIEVE_BLOCK", length):
-            assert len(list(arith._factor_blocks(lo, hi))) == 1
+        with mock.patch.object(sieve, "_SIEVE_BLOCK", length):
+            assert len(list(sieve.factor_blocks(lo, hi))) == 1
             _assert_walk_matches_factorize(lo, hi, near=n)

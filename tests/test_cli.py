@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleantri import arith, cli, counting, lattice, meanvalue
+from cleantri import arith, cli, counting, lattice, meanvalue, sieve
 
 PKG = [sys.executable, "-m", "cleantri.cli"]
 
@@ -136,7 +136,7 @@ class TestImphCommand:
         assert rec["provenance"] == "closed-form"
 
 
-SPAN = 2 * arith._SIEVE_BLOCK  # the numbers one block of odd n covers
+SPAN = 2 * sieve._SIEVE_BLOCK  # the numbers one block of odd n covers
 
 
 class TestImphStreaming:
@@ -190,8 +190,9 @@ class TestImphStreaming:
             raise RuntimeError("work started")
 
         with monkeypatch.context() as m:
-            for name in ("imph", "imph_bruteforce", "_factor_blocks"):
-                m.setattr(arith, name, forbidden)
+            for module, name in ((arith, "imph"), (arith, "imph_bruteforce"),
+                                 (sieve, "factor_blocks")):
+                m.setattr(module, name, forbidden)
             for spec in ("1..100000", "1..4472", str(arith.IMPH_BRUTEFORCE_BOUND + 1)):
                 assert cli.main(["imph", spec, "--bruteforce"]) == 2
                 out, err = capsys.readouterr()
@@ -206,7 +207,7 @@ class TestImphStreaming:
         # empty, in lines and in the --json record alike
         oracle = arith.imph_bruteforce
         monkeypatch.setattr(arith, "imph_bruteforce", lambda n: oracle(n) + (n == 29))
-        monkeypatch.setattr(arith, "_SIEVE_BLOCK", 8)
+        monkeypatch.setattr(sieve, "_SIEVE_BLOCK", 8)
         for fmt in ([], ["--json"]):
             assert cli.main(["imph", "1..29", "--bruteforce", *fmt]) == 3
             out, err = capsys.readouterr()
@@ -355,12 +356,12 @@ def _walk_need(runs):
     odd n (19 B each, and the cast buffer's excess over a short block's
     smooth part, 4 B an entry), the scatter table and the fixed per-walk
     objects, for each."""
-    blocks = [(min((b + 1) // 2 - a // 2, arith._SIEVE_BLOCK), b) for a, b in runs]
+    blocks = [(min((b + 1) // 2 - a // 2, sieve._SIEVE_BLOCK), b) for a, b in runs]
     return sum(
-        arith._FACTOR_SIEVE_BYTES_PER_N * n
-        + max(0, arith._CAST_BUFFER_BYTES - 4 * n)
-        + arith._scatter_bytes(b, n)
-        + arith._WALK_OBJECT_BYTES
+        sieve._FACTOR_SIEVE_BYTES_PER_N * n
+        + max(0, sieve._CAST_BUFFER_BYTES - 4 * n)
+        + sieve._scatter_bytes(b, n)
+        + sieve._WALK_OBJECT_BYTES
         for n, b in blocks
     )
 
@@ -432,13 +433,13 @@ class TestRangeWriter:
         runs = [(5, 9), (10, 99), (100, 999), (1000, 1004)]
         need = _walk_need(runs)
         sieved = []
-        kernel = arith._sieve_block
+        kernel = sieve._sieve_block
 
         def spy(a, *args):
             sieved.append(a)
             return kernel(a, *args)
 
-        monkeypatch.setattr(arith, "_sieve_block", spy)
+        monkeypatch.setattr(sieve, "_sieve_block", spy)
         monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
         assert cli.main([command, f"{lo}..{hi}", "--json"]) == 2
         out, err = capsys.readouterr()
@@ -463,7 +464,7 @@ class TestRangeWriter:
             raise RuntimeError(f"block sieved at {a}")
 
         with monkeypatch.context() as m:
-            m.setattr(arith, "_sieve_block", forbidden)
+            m.setattr(sieve, "_sieve_block", forbidden)
             m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
             assert cli.main(["tcount", f"{lo}..{hi}", "--bfile"]) == 2
             out, err = capsys.readouterr()
@@ -483,7 +484,7 @@ class TestRangeWriter:
         import numpy  # noqa: F401  (loaded before tracing, as by any earlier array command)
 
         block, hi = 1000, 10**5
-        monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
+        monkeypatch.setattr(sieve, "_SIEVE_BLOCK", block)
         monkeypatch.setattr(cli, "_LINES_PER_WRITE", 500)
         sink = _Sink()
         monkeypatch.setattr(sys, "stdout", sink)
@@ -521,7 +522,7 @@ class TestRangeWriter:
         assert need > _walk_need(runs) if hi == 40_000 else need >= _walk_need(runs)
         sieved = []
         with monkeypatch.context() as m:
-            m.setattr(arith, "_sieve_block", lambda a, *args: sieved.append(a))
+            m.setattr(sieve, "_sieve_block", lambda a, *args: sieved.append(a))
             m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
             assert cli.main(argv) == 2
             assert capsys.readouterr().out == "" and sieved == []
@@ -571,7 +572,7 @@ class TestRangeWriter:
         if method == "burnside":
             hi = min(hi, 10**5)  # at most 76 odd n near 10^5: under the work guard's 10^7
         argv = [command, f"{lo}..{hi}"] + (["--method", method] if command == "tcount" else [])
-        with mock.patch.object(arith, "_SIEVE_BLOCK", 64), \
+        with mock.patch.object(sieve, "_SIEVE_BLOCK", 64), \
                 mock.patch.object(cli, "_LINES_PER_WRITE", 7):
             for mode, flags in (("text", []), ("bfile", ["--bfile"]), ("json", ["--json"])):
                 out = io.StringIO()
@@ -586,7 +587,7 @@ class TestRangeWriter:
         # a range starting on an even n holds it before the walk's first odd
         # n, and one ending on an even n holds it after the walk's last
         argv = [command, f"{lo}..{hi}"]
-        with mock.patch.object(arith, "_SIEVE_BLOCK", 64), \
+        with mock.patch.object(sieve, "_SIEVE_BLOCK", 64), \
                 mock.patch.object(cli, "_LINES_PER_WRITE", 7):
             for mode, flags in (("text", []), ("bfile", ["--bfile"]), ("json", ["--json"])):
                 out = io.StringIO()
@@ -602,8 +603,8 @@ class TestRangeWriter:
         # the slice start of every n, not of the odd n, corrupts every block;
         # with the kernel's cofactor check taken out, the walk's spot check
         # stops the first before any line is written
-        monkeypatch.setattr(arith, "_odd_offset", lambda a, m: (-a) % m)
-        _mutate(monkeypatch, arith._sieve_block,
+        monkeypatch.setattr(sieve, "_odd_offset", lambda a, m: (-a) % m)
+        _mutate(monkeypatch, sieve._sieve_block,
                 "if len(left) or np.count_nonzero(cof) < length or above < np.count_nonzero(big):",
                 "if False:")
         assert cli.main(argv) == 3
@@ -612,7 +613,7 @@ class TestRangeWriter:
         record = json.loads(err)
         assert record["error"] == "invariant" and record["routes"] == ["sieve", "factorize"]
         n = record["n"]
-        assert n % 2 == 1 and 1 <= n < 2 * arith._SIEVE_BLOCK
+        assert n % 2 == 1 and 1 <= n < 2 * sieve._SIEVE_BLOCK
         assert f"factorize gives {arith.imph(n)}" in record["message"]
 
     @pytest.mark.parametrize("argv", [
@@ -624,7 +625,7 @@ class TestRangeWriter:
         # remainder: the kernel's check of cofactor * smooth part = n names
         # the first such n before any line is written; in the block of a = 1
         # the slice of 3 starts at entry 2, n = 5
-        monkeypatch.setattr(arith, "_odd_offset", lambda a, m: (-a) % m)
+        monkeypatch.setattr(sieve, "_odd_offset", lambda a, m: (-a) % m)
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
@@ -638,33 +639,37 @@ class TestRangeWriter:
     ])
     @pytest.mark.parametrize("fn,old,new,caught", [
         # the kernel's slices and its scatter table read the factor and the
-        # step of a power from arith._power_update
-        pytest.param(arith._power_update, "step = 0x101", "step = 0x102", "sieved omega(",
+        # step of a power from sieve._power_update
+        pytest.param(sieve._power_update, "step = 0x101", "step = 0x102", "sieved omega(",
                      id="_sieve_block-omega step"),
-        pytest.param(arith._power_update, "step = 0x101", "step = 0x201", "sieved big_omega(",
+        pytest.param(sieve._power_update, "step = 0x101", "step = 0x201", "sieved big_omega(",
                      id="_sieve_block-Omega step"),
-        (arith._sieve_block, "== 3  # q - 2", "== 1  # q - 2", "closed-form numerator of T("),
-        pytest.param(arith._power_update, "if p % 6 == 5:", "if p % 6 == 1:", "sieved bad5(",
+        (sieve._sieve_block, "== 3  # q - 2", "== 1  # q - 2", "closed-form numerator of T("),
+        pytest.param(sieve._power_update, "if p % 6 == 5:", "if p % 6 == 1:", "sieved bad5(",
                      id="_sieve_block-if p % 6 == 5:-if p % 6 == 1:-sieved bad5("),
-        pytest.param(arith._sieve_block, "(3, 9)", "(3, 27)", "sieved cofactor(",
+        pytest.param(sieve._sieve_block, "(3, 9)", "(3, 27)", "sieved cofactor(",
                      id="_sieve_block-wheel without 9"),
-        pytest.param(arith._sieve_block, "np.arange(a, end + 1", "np.arange(a + 2, end + 3",
+        pytest.param(sieve._sieve_block, "np.arange(a, end + 1", "np.arange(a + 2, end + 3",
                      "sieved cofactor(", id="_sieve_block-cofactor of the next n"),
-        pytest.param(arith._repeat_head, "arr[: len(ahead)]", "arr[1 : len(ahead) + 1]",
+        pytest.param(sieve._repeat_head, "arr[: len(ahead)]", "arr[1 : len(ahead) + 1]",
                      "sieved cofactor(", id="_repeat_head-wheel copied one entry off"),
-        pytest.param(arith._sieve_block, "sm[:head] = 1", "sm[:head] = 0", "sieved cofactor(",
+        pytest.param(sieve._sieve_block, "sm[:head] = 1", "sm[:head] = 0", "sieved cofactor(",
                      id="_sieve_block-zero smooth part"),
-        pytest.param(arith._scatter_table, "table.smooth[i] = p", "table.smooth[i] = pk",
+        pytest.param(sieve._scatter_table, "table.smooth[i] = p", "table.smooth[i] = pk",
                      "sieved cofactor(", id="_scatter_table-smooth factor p^k at k >= 2"),
-        pytest.param(arith._scatter, "ufunc.at(target, idx[: stop - done], values[: stop - done])",
+        pytest.param(sieve._scatter, "ufunc.at(target, idx[: stop - done], values[: stop - done])",
                      "target[idx[: stop - done]] = ufunc(target[idx[: stop - done]], "
                      "values[: stop - done])",
                      "sieved cofactor(", id="_scatter-fancy index in place of ufunc.at"),
-        (meanvalue._t_closed_block, "_odd_offset(a, 3) :: 3", "_odd_offset(a, 3) + 1 :: 3",
-         "closed-form numerator of T("),
-        (meanvalue._t_closed_block, "_odd_offset(a, 9) :: 9", "_odd_offset(a, 9) + 1 :: 9",
-         "closed-form numerator of T("),
-        (meanvalue._t_closed_block, "table += 3", "table += 9", "sieved T("),
+        # ids of the T kernel's rows as when it was the private meanvalue._t_closed_block
+        pytest.param(sieve.t_closed_block, "_odd_offset(a, 3) :: 3", "_odd_offset(a, 3) + 1 :: 3",
+                     "closed-form numerator of T(", id="_t_closed_block-_odd_offset(a, 3) :: 3-"
+                     "_odd_offset(a, 3) + 1 :: 3-closed-form numerator of T("),
+        pytest.param(sieve.t_closed_block, "_odd_offset(a, 9) :: 9", "_odd_offset(a, 9) + 1 :: 9",
+                     "closed-form numerator of T(", id="_t_closed_block-_odd_offset(a, 9) :: 9-"
+                     "_odd_offset(a, 9) + 1 :: 9-closed-form numerator of T("),
+        pytest.param(sieve.t_closed_block, "table += 3", "table += 9", "sieved T(",
+                     id="_t_closed_block-table += 3-table += 9-sieved T("),
     ])
     def test_factor_row_mutation_exits_3(self, monkeypatch, capsys, argv, fn, old, new, caught):
         # a wrong update of one field of the factor row, of the wheel the
@@ -677,7 +682,7 @@ class TestRangeWriter:
         record = json.loads(err)
         n = record["n"]
         assert record["message"].startswith(caught + f"{n})")
-        assert n % 2 == 1 and 1 <= n < 2 * arith._SIEVE_BLOCK
+        assert n % 2 == 1 and 1 <= n < 2 * sieve._SIEVE_BLOCK
         routes = {"closed-form numerator of T(": ["closed"],
                   "sieved cofactor(": ["sieve", "cofactor"]}
         assert record["error"] == "invariant"
@@ -870,7 +875,7 @@ class TestMeanvalueBounds:
             raise RuntimeError("sieve run")
 
         monkeypatch.setattr(arith, "_prime_mask", forbidden)
-        monkeypatch.setattr(arith, "_sieve_block", forbidden)
+        monkeypatch.setattr(sieve, "_sieve_block", forbidden)
         assert cli.main(["meanvalue", "--x", "10", "--primes", str(10**400)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: prime sieve to {10**400} exceeds the memory budget\n"
@@ -1090,7 +1095,7 @@ class TestInternalFaultExit:
     def test_kernel_shape_fault(self, monkeypatch, capsys):
         # a block end one length too far makes the cofactor longer than the
         # smooth part, and numpy refuses to broadcast them
-        _mutate(monkeypatch, arith._sieve_block, "end = a + 2 * length - 2",
+        _mutate(monkeypatch, sieve._sieve_block, "end = a + 2 * length - 2",
                 "end = a + 3 * length - 2")
         record = _internal_fault(capsys, ["imph", "1..1000", "--bfile"])
         assert record.pop("message").startswith("ValueError: operands could not be broadcast")
@@ -1106,7 +1111,7 @@ class TestInternalFaultExit:
         def broken(*args):
             raise error("injected")
 
-        monkeypatch.setattr(arith, "_scatter", broken)
+        monkeypatch.setattr(sieve, "_scatter", broken)
         assert _internal_fault(capsys, argv) == {
             "error": "internal", "message": f"{error.__name__}: injected", "n": None,
             "routes": ["internal"],
@@ -1199,11 +1204,12 @@ def test_import_loads_no_heavy_modules():
         pytest.param(["equiv", "0", "0", "1", "0", "2", "7", "0", "0", "1", "0", "4", "7"],
                      ["arith", "lattice"], id="equiv"),
         pytest.param(["scott", "1", "1", "1", "4", "4", "1"], ["arith", "lattice"], id="scott"),
-        pytest.param(["tcount", "1..100"], ["arith", "counting", "meanvalue"], id="tcount A..B"),
+        pytest.param(["tcount", "1..100"], ["arith", "counting", "sieve"], id="tcount A..B"),
+        pytest.param(["imph", "1..100", "--bfile"], ["arith", "sieve"], id="imph A..B"),
         pytest.param(["tcount", "7", "--method", "geometric"], ["arith", "counting", "lattice"],
                      id="tcount geometric"),
         pytest.param(["orbits", "15"], ["arith", "counting"], id="orbits"),
-        pytest.param(["meanvalue", "--x", "1000"], ["arith", "meanvalue"], id="meanvalue"),
+        pytest.param(["meanvalue", "--x", "1000"], ["arith", "meanvalue", "sieve"], id="meanvalue"),
     ],
 )
 def test_commands_load_only_their_modules(argv, modules):
@@ -1348,8 +1354,8 @@ def test_no_cumsum_in_package():
 
 
 def test_one_sieve_walk():
-    """The factor sieve kernel ``arith._sieve_block`` is called from one place,
-    the block walk ``arith._factor_blocks``, and no second walker is named."""
+    """The factor sieve kernel ``sieve._sieve_block`` is called from one place,
+    the block walk ``sieve.factor_blocks``, and no second walker is named."""
     src = pathlib.Path(cli.__file__).parent
     calls, named = [], []
     for path in sorted(src.glob("*.py")):
@@ -1362,8 +1368,40 @@ def test_one_sieve_walk():
                     getattr(func, "id", None), getattr(func, "attr", None)
                 ):
                     calls.append(f"{path.name}:{getattr(top, 'name', None)}")
-    assert calls == ["arith.py:_factor_blocks"]
+    assert calls == ["sieve.py:factor_blocks"]
     assert named == []
+
+
+def test_walk_behind_public_names():
+    """No module but ``sieve`` names a private name that ``sieve`` defines,
+    and ``cli`` and ``meanvalue`` read no name of the walk from ``arith``:
+    they reach the walk through ``sieve``'s public names alone."""
+    src = pathlib.Path(cli.__file__).parent
+    walk = set()
+    for top in ast.parse((src / "sieve.py").read_text()).body:
+        targets = [top] if isinstance(top, (ast.ClassDef, ast.FunctionDef)) else (
+            getattr(top, "targets", None) or [getattr(top, "target", None)])
+        walk.update(getattr(node, "name", getattr(node, "id", None)) for node in targets)
+    walk.discard(None)
+    assert {"_FactorData", "_sieve_block", "_spot_row", "factor_blocks"} <= walk
+    private = {name for name in walk if name.startswith("_") and not name.startswith("__")}
+    named, from_arith = [], []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "sieve.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            used = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                used = node.name
+            named += [f"{path.stem}:{used}"] * (used in private)
+            if path.stem not in ("cli", "meanvalue"):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "arith":
+                from_arith += [f"{path.stem}:{a.name}" for a in node.names if a.name in walk]
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "arith":
+                from_arith += [f"{path.stem}:{node.attr}"] * (node.attr in walk)
+    assert named == []
+    assert from_arith == []
 
 
 def test_one_gcd_pass():
@@ -1497,8 +1535,9 @@ def test_reduction_kernel_builds_no_records(monkeypatch):
 
 def test_one_prime_sieve():
     """``arith._prime_mask`` is the one prime sieve: no other function strikes
-    an Eratosthenes ``p * p`` slice, only ``_primes_upto`` and the module's
-    prime tuple call it, and the sieves it replaced are not named."""
+    an Eratosthenes ``p * p`` slice, only ``_primes_upto`` and the prime
+    tuples of ``arith`` and ``sieve`` call it, and the sieves it replaced are
+    not named."""
     src = pathlib.Path(cli.__file__).parent
     slices, calls, named = [], [], []
     for path in sorted(src.glob("*.py")):
@@ -1519,7 +1558,7 @@ def test_one_prime_sieve():
                 ):
                     calls.append(f"{path.name}:{where}")
     assert slices == ["arith.py:_prime_mask"]
-    assert calls == ["arith.py:_SIEVE_PRIMES", "arith.py:_primes_upto"]
+    assert calls == ["arith.py:_TRIAL_PRIMES", "arith.py:_primes_upto", "sieve.py:_SIEVE_PRIMES"]
     assert named == []
 
 
@@ -1589,7 +1628,7 @@ def test_exports_resolve():
     in its ``__all__``: a deletion leaves no dangling export."""
     import cleantri
 
-    for mod in (arith, counting, lattice, meanvalue):
+    for mod in (arith, counting, lattice, meanvalue, sieve):
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
         defined = [
             name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleantri import arith, counting, meanvalue
+from cleantri import arith, counting, meanvalue, sieve
 from cleantri.meanvalue import (
     ConstantEstimate,
     euler_product_odd,
@@ -48,7 +48,7 @@ class TestPartialSums:
         def forbidden(length):
             raise RuntimeError(f"table of {length} allocated")
 
-        monkeypatch.setattr(arith, "_empty_factor_data", forbidden)
+        monkeypatch.setattr(sieve, "_empty_factor_data", forbidden)
         with pytest.raises(ValueError, match=match):
             partial_sum_imph(x)
 
@@ -217,13 +217,13 @@ class TestGrosswald:
             min_size=1,
             max_size=4,
         ),
-        st.sampled_from([5, 64, arith._SIEVE_BLOCK]),
+        st.sampled_from([5, 64, sieve._SIEVE_BLOCK]),
     )
     def test_grosswald_matches_factorize(self, bounds, block):
         # the odd-n walk's cuts floor(x / 2^k), in blocks of any length,
         # against 2^Omega(n) summed over every n from its factorization
         totals = _two_pow_big_omega_sums()
-        with mock.patch.object(arith, "_SIEVE_BLOCK", block):
+        with mock.patch.object(sieve, "_SIEVE_BLOCK", block):
             reports = grosswald_ratios(bounds)
         assert [r.x for r in reports] == sorted(bounds)
         assert [r.total for r in reports] == [totals[x] for x in sorted(bounds)]
@@ -242,7 +242,7 @@ class TestBlockWalk:
     X = 5000
 
     def test_t_table_matches_scalar(self, monkeypatch):
-        monkeypatch.setattr(arith, "_SIEVE_BLOCK", 1001)
+        monkeypatch.setattr(sieve, "_SIEVE_BLOCK", 1001)
         table = t_closed_sieve(self.X)
         assert table.tolist() == [0] + [counting.t_closed(n) for n in range(1, self.X + 1)]
         assert partial_sum_T(self.X) == int(table.sum())
@@ -261,7 +261,7 @@ class TestBlockWalk:
     )
     def test_same_as_one_block(self, monkeypatch, fn):
         whole = fn(self.X)
-        monkeypatch.setattr(arith, "_SIEVE_BLOCK", 1001)
+        monkeypatch.setattr(sieve, "_SIEVE_BLOCK", 1001)
         blocked = fn(self.X)
         if isinstance(whole, np.ndarray):
             assert blocked.dtype == whole.dtype and np.array_equal(blocked, whole)
@@ -278,13 +278,13 @@ def test_t_walk_factorizes_each_spot_once(monkeypatch, fn):
     # the T spot check reads the rows of the walk's own spot check: one
     # factorize call per spot, four per block, not eight
     x = 10**6
-    blocks = [(a, len(f.imph)) for a, f in arith._factor_blocks(0, x)]
-    spots = [a + 2 * i for a, length in blocks for i in arith._spot_indices(a, length)]
+    blocks = [(a, len(f.imph)) for a, f in sieve.factor_blocks(0, x)]
+    spots = [a + 2 * i for a, length in blocks for i in sieve._spot_indices(a, length)]
     assert len(blocks) == 2 and len(set(spots)) == len(spots) == 8
     calls = []
     factorize = arith.factorize
-    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
-    arith._spot_row.cache_clear()
+    monkeypatch.setattr(sieve, "factorize", lambda n: calls.append(n) or factorize(n))
+    sieve._spot_row.cache_clear()
     fn(x)
     assert calls == spots
 
@@ -304,13 +304,13 @@ def _charged_need(name, x):
     what the caller holds, one block, the scatter table and the fixed
     per-walk objects."""
     _, lo, holding = SIEVE_USERS[name]
-    block = min((x + 1) // 2 - lo // 2, arith._SIEVE_BLOCK)  # 19 B for each odd n
+    block = min((x + 1) // 2 - lo // 2, sieve._SIEVE_BLOCK)  # 19 B for each odd n
     return (
         holding(x)
-        + arith._FACTOR_SIEVE_BYTES_PER_N * block
-        + max(0, arith._CAST_BUFFER_BYTES - 4 * block)
-        + arith._scatter_bytes(x, block)
-        + arith._WALK_OBJECT_BYTES
+        + sieve._FACTOR_SIEVE_BYTES_PER_N * block
+        + max(0, sieve._CAST_BUFFER_BYTES - 4 * block)
+        + sieve._scatter_bytes(x, block)
+        + sieve._WALK_OBJECT_BYTES
     )
 
 
@@ -341,7 +341,7 @@ class TestSieveMemoryBudget:
         fn, need = SIEVE_USERS[name][0], _charged_need(name, x)
         with monkeypatch.context() as m:
             m.setenv(arith.SIEVE_MEMORY_ENV, str(need - 1))
-            m.setattr(arith, "_sieve_block", forbidden)
+            m.setattr(sieve, "_sieve_block", forbidden)
             with pytest.raises(ValueError, match=f"needs {need} bytes, budget"):
                 fn(x)
         monkeypatch.setenv(arith.SIEVE_MEMORY_ENV, str(need))
@@ -365,10 +365,10 @@ class TestSieveMemoryBudget:
     def test_sums_hold_one_block(self, fn):
         # four blocks of odd n are added up in the memory of one, plus the
         # scatter table and the fixed per-walk objects
-        x = 8 * arith._SIEVE_BLOCK
-        block = arith._FACTOR_SIEVE_BYTES_PER_N * arith._SIEVE_BLOCK
-        table = arith._scatter_bytes(x, arith._SIEVE_BLOCK)
-        assert _traced_peak(fn, x) <= block + table + arith._WALK_OBJECT_BYTES + OBJECT_SLACK
+        x = 8 * sieve._SIEVE_BLOCK
+        block = sieve._FACTOR_SIEVE_BYTES_PER_N * sieve._SIEVE_BLOCK
+        table = sieve._scatter_bytes(x, sieve._SIEVE_BLOCK)
+        assert _traced_peak(fn, x) <= block + table + sieve._WALK_OBJECT_BYTES + OBJECT_SLACK
 
     @pytest.mark.parametrize("d_bound", [10**8 + 1, 10**12, 10**20])
     def test_moebius_cap_before_terms(self, d_bound):
