@@ -8,7 +8,7 @@ clean triangles of twice-area n, is computed three ways that share no
 formula: a closed form from the prime factorization, the Burnside average of
 the fixed-point counts, each counted as the congruence that defines the
 map's fixed points, and the base-form clean triangles that are their own
-class key, found by ``lattice._least_keys`` on arrays by extended Euclid.
+class key, keyed by ``lattice._least_keys`` on arrays up to m = (n + 1)/2.
 The Burnside and geometric routes stream the one gcd pass and serve odd n
 up to 10^7 by one rule, ``_require_served``; the orbits hold all of IP(n)
 and serve odd n up to 10^5.  No route keeps a cache.
@@ -225,9 +225,10 @@ def t_geometric(n: int) -> int:
     """Geometric oracle for T(n), for odd n up to 10^7: the members m of IP(n)
     whose class key, the least base-form m over the six vertex orders of
     (0,0), (1,0), (m,n), is m itself; the identity order gives m, so each
-    class has one.  ``lattice._least_keys`` keys the members that each chunk
-    of the gcd pass flags, ``lattice._KEYS_PER_CHUNK`` at a time, by extended
-    Euclid on the edges alone: no residue map or modular inverse is used."""
+    class has one.  The order (1,0), (0,0), (m,n) gives n + 1 - m, so
+    ``lattice._least_keys`` keys only (n + 1)/2 and the low members of the
+    gcd pass, ``lattice._KEYS_PER_CHUNK`` at a time, by extended Euclid on
+    the edges alone: no residue map or modular inverse is used."""
     import numpy as np
 
     from .lattice import _KEYS_PER_CHUNK, _least_keys
@@ -238,9 +239,10 @@ def t_geometric(n: int) -> int:
     _require_served("geometric", n, n)
     if n == 1:
         return 1  # IP(1) = {1}, keyed 0, and the pass holds no x
-    classes = 0
-    for x, low, high in _half_units(n):
-        members = np.concatenate((x[low], n - x[high]))
+    half = np.array([(n + 1) // 2])  # n + 1 - m = m, past the pass's last x, (n - 1)/2
+    classes = int(_least_keys(half, n)[0] == half[0])
+    for x, low, _ in _half_units(n):
+        members = x[low]
         for i in range(0, members.size, _KEYS_PER_CHUNK):
             part = members[i : i + _KEYS_PER_CHUNK]
             classes += int(np.count_nonzero(_least_keys(part, n) == part))

@@ -11,7 +11,8 @@ Clean triangles (boundary lattice points = vertices only) reduce to b = 1.
 Their equivalence test compares the orbits of m under the six residue maps
 mod h (``arith.six_maps``), while clean_key classifies them from the
 reduction alone, and ``_least_keys`` does the same for many base-form
-clean triangles of one h at once, on arrays.
+clean triangles of one h at once, on arrays, from three directed edges:
+reversing an edge turns the key k of its order into 1 - k.
 """
 
 from __future__ import annotations
@@ -452,36 +453,34 @@ def enumerate_clean(h: int) -> list[LatticeTriangle]:
 
 
 # Members a caller of ``_least_keys`` reduces at once; the arrays of one call
-# peak near 5 MB.
+# peak near 1.4 MB traced.
 _KEYS_PER_CHUNK = 1 << 13
 
 
 def _least_keys(members: np.ndarray, h: int) -> np.ndarray:
-    """The least base-form m over the six vertex orders (o, e, v) of each
-    triangle (0,0), (1,0), (m,h), m in ``members``: the m of ``clean_key``,
-    on whole arrays.
+    """The least base-form m over the six vertex orders of each triangle
+    (0,0), (1,0), (m,h), m in ``members``: the m of ``clean_key``, on whole
+    arrays.
 
     Extended Euclid, run on the edges (m,h) and (m-1,h) of every triangle
     at once, gives s u.x + t u.y = 1 for each edge u, as the edges of a
     clean triangle are primitive and these have no negative coordinate; the
-    third edge (1,0) has s = 1 before any step, and the reversed edge -u
-    takes (-s, -t).  The base-form m of an order is s w.x + t w.y mod h for
-    its base edge u = e - o and w = v - o: another Bezout pair moves it by a
-    multiple of h, and the flip into the upper half plane leaves it alone.
-    Every w.y is 0 or +-h, so t drops out and only s is carried.  No residue
-    map and no modular inverse is used.
+    third edge (1,0) has s = 1 before any step.  The order with base edge
+    u = e - o has base-form m = k mod h, k = s w.x + t w.y for w = v - o:
+    another Bezout pair moves it by a multiple of h, and the flip into the
+    upper half plane leaves it alone; as w.y is 0 or +-h, only s is carried.
+    The reversed edge -u has the pair (-s, -t) and w - u, so its order
+    gives -k + s u.x + t u.y = 1 - k, and the edges 0->1, 0->2 and 1->2
+    give all six keys.  No residue map and no modular inverse is used.
     """
     import numpy as np
 
-    corners = np.zeros((2, 3, len(members)), dtype=np.int64)  # x, y of (0,0), (1,0), (m,h)
-    corners[0, 1], corners[0, 2], corners[1, 2] = 1, members, h
-    edges = corners[:, [1, 2, 2]] - corners[:, [0, 0, 1]]  # x, y of 0->1, 0->2, 1->2
-    s = np.ones_like(edges[0])  # the edge 0->1 is (1, 0), whose s is 1 as it stands
-    # Euclid runs on views of the edges 0->2 and 1->2 alone.  Each step maps
-    # (r0, r1) to (r1, r0 - q r1), and s alike, in place.  A finished entry,
-    # (g, 0) or (0, g), is masked to q = 0, so it only swaps.
-    r0, r1 = edges[:, 1:]
-    s0, s1 = s[1:], np.zeros_like(r0)
+    # Euclid runs on the edges 0->2 and 1->2, (x, y) = (r0, r1).  Each step
+    # maps (r0, r1) to (r1, r0 - q r1), and s alike, in place.  A finished
+    # entry, (g, 0) or (0, g), is masked to q = 0, so it only swaps.
+    r0 = np.array((members, members - 1), dtype=np.int64)
+    r1 = np.full_like(r0, h)
+    s0, s1 = np.ones_like(r0), np.zeros_like(r0)
     while np.logical_and(r0, r1).any():
         q = np.floor_divide(r0, r1, out=np.zeros_like(r0), where=r1 != 0)
         r0 -= q * r1
@@ -489,10 +488,8 @@ def _least_keys(members: np.ndarray, h: int) -> np.ndarray:
         r0, r1, s0, s1 = r1, r0, s1, s0
     msg = "an edge of a base-form triangle of twice-area {} is not primitive"
     _expect((r0 + r1 == 1).all(), h, ("geometric",), msg, h)
-    s[1:] = np.where(r1 == 0, s0, s1)
-    o, e, v = np.array(list(permutations(range(3)))).T
-    edge, sign = o + e - 1, np.where(o < e, 1, -1)[:, None]
-    s = s[edge] * sign
-    s *= corners[0, v] - corners[0, o]
-    s %= h
-    return s.min(axis=0)
+    s = np.where(r1 == 0, s0, s1)
+    # k = s (v.x - o.x) on 0->1 (s = 1, apex m), 0->2 (apex 1) and 1->2 (apex 0)
+    k = np.stack((members, s[0], -s[1]))
+    k %= h
+    return np.minimum(k, (1 - k) % h).min(axis=0)

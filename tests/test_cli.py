@@ -3,6 +3,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -1479,6 +1480,27 @@ def test_one_fixed_point_pass(monkeypatch):
     report = counting.t_report(4001)
     assert calls == [4001, 4001]
     assert report.t_burnside == report.t_closed == counting.t_closed(4001)
+
+
+@pytest.mark.parametrize("n", [3, 4001, 131075])
+def test_geometric_keys_the_low_half(monkeypatch, n):
+    """``counting.t_geometric`` keys no member past (n + 1)/2, which the order
+    (1,0), (0,0), (m,n) always undercuts, and each member up to it once:
+    the low members of the gcd pass and (n + 1)/2.  131,075 takes two
+    chunks of the pass."""
+    keyed = []
+    least_keys = lattice._least_keys
+
+    def spy(members, h):
+        keyed.extend(members.tolist())
+        return least_keys(members, h)
+
+    monkeypatch.setattr(lattice, "_least_keys", spy)
+    assert counting.t_geometric(n) == counting.t_closed(n)
+    half = (n + 1) // 2
+    assert max(keyed) <= half
+    low = [m for m in range(2, half + 1) if math.gcd(m, n) == 1 == math.gcd(m - 1, n)]
+    assert sorted(keyed) == low and low[-1] == half
 
 
 def test_fixed_points_counted_on_arrays():
