@@ -494,37 +494,37 @@ def imph_bruteforce(n: int) -> int:
     )
 
 
-_UNIT_CHUNK = 1 << 16  # x per step of ``_half_units``: under 2 MB traced with a caller, whatever n is
+_UNIT_CHUNK = 1 << 16  # x per step of ``_half_units``: it peaks at 1.5 MB traced, whatever n is
 IP_BOUND = 10**5  # the cap of every array over IP(n): its members, the six-map table
 
 
 def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The package's one gcd pass over the residues of odd n, 3 <= n <= 10^7.
+    """The package's one pass over the residues of odd n, 3 <= n <= 10^7.
     As gcd(x, n) = gcd(n - x, n), it covers 1 <= x <= (n - 1)/2 alone, in
     steps of ``_UNIT_CHUNK`` x, each yielded as an int64 array (the caller's)
     with the member flags of IP(n): low marks the members m = x, whose x - 1
     and x are units, and high the members m = n - x, whose x and x + 1 are.
 
-    The gcd runs in uint32.  The first step, all of x for n up to
-    2 * ``_UNIT_CHUNK`` + 1, takes it on odd x alone: 2 is a unit of odd n,
-    so x = 2^j * o has the flag of o, copied in one slice per j."""
+    It strikes the non-units, with no gcd and no prime table.  The x >= 2
+    of a step with n % x = 0, taken at once in uint32, are the divisors of
+    n there.  Ascending, a divisor that no smaller prime divisor struck is
+    prime: it strikes its multiples in one slice, here and at the start of
+    each later step; odd n <= 10^7 has at most 7.  x = 0 is never a unit."""
     import numpy as np
 
     half = (n - 1) // 2
+    primes = []
     for lo in range(1, half + 1, _UNIT_CHUNK):
         hi = min(lo + _UNIT_CHUNK, half + 1)  # the flags run over x = lo - 1..hi
-        first = lo == 1
-        xs = np.arange(lo if first else lo - 1, hi + 1, 2 if first else 1, dtype=np.uint32)
-        unit = np.gcd(xs, n) == 1
-        if first:
-            flags, unit = unit, np.empty(hi + 1, dtype=bool)
-            unit[1::2] = flags
-            unit[0] = False  # gcd(0, n) = n
-            step = 2
-            while step <= hi:
-                even = unit[step :: 2 * step]  # x = step * o for odd o
-                even[:] = flags[: even.size]
-                step *= 2
+        unit = np.ones(hi + 2 - lo, dtype=bool)  # entry i is x = lo - 1 + i
+        unit[0] = lo > 1
+        for p in primes:
+            unit[(1 - lo) % p :: p] = False
+        xs = np.arange(max(lo - 1, 2), hi + 1, dtype=np.uint32)
+        for d in xs[n % xs == 0].tolist():
+            if unit[d + 1 - lo]:
+                primes.append(d)
+                unit[d + 1 - lo :: d] = False
         pair = unit[:-1] & unit[1:]  # x - 1 and x, or x and x + 1, both units
         yield np.arange(lo, hi, dtype=np.int64), pair[:-1], pair[1:]
 

@@ -9,9 +9,10 @@ formula: a closed form from the prime factorization, the Burnside average of
 the fixed-point counts, each counted as the congruence that defines the
 map's fixed points, and the base-form clean triangles that are their own
 class key, keyed by ``lattice._least_keys`` on arrays up to m = (n + 1)/2.
-The Burnside and geometric routes stream the one gcd pass and serve odd n
-up to 10^7 by one rule, ``_require_served``; the orbits hold all of IP(n)
-and serve odd n up to 10^5.  No route keeps a cache.
+The Burnside and geometric routes stream the one half pass, which reads no
+prime table, and share no code with ``t_closed``; they serve odd n up to
+10^7 by one rule, ``_require_served``, and the orbits, which hold all of
+IP(n), odd n up to 10^5.  No route keeps a cache.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     g2 those with m^2 = 1, g3 those with 2m = 1, g4 and g5 those with
     m^2 - m + 1 = 0, g6 those with (1 - m)^2 = 1, that is m^2 = 2m.
 
-    They read ``arith._half_units``, the gcd pass over x <= (n - 1)/2,
+    They read ``arith._half_units``, the half pass over x <= (n - 1)/2,
     whose low flags mark the members m = x and high flags the members
     m = n - x; g1 counts both.
     Each chunk takes t = x^2 mod n, also (n - x)^2 mod n, once, and counts
@@ -74,8 +75,8 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     t = x - 1 and m^2 = 2m at t = 2x, m = n - x at t = n - 1 - x and
     t = n - 2x.  As x <= (n - 1)/2, both sides lie in [0, n), so each
     comparison is exact.  Only m = (n + 1)/2, the high member of the last
-    x, solves 2m = 1.  No factorization, inverse or residue map is used.
-    """
+    x, solves 2m = 1.  No factorization, prime table, inverse or residue map
+    is used: the count shares no code with ``t_closed``."""
     import numpy as np
 
     if n == 1:
@@ -134,10 +135,9 @@ def _require_served(method: str, lo: int, hi: int) -> None:
 def t_burnside(n: int) -> int:
     """T(n) as the Burnside average of the fixed-point counts that
     ``_fix_counts_vectorized`` counts by their congruences, one array
-    comparison each per chunk of the gcd pass, for odd n up to
-    ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7; it uses no
-    factorization, inverse or residue map, so it shares nothing with
-    ``t_closed``."""
+    comparison each per chunk of the half pass, for odd n up to
+    ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7; it reads no factorization, prime
+    table, inverse or residue map, so it shares no code with ``t_closed``."""
     _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
         return 0
@@ -227,7 +227,7 @@ def t_geometric(n: int) -> int:
     (0,0), (1,0), (m,n), is m itself; the identity order gives m, so each
     class has one.  The order (1,0), (0,0), (m,n) gives n + 1 - m, so
     ``lattice._least_keys`` keys only (n + 1)/2 and the low members of the
-    gcd pass, ``lattice._KEYS_PER_CHUNK`` at a time, by extended Euclid on
+    half pass, ``lattice._KEYS_PER_CHUNK`` at a time, by extended Euclid on
     the edges alone: no residue map or modular inverse is used."""
     import numpy as np
 

@@ -1,6 +1,6 @@
 """Check the heavy rows of the golden CLI table, which Tier-1 leaves out:
-each takes seconds (``tcount 9999991 --method all`` the most, about 4 s on a
-2-core VM).  Run from the repository root:
+each takes seconds (``tcount 9999991 --method all`` the most, about 2.5 s on
+a 2-core VM).  Run from the repository root:
 
     PYTHONPATH=src python tests/golden_heavy.py
 

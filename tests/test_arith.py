@@ -837,10 +837,10 @@ class TestIpMembers:
         with mock.patch.object(arith, "_UNIT_CHUNK", chunk):
             for n in (2 * h + 1 for h in halves if 2 * h + 1 <= arith.IP_BOUND):
                 assert ip_members(n).tolist() == self._by_definition(n), n
-            # the first chunk takes the gcd on odd x alone and copies the
-            # flags of even x; at the default chunk, the halves of the last
-            # five n fall one x short of one chunk, fill it, pass it by one
-            # x, fill two chunks and pass them by one x
+            # primes met in one chunk strike their multiples in the next, and
+            # x = lo - 1 and x = lo lie in two chunks; at the default chunk,
+            # the halves of the last five n fall one x short of one chunk,
+            # fill it, pass it by one x, fill two chunks and pass them by one x
             for n in (*range(3, 3001, 2), 131071, 131073, 131075, 262145, 262147):
                 self._assert_member_flags(n)
 
@@ -856,7 +856,7 @@ class TestIpMembers:
 
     def test_even_table_makes_no_pass(self):
         def no_pass(n):
-            raise AssertionError(f"gcd pass at even n = {n}")
+            raise AssertionError(f"half pass at even n = {n}")
 
         with mock.patch.object(arith, "_half_units", no_pass):
             for n in (2, 10, arith.IP_BOUND):

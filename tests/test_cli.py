@@ -1405,22 +1405,39 @@ def test_walk_behind_public_names():
     assert from_arith == []
 
 
-def test_one_gcd_pass():
-    """``np.gcd`` runs over the residues of n in one function of ``arith`` and
-    ``counting``, the half pass ``arith._half_units`` that ``ip_members``, the
-    six-map table, the Burnside route and the geometric route read."""
+def test_one_residue_pass():
+    """The units of n are found in one function of ``arith`` and ``counting``,
+    the half pass ``arith._half_units`` that ``ip_members``, the six-map
+    table, the Burnside route and the geometric route read: no ``np.gcd`` is
+    left in either module, and the remainder of n by an array of residues,
+    an ``np.arange`` or a name bound to one, is taken in that pass alone."""
     src = pathlib.Path(cli.__file__).parent
-    calls = []
-    for name in ("arith.py", "counting.py"):
-        for top in ast.parse((src / name).read_text(), name).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.gcd":
-                    calls.append(f"{name}:{getattr(top, 'name', None)}")
-    assert calls == ["arith.py:_half_units"]
+    gcds, remainders = [], []
+    for name in ("arith", "counting"):
+        nodes = list(_located(src / f"{name}.py"))
+        ranges = {(where, target.id) for node, where in nodes
+                  if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                  and ast.unparse(node.value.func) == "np.arange"
+                  for target in node.targets if isinstance(target, ast.Name)}
+        for node, where in nodes:
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.gcd":
+                gcds.append(f"{name}.{where}")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                dividend, divisor = node.left, node.right
+            elif (isinstance(node, ast.Call) and len(node.args) == 2 and ast.unparse(node.func)
+                    in ("np.remainder", "np.mod", "np.fmod", "np.divmod", "divmod")):
+                dividend, divisor = node.args
+            else:
+                continue
+            by = ast.unparse(divisor)
+            if ast.unparse(dividend) == "n" and (by.startswith("np.arange(") or (where, by) in ranges):
+                remainders.append(f"{name}.{where}")
+    assert gcds == []
+    assert remainders == ["arith._half_units"]
 
 
 def test_member_flags_made_in_the_pass():
-    """The gcd pass ``arith._half_units`` yields the member flags of IP(n)
+    """The half pass ``arith._half_units`` yields the member flags of IP(n)
     itself: the AND of neighbouring unit flags is taken there alone, the
     helpers that read members off unit flags are gone, and the six-map
     table's inverses take no exponent from a count of units."""
@@ -1460,7 +1477,7 @@ def test_one_serving_rule():
 
 def test_one_fixed_point_pass(monkeypatch):
     """``counting`` keeps no cache for its routes, and ``t_report`` counts
-    the fixed points once: it runs the gcd pass ``arith._half_units`` twice,
+    the fixed points once: it runs the half pass ``arith._half_units`` twice,
     for the counts and for the geometric route, and never ``t_burnside``."""
     assert [name for name, fn in vars(counting).items() if hasattr(fn, "cache_info")
             and getattr(fn, "__module__", None) == counting.__name__] == []
@@ -1486,7 +1503,7 @@ def test_one_fixed_point_pass(monkeypatch):
 def test_geometric_keys_the_low_half(monkeypatch, n):
     """``counting.t_geometric`` keys no member past (n + 1)/2, which the order
     (1,0), (0,0), (m,n) always undercuts, and each member up to it once:
-    the low members of the gcd pass and (n + 1)/2.  131,075 takes two
+    the low members of the half pass and (n + 1)/2.  131,075 takes two
     chunks of the pass."""
     keyed = []
     least_keys = lattice._least_keys
@@ -1505,7 +1522,7 @@ def test_geometric_keys_the_low_half(monkeypatch, n):
 
 def test_fixed_points_counted_on_arrays():
     """``counting._fix_counts_vectorized`` counts every fixed point by array
-    comparisons in its one loop, over the gcd pass ``_half_units``: there is
+    comparisons in its one loop, over the half pass ``_half_units``: there is
     no mask of rare x and no retest of them in Python ints."""
     assert not hasattr(counting, "_rare_x")
     body = ast.parse(textwrap.dedent(inspect.getsource(counting._fix_counts_vectorized)))

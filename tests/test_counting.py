@@ -216,7 +216,7 @@ class TestTCounts:
         assert t_burnside(n) == t_closed(n)
 
     def test_burnside_memory_is_bounded(self):
-        # one chunk of the gcd pass is alive at a time, whatever n is: the
+        # one chunk of the half pass is alive at a time, whatever n is: the
         # first, whole at n = 131,073, or one of many at 9,999,991
         for n in (131073, 9999991):
             tracemalloc.start()
@@ -229,7 +229,7 @@ class TestTCounts:
             assert peak < 4 * 10**6, (n, peak)
 
     def test_geometric_memory_is_bounded(self):
-        # one chunk of the gcd pass and one call of _least_keys are alive at
+        # one chunk of the half pass and one call of _least_keys are alive at
         # a time: the first chunk, whole at n = 131,073, or one of two at
         # 262,147
         for n in (131073, 262147):
@@ -317,7 +317,7 @@ class TestGeometric:
             assert t_geometric(n) == t_closed(n)
 
     # at the old cap of 10^5, and past it: 131,075 is the first odd n whose
-    # gcd pass takes two chunks
+    # half pass takes two chunks
     @pytest.mark.parametrize("n,value", [(99991, 16666), (99999, 5246), (100003, 16668),
                                          (131075, 9188)])
     def test_at_the_cap(self, n, value):
@@ -325,9 +325,9 @@ class TestGeometric:
 
     def test_bound(self, monkeypatch):
         # even n are 0 before the cap is checked, as on the Burnside route,
-        # and odd n past it are refused before the gcd pass
+        # and odd n past it are refused before the half pass
         def no_pass(n):
-            raise RuntimeError(f"gcd pass run for n={n}")
+            raise RuntimeError(f"half pass run for n={n}")
 
         monkeypatch.setattr(counting, "_half_units", no_pass)
         assert t_geometric(2 * arith.IMPH_BRUTEFORCE_BOUND) == 0
@@ -350,7 +350,7 @@ class TestGeometric:
         assert info.value.n == 9 and info.value.routes == ("geometric",)
 
     def test_array_keys_across_chunks(self, monkeypatch):
-        # where the gcd pass and the keying cut the members changes no count;
+        # where the half pass and the keying cut the members changes no count;
         # n = 1 has the one member 1, keyed 0, and even n have none.  The odd
         # n stop at 400 but for two: to 2,001 these short chunks take about
         # 30 s on a 2-core VM, and criterion 3 covers them on the default ones
@@ -369,7 +369,7 @@ class TestIndependence:
         # the kernel's formula, table and maps under every name they are
         # imported as, the modular inverse, and the orbit test equivalent_clean
         # goes through; n past the old scalar route's cap of 2000 too, and
-        # 131,075, whose gcd pass takes two chunks
+        # 131,075, whose half pass takes two chunks
         monkeypatch.setattr(arith, "_six_images", broken)
         monkeypatch.setattr(arith, "mod_inverse", broken)
         for module in (arith, counting):
@@ -388,7 +388,9 @@ class TestIndependence:
             )
 
     def test_burnside_route_uses_no_factorization(self, monkeypatch):
-        expected = {n: t_closed(n) for n in range(1, 200, 2)}
+        # 131,075 and 196,611 = 3 * 65,537 take two chunks of the pass; the
+        # prime 65,537 is first met in the second
+        expected = {n: t_closed(n) for n in (*range(1, 200, 2), 131075, 196611)}
 
         def broken(*args):
             raise AssertionError("factorization used")
@@ -396,7 +398,9 @@ class TestIndependence:
         def no_map(*args):
             raise AssertionError("residue maps used")
 
-        monkeypatch.setattr(arith, "factorize", broken)
+        # no factorization, prime table or primality test
+        for name in ("factorize", "_prime_mask", "_primes_upto", "_miller_rabin"):
+            monkeypatch.setattr(arith, name, broken)
         monkeypatch.setattr(counting, "_cached_factorization", broken)
         monkeypatch.setattr(counting, "quad_root_count", broken)
         # nor the kernel's table and maps, the modular inverse or the formula
