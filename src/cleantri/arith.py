@@ -494,7 +494,7 @@ def imph_bruteforce(n: int) -> int:
     )
 
 
-_UNIT_CHUNK = 1 << 16  # x per step of ``_half_units``: it peaks at 1.5 MB traced, whatever n is
+_UNIT_CHUNK = 1 << 16  # x per step of ``_half_units``: it peaks at 1.3 MB traced, whatever n is
 IP_BOUND = 10**5  # the cap of every array over IP(n): its members, the six-map table
 
 
@@ -505,26 +505,31 @@ def _half_units(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     with the member flags of IP(n): low marks the members m = x, whose x - 1
     and x are units, and high the members m = n - x, whose x and x + 1 are.
 
-    It strikes the non-units, with no gcd and no prime table.  The x >= 2
-    of a step with n % x = 0, taken at once in uint32, are the divisors of
-    n there.  Ascending, a divisor that no smaller prime divisor struck is
-    prime: it strikes its multiples in one slice, here and at the start of
-    each later step; odd n <= 10^7 has at most 7.  x = 0 is never a unit."""
+    It strikes the non-units, with no gcd and no prime table.  The primes
+    of n are found once per pass, by its own trial up to sqrt(n): one
+    remainder of n by 2..isqrt(n) gives the divisors there, and ascending,
+    a divisor that divides what is left of n is prime and is divided out
+    fully.  What is left past sqrt(n) is 1 or the one prime divisor above
+    it; odd n <= 10^7 has at most 7 primes.  Each step strikes the
+    multiples of each prime in one slice.  x = 0 is never a unit."""
     import numpy as np
 
     half = (n - 1) // 2
-    primes = []
+    ds = np.arange(2, math.isqrt(n) + 1)
+    primes, rest = [], n
+    for d in ds[n % ds == 0].tolist():
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+    if rest > 1:
+        primes.append(rest)
     for lo in range(1, half + 1, _UNIT_CHUNK):
         hi = min(lo + _UNIT_CHUNK, half + 1)  # the flags run over x = lo - 1..hi
         unit = np.ones(hi + 2 - lo, dtype=bool)  # entry i is x = lo - 1 + i
         unit[0] = lo > 1
         for p in primes:
             unit[(1 - lo) % p :: p] = False
-        xs = np.arange(max(lo - 1, 2), hi + 1, dtype=np.uint32)
-        for d in xs[n % xs == 0].tolist():
-            if unit[d + 1 - lo]:
-                primes.append(d)
-                unit[d + 1 - lo :: d] = False
         pair = unit[:-1] & unit[1:]  # x - 1 and x, or x and x + 1, both units
         yield np.arange(lo, hi, dtype=np.int64), pair[:-1], pair[1:]
 
@@ -580,11 +585,11 @@ def six_map_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     while e:
         if e & 1:
             inv *= base
-            inv %= n
+            inv -= inv // n * n  # numpy divides by a scalar faster than it takes %
         e >>= 1
         if e:
             base *= base
-            base %= n
+            base -= base // n * n
     wrong = members * inv % n != 1
     if n > 1 and wrong.any():
         msg = "{} times its computed inverse is not 1 mod {}"

@@ -9,7 +9,8 @@ formula: a closed form from the prime factorization, the Burnside average of
 the fixed-point counts, each counted as the congruence that defines the
 map's fixed points, and the base-form clean triangles that are their own
 class key, keyed by ``lattice._least_keys`` on arrays up to m = (n + 1)/2.
-The Burnside and geometric routes stream the one half pass, which reads no
+The Burnside and geometric routes stream the one half pass, which finds the
+primes of n by its own trial up to sqrt(n) and reads no factorization or
 prime table, and share no code with ``t_closed``; they serve odd n up to
 10^7 by one rule, ``_require_served``, and the orbits, which hold all of
 IP(n), odd n up to 10^5.  No route keeps a cache.
@@ -75,8 +76,9 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     t = x - 1 and m^2 = 2m at t = 2x, m = n - x at t = n - 1 - x and
     t = n - 2x.  As x <= (n - 1)/2, both sides lie in [0, n), so each
     comparison is exact.  Only m = (n + 1)/2, the high member of the last
-    x, solves 2m = 1.  No factorization, prime table, inverse or residue map
-    is used: the count shares no code with ``t_closed``."""
+    x, solves 2m = 1.  No prime table, inverse or residue map is used, and
+    no factorization but the pass's own trial division up to sqrt(n): the
+    count shares no code with ``t_closed``."""
     import numpy as np
 
     if n == 1:
@@ -91,8 +93,8 @@ def _fix_counts_vectorized(n: int) -> tuple[int, int, int, int, int, int]:
     g1 = g2 = g45 = g6 = 0
     for x, low, high in _half_units(n):
         g1 += int(np.count_nonzero(low)) + int(np.count_nonzero(high))
-        t = x * x
-        t %= n  # x^2 < 10^14 fits int64
+        t = x * x  # x^2 < 10^14 fits int64
+        t -= t // n * n  # t %= n, as numpy divides by a scalar faster
         g2 += count(t == 1, low) + count(t == 1, high)
         t -= x  # t = x - 1 and t = 2x, shifted by -x
         g45 += count(t == -1, low)
@@ -136,7 +138,8 @@ def t_burnside(n: int) -> int:
     """T(n) as the Burnside average of the fixed-point counts that
     ``_fix_counts_vectorized`` counts by their congruences, one array
     comparison each per chunk of the half pass, for odd n up to
-    ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7; it reads no factorization, prime
+    ``arith.IMPH_BRUTEFORCE_BOUND`` = 10^7.  The pass finds the primes of n by
+    its own trial up to sqrt(n); the route reads no factorization, prime
     table, inverse or residue map, so it shares no code with ``t_closed``."""
     _require(n >= 1, "n must be positive, got {}", n)
     if n % 2 == 0:
@@ -182,13 +185,15 @@ class OrbitDecomposition(_Record):
 
 
 def orbit_decomposition(n: int) -> OrbitDecomposition:
-    """Partition IP(n) into orbits of the six-map action, grouping members by
-    the least of their six images (the six images of m are its whole orbit).
+    """Partition IP(n) into orbits of the six-map action.  The six images of
+    m are its whole orbit, so each orbit is the sorted, distinct images of
+    its key, the one member that is the least of its own images.
 
     The maps are checked closed on IP(n) by a member flag over 0..n, read at
-    every image.  The members, ordered by their least image, are listed once
-    and cut where it changes.  Their count is checked against ``t_closed``,
-    which catches maps that split or merge orbits of sizes dividing 6."""
+    every image.  The keys' columns of the table are sorted at once, and the
+    orbits come in the order of their keys; they must hold each member
+    once.  Their count is checked against ``t_closed``, which catches maps
+    that split or merge orbits of sizes dividing 6."""
     import numpy as np
 
     if n % 2 == 0 and n > 1:
@@ -198,12 +203,14 @@ def orbit_decomposition(n: int) -> OrbitDecomposition:
     is_member = np.zeros(n + 1, dtype=bool)
     is_member[members] = True
     _expect(is_member[table].all(), n, ("six-map",), "orbit escaped IP({})", n)
-    keys = table.min(axis=0)
-    order = np.argsort(keys, kind="stable")
-    # an orbit starts where the key changes; a 0 before the keys, which are
-    # at least 1, starts the first, and no members make no orbit
-    cuts = [*np.flatnonzero(np.diff(keys[order], prepend=0)).tolist(), members.size]
-    flat = members[order].tolist()
+    cols = np.sort(table[:, table.min(axis=0) == members], axis=0).T  # one row per key
+    new = np.ones(cols.shape, dtype=bool)
+    new[:, 1:] = cols[:, 1:] != cols[:, :-1]  # the distinct images of each key
+    images = cols[new]
+    once = (np.bincount(images, minlength=n + 1)[members] == 1).all()
+    _expect(once, n, ("six-map",), "orbits do not hold each member of IP({}) once", n)
+    cuts = [0, *np.add.accumulate(new.sum(axis=1)).tolist()]
+    flat = images.tolist()
     dec = OrbitDecomposition(n, tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:])))
     closed = t_closed(n)
     msg = "{} orbits in IP({}), the closed form T = {}"

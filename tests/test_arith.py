@@ -802,11 +802,15 @@ class TestIpMembers:
             assert ip_members(n).size == 0
 
     @staticmethod
-    def _is_member(n):
+    def _is_member(n, primes=None):
         """Flags over m = 0..n of IP(n) by the two gcds, gcd(m, n) = 1 and
-        gcd(m - 1, n) = 1, on every residue."""
+        gcd(m - 1, n) = 1, on every residue; or, given the primes of n, by
+        m and m - 1 being prime to each."""
         m = np.arange(n + 1, dtype=np.int64)
-        return (np.gcd(m, n) == 1) & (np.gcd(m - 1, n) == 1)
+        if primes is None:
+            return (np.gcd(m, n) == 1) & (np.gcd(m - 1, n) == 1)
+        unit = np.logical_and.reduce([m % p != 0 for p in primes])
+        return unit & np.roll(unit, 1)  # m = 0 is not a member, as n is not a unit
 
     def _by_definition(self, n):
         """IP(n), increasing, by the two gcds over every residue 1..n."""
@@ -816,12 +820,12 @@ class TestIpMembers:
         for n in (1, 2, 4, 10):
             assert ip_members(n).tolist() == self._by_definition(n), n
 
-    def _assert_member_flags(self, n):
+    def _assert_member_flags(self, n, primes=None):
         """The chunks of the half pass of n run over x = 1..(n - 1)/2 in
         order, as int64, each with the low flags of the members m = x and
-        the high flags of the members m = n - x that the two gcds give."""
+        the high flags of the members m = n - x that ``_is_member`` gives."""
         half = (n - 1) // 2
-        member = self._is_member(n)
+        member = self._is_member(n, primes)
         xs, low, high = zip(*arith._half_units(n))
         assert {x.dtype for x in xs} == {np.dtype(np.int64)}, n
         x = np.concatenate(xs)
@@ -843,6 +847,25 @@ class TestIpMembers:
             # fill it, pass it by one x, fill two chunks and pass them by one x
             for n in (*range(3, 3001, 2), 131071, 131073, 131075, 262145, 262147):
                 self._assert_member_flags(n)
+
+    @pytest.mark.parametrize("n,primes", [
+        pytest.param(9999993, (3, 3333331), id="a prime past sqrt(n), met in a late chunk"),
+        pytest.param(9699691, (347, 27953), id="two primes, one past sqrt(n)"),
+        pytest.param(4782969, (3,), id="3^14, nothing left past sqrt(n)"),
+        pytest.param(1771561, (11,), id="11^6, nothing left past sqrt(n)"),
+        pytest.param(9999991, (9999991,), id="a prime, no divisor below sqrt(n)"),
+    ])
+    def test_pass_flags_near_the_cap(self, n, primes):
+        # at the default chunk; the flags are read off the primes of n, each
+        # checked prime by trial division, as the two gcds over 0..n take
+        # about 2 s each near 10^7
+        rest = n
+        for p in primes:
+            assert all(p % d for d in range(2, math.isqrt(p) + 1)), p
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1
+        self._assert_member_flags(n, primes)
 
     def test_pass_one_x_short_is_caught(self):
         # a pass whose last chunk stops one x short finds no member of IP(3):

@@ -340,16 +340,21 @@ class TestTcountCommand:
             assert out == "" and err == "error: geometric route capped at n = 10000000\n"
 
 
-def _mutate(monkeypatch, fn, old, new):
-    """Replace ``fn`` in its module, for the test, by its source with the one
-    occurrence of ``old`` changed to ``new``."""
+def _mutated(fn, old, new):
+    """``fn`` built from its source with the one occurrence of ``old``
+    changed to ``new``, in a copy of its module's namespace."""
     module = sys.modules[fn.__module__]
     source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1
     namespace = dict(vars(module))
     code = "from __future__ import annotations\n" + source.replace(old, new)
     exec(compile(code, module.__file__, "exec"), namespace)
-    monkeypatch.setattr(module, fn.__name__, namespace[fn.__name__])
+    return namespace[fn.__name__]
+
+
+def _mutate(monkeypatch, fn, old, new):
+    """Replace ``fn`` in its module, for the test, by ``_mutated(fn, old, new)``."""
+    monkeypatch.setattr(sys.modules[fn.__module__], fn.__name__, _mutated(fn, old, new))
 
 
 def _walk_need(runs):
@@ -978,6 +983,11 @@ class TestInvariantViolationExit:
             (arith, "_half_units", _one_x_short, ["orbits", "3"], 3, ["six-map", "closed"]),
             (counting, "six_map_table", _g1_g2_only, ["orbits", "21"], 21,
              ["six-map", "closed"]),
+            # orbits that keep every image of their key, repeats too: each
+            # member must be in one orbit once, before the record is built
+            (counting, "orbit_decomposition",
+             lambda fn: _mutated(fn, "cols[:, 1:] != cols[:, :-1]", "True"), ["orbits", "21"],
+             21, ["six-map"]),
         ],
     )
     def test_exit_3_with_one_json_line(self, monkeypatch, capsys, module, name, fault, argv,
@@ -1410,7 +1420,8 @@ def test_one_residue_pass():
     the half pass ``arith._half_units`` that ``ip_members``, the six-map
     table, the Burnside route and the geometric route read: no ``np.gcd`` is
     left in either module, and the remainder of n by an array of residues,
-    an ``np.arange`` or a name bound to one, is taken in that pass alone."""
+    an ``np.arange`` or a name bound to one, is taken in that pass alone, and
+    there once per pass: in the body of no loop, so not chunk by chunk."""
     src = pathlib.Path(cli.__file__).parent
     gcds, remainders = [], []
     for name in ("arith", "counting"):
@@ -1419,6 +1430,8 @@ def test_one_residue_pass():
                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
                   and ast.unparse(node.value.func) == "np.arange"
                   for target in node.targets if isinstance(target, ast.Name)}
+        looped = {id(inner) for node, _ in nodes if isinstance(node, (ast.For, ast.While))
+                  for stmt in node.body for inner in ast.walk(stmt)}
         for node, where in nodes:
             if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.gcd":
                 gcds.append(f"{name}.{where}")
@@ -1431,7 +1444,7 @@ def test_one_residue_pass():
                 continue
             by = ast.unparse(divisor)
             if ast.unparse(dividend) == "n" and (by.startswith("np.arange(") or (where, by) in ranges):
-                remainders.append(f"{name}.{where}")
+                remainders.append(f"{name}.{where}" + " in a loop" * (id(node) in looped))
     assert gcds == []
     assert remainders == ["arith._half_units"]
 
